@@ -7,14 +7,46 @@ network whose weights are trained jointly with the mixture head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from . import quasirandom as qr
 from .errors import ConfigurationError, ContractError
 
 KERNEL_FAMILIES = ("rbf", "matern52")
+
+# First 50 primes; one Halton base per dimension.
+_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+    139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211,
+    223, 227, 229,
+)
+
+MAX_DIMENSION = len(_PRIMES)
+
+
+# In-house, not scipy.stats.qmc.Halton (same points): that import outweighs the CLI's start-up.
+def halton_points(dimension: int, count: int) -> np.ndarray:
+    """``count`` consecutive Halton points starting at index 1, shape
+    (count, dimension). Index 0 (the all-zeros point) is skipped so the
+    points survive inverse-CDF transforms."""
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise ConfigurationError(
+            f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
+        )
+    if count < 1:
+        raise ContractError(f"count must be >= 1, got {count}")
+    out = np.zeros((count, dimension))
+    for j, base in enumerate(_PRIMES[:dimension]):
+        # van der Corput digit reversal of every index at once
+        rest, scale = np.arange(1, count + 1), 1.0 / base
+        while rest.any():
+            rest, digit = np.divmod(rest, base)
+            out[:, j] += digit * scale
+            scale /= base
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,10 +97,12 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     sequence.
 
     RBF with lengthscale sigma uses omega ~ N(0, sigma^-2 I), matching
-    the exact kernel exp(-r^2 / (2 sigma^2)); Matern 5/2 uses the
-    Student-t(5) spectral law at scale 1/sigma, with one reserved Halton
-    column feeding the chi-square coordinate. The final Halton column
-    maps affinely to the bias in [-pi, pi].
+    the exact kernel exp(-r^2 / (2 sigma^2)). Matern 5/2 uses the
+    Student-t(5) spectral law at scale 1/sigma: a Gaussian draw divided
+    by sqrt(chi2 / 5), the chi-square taken as the sum of five squared
+    Gaussians from five reserved Halton columns (much better QMC moment
+    convergence for the heavy tail than a single inverse-CDF column).
+    The final Halton column maps affinely to the bias in [-pi, pi].
     """
     if input_dim < 1:
         raise ContractError("input_dim must be >= 1")
@@ -76,14 +110,15 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     inv_ls = 1.0 / np.broadcast_to(
         np.asarray(kernel.lengthscale, dtype=float), (input_dim,)
     )
-    if kernel.family == "rbf":
-        pts = qr.halton_points(input_dim + 1, n_freq)
-        freqs = qr.inverse_normal_cdf(pts[:, :input_dim]) * inv_ls
-    else:  # matern52: Student-t(5) spectral law, chi-square from 5 columns
-        pts = qr.halton_points(input_dim + 6, n_freq)
-        freqs = qr.to_student_t(
-            pts[:, : input_dim + 5], dof=5.0, chi_columns=5
-        ) * inv_ls
+    chi_columns = 0 if kernel.family == "rbf" else 5
+    pts = halton_points(input_dim + chi_columns + 1, n_freq)
+    z = ndtri(pts[:, :-1])
+    freqs = z[:, :input_dim]
+    if chi_columns:
+        zc = z[:, input_dim:]
+        chi2 = np.sum(zc * zc, axis=1)
+        freqs = freqs / np.sqrt(chi2 / chi_columns)[:, None]
+    freqs = freqs * inv_ls
     biases = 2.0 * np.pi * pts[:, -1] - np.pi
     return RFFMap(frequencies=freqs, biases=biases, kernel=kernel)
 
@@ -122,7 +157,8 @@ class NeuralFeatureMap:
     """Two-layer tanh network phi(x) = tanh(W2 tanh(W1 x + b1) + b2).
 
     Outputs are bounded in (-1, 1) componentwise. Weights are plain
-    arrays so the trainer can update them in place.
+    arrays, so the trainer can hold them as views into its flat
+    parameter vector.
     """
 
     w1: np.ndarray  # (h, d)
@@ -141,11 +177,6 @@ class NeuralFeatureMap:
     @property
     def num_features(self) -> int:
         return self.w2.shape[0]
-
-    def copy(self) -> "NeuralFeatureMap":
-        return NeuralFeatureMap(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy()
-        )
 
 
 def init_neural_map(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +19,18 @@ import yaml
 
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 from .features import (
     KernelConfig,
     NeuralFeatureMap,
-    RFFMap,
     apply_nn,
     apply_rff,
     build_rff,
     init_neural_map,
 )
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
-from .posterior import PosteriorEstimate, log_prob_target, recover_posterior, sample
-from .priors import GAUSSIAN, IMPROPER, UNIFORM_BOX, PriorSpec, uniform_box
+from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
+from .priors import GAUSSIAN, PriorSpec, uniform_box
 from .simulators import builtin_controller, get_model, rollout
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
 

@@ -64,12 +64,6 @@ class PriorSpec:
             return self.mean + z @ chol.T
         raise ConfigurationError("cannot sample from an improper prior")
 
-    def log_volume(self) -> float:
-        """log of the box volume (uniform case only)."""
-        if self.kind != UNIFORM_BOX:
-            raise ConfigurationError("log_volume applies to uniform boxes only")
-        return float(np.sum(np.log(self.high - self.low)))
-
 
 def uniform_box(low, high) -> PriorSpec:
     return PriorSpec(kind=UNIFORM_BOX, low=np.asarray(low, float), high=np.asarray(high, float))

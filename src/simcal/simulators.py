@@ -53,14 +53,6 @@ class GenerativeModel:
     def param_names(self):
         return [p.name for p in self.mutable_params]
 
-    @property
-    def param_lows(self):
-        return np.array([p.low for p in self.mutable_params])
-
-    @property
-    def param_highs(self):
-        return np.array([p.high for p in self.mutable_params])
-
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.shape[0] != len(self.mutable_params):

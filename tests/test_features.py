@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from simcal.errors import ConfigurationError, ContractError
 from simcal.features import (
@@ -9,11 +10,11 @@ from simcal.features import (
     apply_rff,
     build_rff,
     exact_kernel,
+    halton_points,
     init_neural_map,
     nn_backprop,
     nn_feature_jacobian,
 )
-from simcal.quasirandom import halton_points, inverse_normal_cdf
 
 
 def test_kernel_config_validation():
@@ -29,7 +30,7 @@ def test_single_pair_rbf_frequency():
     sigma = 0.7
     m = build_rff(KernelConfig("rbf", sigma, 2), 1)
     first = halton_points(2, 1)[0]
-    expected = inverse_normal_cdf(first[:1]) / sigma
+    expected = ndtri(first[:1]) / sigma
     np.testing.assert_allclose(m.frequencies, [expected])
     assert -np.pi <= m.biases[0] <= np.pi
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from simcal import mdn
 from simcal.errors import ConfigurationError, ContractError
-from simcal.features import KernelConfig, build_rff, init_neural_map
+from simcal.features import KernelConfig, apply_nn, apply_rff, build_rff, init_neural_map
 from simcal.mdn import (
     GaussianMixture,
     MixtureHeadWeights,
@@ -200,6 +200,32 @@ def test_gradient_matches_finite_differences_nn():
     rng = np.random.default_rng(7)
     fmap = init_neural_map(3, 6, 14, rng)
     assert _finite_difference_check(fmap, rng) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["rff", "nn"])
+def test_loss_values_match_log_density_oracle(kind, monkeypatch):
+    # Finite differences cannot see a constant error in the loss (say a
+    # dropped log 2 pi); the per-row GaussianMixture density can.
+    rng = np.random.default_rng(12)
+    if kind == "rff":
+        fmap, phi = build_rff(KernelConfig("rbf", 0.8, 16), 3), apply_rff
+    else:
+        fmap, phi = init_neural_map(3, 5, 16, rng), apply_nn
+    head = random_head(3, 2, 16, rng)
+    x = rng.normal(size=(30, 3))
+    th = rng.normal(size=(30, 2))
+    oracle = np.mean([log_density(head_forward(head, phi(fmap, xi)), ti)
+                      for xi, ti in zip(x, th)])
+
+    assert -loss_and_gradient(head, fmap, x, th)[0] == pytest.approx(oracle, abs=1e-12)
+    assert mdn.held_out_log_density(head, fmap, x, th) == pytest.approx(oracle, abs=1e-12)
+
+    # CV score with every fold's fit replaced by ``head``: the folds
+    # partition the rows, so it is the same mean.
+    monkeypatch.setattr(mdn, "train", lambda cfg, xs, ths, f: (head, f, None))
+    folds = np.array_split(rng.permutation(30), 3)
+    score = mdn._cv_score(fmap, x, th, folds, TrainerConfig(num_components=3))
+    assert score == pytest.approx(oracle, abs=1e-12)
 
 
 def test_empty_batch_rejected():

@@ -1,10 +1,18 @@
+"""Quasi-random (Halton) points and the RFF frequencies built from them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simcal import quasirandom as qr
-from simcal.errors import ConfigurationError, ContractError
+import simcal
+from simcal.errors import ConfigurationError
+from simcal.features import KernelConfig, build_rff, halton_points
 
 
 def brute_force_radical_inverse(index, base):
@@ -17,60 +25,45 @@ def brute_force_radical_inverse(index, base):
     return sum(d * base ** -(k + 1) for k, d in enumerate(digits))
 
 
-def test_radical_inverse_known_values():
-    assert qr.radical_inverse(1, 2) == 0.5
-    assert qr.radical_inverse(3, 2) == 0.75
+def first_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
 
 
-def test_radical_inverse_matches_digit_reversal_oracle():
-    assert qr.radical_inverse(5, 3) == pytest.approx(
-        brute_force_radical_inverse(5, 3), abs=1e-15
-    )
-
-
-@given(st.integers(1, 10000), st.sampled_from([2, 3, 5, 7, 11]))
-def test_radical_inverse_oracle_property(index, base):
-    got = qr.radical_inverse(index, base)
-    assert got == pytest.approx(brute_force_radical_inverse(index, base), abs=1e-12)
-    assert 0.0 < got < 1.0
-
-
-def test_radical_inverse_rejects_bad_domain():
-    with pytest.raises(ContractError):
-        qr.radical_inverse(0, 2)
-    with pytest.raises(ContractError):
-        qr.radical_inverse(3, 1)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 200))
+def test_halton_matches_digit_reversal_oracle(dimension, count):
+    pts = halton_points(dimension, count)
+    expected = [[brute_force_radical_inverse(i, p) for p in first_primes(dimension)]
+                for i in range(1, count + 1)]
+    np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-12)
+    assert np.all((pts > 0.0) & (pts < 1.0))
 
 
 def test_halton_base2_first_points():
-    np.testing.assert_allclose(qr.halton_points(1, 3).ravel(), [0.5, 0.25, 0.75])
+    np.testing.assert_allclose(halton_points(1, 3).ravel(), [0.5, 0.25, 0.75])
 
 
 def test_halton_2d_first_point():
-    np.testing.assert_allclose(qr.halton_points(2, 1), [[0.5, 1.0 / 3.0]])
+    np.testing.assert_allclose(halton_points(2, 1), [[0.5, 1.0 / 3.0]])
 
 
 def test_halton_base2_dyadic_rationals():
     # first 2^m - 1 points, sorted, are exactly k/2^m for k = 1..2^m-1
     m = 6
-    pts = np.sort(qr.halton_points(1, 2 ** m - 1).ravel())
+    pts = np.sort(halton_points(1, 2 ** m - 1).ravel())
     np.testing.assert_allclose(pts, np.arange(1, 2 ** m) / 2 ** m)
 
 
 def test_halton_dimension_limits():
     with pytest.raises(ConfigurationError):
-        qr.halton_points(51, 4)
+        halton_points(51, 4)
     with pytest.raises(ConfigurationError):
-        qr.halton_points(0, 4)
-
-
-def test_halton_determinism_and_cursor():
-    seq = qr.HaltonSequence(dimension=3)
-    a = seq.take(10)
-    b = qr.HaltonSequence(dimension=3).take(10)
-    np.testing.assert_array_equal(a, b)
-    # cursor continues where the block ended
-    np.testing.assert_array_equal(seq.take(5), qr.halton_points(3, 15)[10:])
+        halton_points(0, 4)
 
 
 def _star_discrepancy_grid(points, grid=32):
@@ -87,7 +80,7 @@ def _star_discrepancy_grid(points, grid=32):
 
 
 def test_halton_beats_random_discrepancy():
-    halton = qr.halton_points(2, 64)
+    halton = halton_points(2, 64)
     d_halton = _star_discrepancy_grid(halton)
     rng = np.random.default_rng(0)
     d_random = np.mean(
@@ -96,78 +89,41 @@ def test_halton_beats_random_discrepancy():
     assert d_halton < d_random
 
 
-def test_inverse_normal_cdf_accuracy():
-    from scipy.special import ndtri
-
-    p = np.concatenate([
-        np.linspace(1e-12, 0.02, 2000),
-        np.linspace(0.02, 0.98, 5000),
-        np.linspace(0.98, 1 - 1e-12, 2000),
-    ])
-    ours = qr.inverse_normal_cdf(p)
-    ref = ndtri(p)
-    # relative scaling keeps the bound meaningful in the extreme tails,
-    # where ndtri itself carries ~1e-9 relative rounding
-    assert np.max(np.abs(ours - ref) / (1.0 + np.abs(ref))) < 1e-9
+def _frequencies(family, sigma, num_features):
+    """1-D RFF frequencies rescaled to unit lengthscale."""
+    m = build_rff(KernelConfig(family, sigma, num_features), 1)
+    return (m.frequencies * sigma).ravel()
 
 
-def test_inverse_normal_cdf_rejects_endpoints():
-    with pytest.raises(ContractError):
-        qr.inverse_normal_cdf([0.0, 0.5])
-    with pytest.raises(ContractError):
-        qr.inverse_normal_cdf(1.0)
-
-
-def test_to_gaussian_median_and_affine():
-    np.testing.assert_allclose(qr.to_gaussian(np.array([[0.5, 0.5]])), [[0.0, 0.0]])
-    np.testing.assert_allclose(qr.to_gaussian(np.array([0.5]), mean=2.0, scale=3.0), [2.0])
-
-
-def test_to_gaussian_moment_check():
-    pts = qr.halton_points(1, 4096)
+def test_rbf_frequency_variance():
     for s in (0.5, 1.0, 3.0):
-        g = qr.to_gaussian(pts, 0.0, s)
-        assert abs(g.var() - s * s) / (s * s) < 0.05
+        w = _frequencies("rbf", s, 8192)
+        assert abs(w.var() - 1.0) < 0.05
 
 
-def test_to_gaussian_kolmogorov_smirnov():
+def test_rbf_frequency_kolmogorov_smirnov():
     from scipy.special import erf
 
-    g = np.sort(qr.to_gaussian(qr.halton_points(1, 4096)).ravel())
+    g = np.sort(_frequencies("rbf", 0.7, 8192))
     cdf = 0.5 * (1 + erf(g / np.sqrt(2)))
     emp = np.arange(1, g.size + 1) / g.size
     ks = max(np.max(np.abs(cdf - emp)), np.max(np.abs(cdf - (emp - 1 / g.size))))
     assert ks < 0.02
 
 
-def test_student_t_zero_at_median():
-    pts = np.full((1, 3), 0.5)
-    for dof in (1.0, 5.0, 50.0):
-        out = qr.to_student_t(pts, dof=dof)
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_student_t_gaussian_limit():
-    pts = qr.halton_points(2, 512)
-    t = qr.to_student_t(pts, dof=1e6)
-    g = qr.to_gaussian(pts[:, :1])
-    # chi-square/dof fluctuates with std sqrt(2/dof), so pointwise
-    # agreement is O(|x| * 1e-3) at this dof
-    assert np.max(np.abs(t - g)) < 1e-2
-
-
 def test_student_t_kurtosis_matches_analytic():
-    # t(5): kurtosis = 3 (nu-2) / (nu-4) = 9
-    pts = qr.halton_points(6, 8192)
-    t = qr.to_student_t(pts, dof=5.0, chi_columns=5).ravel()
+    # Matern 5/2 spectral law is t(5): kurtosis = 3 (nu-2) / (nu-4) = 9
+    t = _frequencies("matern52", 1.3, 16384)
     m2, m4 = np.mean(t ** 2), np.mean(t ** 4)
     kurt = m4 / m2 ** 2
     assert abs(kurt - 9.0) / 9.0 < 0.15
 
 
-def test_student_t_rejects_bad_args():
-    pts = qr.halton_points(3, 4)
-    with pytest.raises(ContractError):
-        qr.to_student_t(pts, dof=0.0)
-    with pytest.raises(ContractError):
-        qr.to_student_t(pts, dof=5.0, chi_columns=3)
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs more start-up time and memory than the whole CLI
+    src = str(Path(simcal.__file__).resolve().parents[1])
+    code = ("import sys, simcal.cli; "
+            "sys.exit(int('scipy.stats' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
