@@ -44,17 +44,17 @@ def rejection_abc(
     """Draw parameters from the proposal, simulate, accept within the
     epsilon-sphere around the real observation.
 
-    ``simulate_stats(theta, seed) -> standardized statistic vector`` must
-    run the same simulator/statistics pipeline used for the density
+    ``simulate_stats(thetas (n, d), seeds (n,)) -> (n, stat_dim)``
+    standardized statistics simulates every draw in one batched call; it
+    must run the same simulator/statistics pipeline used for the density
     model, so distances are comparable.
     """
     x_r = np.asarray(x_r, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
     thetas = proposal.sample(rng, cfg.max_simulations)
-    distances = np.empty(cfg.max_simulations)
-    for n in range(cfg.max_simulations):
-        x = np.asarray(simulate_stats(thetas[n], int(rng.integers(2 ** 31))))
-        distances[n] = np.linalg.norm(x - x_r)
+    seeds = rng.integers(2 ** 31, size=cfg.max_simulations)
+    x = np.asarray(simulate_stats(thetas, seeds), dtype=float)
+    distances = np.linalg.norm(x - x_r, axis=1)
     mask = distances < cfg.epsilon
     accepted = thetas[mask]
     rate = float(mask.mean())

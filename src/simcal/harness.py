@@ -170,32 +170,35 @@ class Dataset:
 
 
 def generate_dataset(config: ExperimentConfig, seed: int) -> Dataset:
-    """Sample parameters from the proposal, roll out, compute statistics
-    and fit the standardizer. Aborts when more than 1% of draws diverge."""
+    """Sample parameters from the proposal, roll all of them out in one
+    lockstep batch, compute statistics and fit the standardizer.
+
+    A draw fails when its theta lies outside the model's limits (it is
+    not simulated), its rollout diverged, or it ran fewer than 2 steps.
+    Aborts when more than 1% of draws fail."""
     model = get_model(config.benchmark)
     controller = builtin_controller(config.controller_kind, config.controller_seed)
     rng = np.random.default_rng(seed)
     thetas = config.proposal_spec.sample(rng, config.num_train)
 
-    stats, kept, failed = [], [], []
-    for n in range(config.num_train):
-        try:
-            traj = rollout(model, thetas[n], controller,
-                           horizon=config.horizon, seed=seed * 100003 + n)
-            stats.append(compute_stats(traj))
-            kept.append(n)
-        except Exception:
-            failed.append(thetas[n].tolist())
-    if len(failed) > 0.01 * config.num_train:
+    batch = rollout(model, thetas, controller, horizon=config.horizon,
+                    seed=seed * 100003 + np.arange(config.num_train))
+    simulated = batch.in_limits & ~batch.diverged
+    short = simulated & (batch.lengths < 2)
+    kept = simulated & ~short
+    failed = config.num_train - int(kept.sum())
+    if failed > 0.01 * config.num_train:
         raise ConfigurationError(
-            f"simulator diverged on {len(failed)}/{config.num_train} draws; "
-            f"offending parameters: {failed[:20]}"
+            f"{failed}/{config.num_train} draws failed: "
+            f"{int((~batch.in_limits).sum())} outside the parameter limits, "
+            f"{int(batch.diverged.sum())} diverged, "
+            f"{int(short.sum())} shorter than 2 steps; "
+            f"offending parameters: {thetas[~kept][:20].tolist()}"
         )
-    thetas = thetas[kept]
-    raw = np.asarray(stats)
+    raw = compute_stats(batch.select(kept))
     schema = fit_standardizer(raw, model.state_dim, model.action_dim)
     return Dataset(
-        thetas=thetas, raw_stats=raw, schema=schema,
+        thetas=thetas[kept], raw_stats=raw, schema=schema,
         config_hash=config_hash(config), benchmark=config.benchmark,
         param_names=model.param_names,
     )
@@ -223,14 +226,23 @@ def load_dataset(path) -> Dataset:
     text = Path(path).read_text().strip().split("\n")
     if not text or not text[0].startswith(DATASET_MAGIC):
         raise ConfigurationError(f"{path} is not a dataset file")
-    header = json.loads(text[0][len(DATASET_MAGIC):])
-    rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    d_theta = len(header["param_names"])
-    schema = StatsSchema(
-        state_dim=header["state_dim"], action_dim=header["action_dim"],
-        mean=np.array(header["standardizer_mean"]),
-        std=np.array(header["standardizer_std"]),
-    )
+    try:
+        header = json.loads(text[0][len(DATASET_MAGIC):])
+        d_theta = len(header["param_names"])
+        schema = StatsSchema(
+            state_dim=header["state_dim"], action_dim=header["action_dim"],
+            mean=np.array(header["standardizer_mean"]),
+            std=np.array(header["standardizer_std"]),
+        )
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in text[1:]])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{path}: malformed dataset: {exc}") from exc
+    width = d_theta + schema.stat_dim
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != width:
+        raise ConfigurationError(
+            f"{path}: expected one or more rows of {width} values, "
+            f"got an array of shape {rows.shape}")
     return Dataset(
         thetas=rows[:, :d_theta], raw_stats=rows[:, d_theta:], schema=schema,
         config_hash=header["config_hash"], benchmark=header["benchmark"],
@@ -433,12 +445,12 @@ def synth_real_observation(config: ExperimentConfig, schema: StatsSchema,
     parameters and averaging the statistics."""
     model = get_model(config.benchmark)
     controller = builtin_controller(config.controller_kind, config.controller_seed)
-    trajs = [
-        rollout(model, np.asarray(config.theta_star), controller,
-                horizon=config.horizon, seed=seed * 7919 + i)
-        for i in range(config.real_rollouts)
-    ]
-    return real_observation(trajs, schema)
+    thetas = np.tile(np.asarray(config.theta_star, dtype=float),
+                     (config.real_rollouts, 1))
+    batch = rollout(model, thetas, controller, horizon=config.horizon,
+                    seed=seed * 7919 + np.arange(config.real_rollouts))
+    batch.check()
+    return real_observation(batch, schema)
 
 
 def infer_posterior(config: ExperimentConfig, model: FittedModel,
@@ -533,10 +545,11 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
     controller = builtin_controller(config.controller_kind, config.controller_seed)
     schema = dataset.schema
 
-    def simulate_stats(theta, sim_seed):
-        traj = rollout(model, theta, controller, horizon=config.horizon,
-                       seed=sim_seed)
-        return schema.standardize(compute_stats(traj))
+    def simulate_stats(thetas, seeds):
+        batch = rollout(model, thetas, controller, horizon=config.horizon,
+                        seed=seeds)
+        batch.check()
+        return schema.standardize(compute_stats(batch))
 
     n_sims = config.abc_max_simulations or config.num_train
     if config.abc_epsilon is not None:

@@ -1,16 +1,19 @@
 """Desk-scale black-box generative models behind one rollout interface.
 
 Each model maps a parameter vector to a trajectory of states/actions via
-deterministic-given-seed integration. Scripted controllers stand in for
-trained policies: the inference method only needs an action source that
-excites the dynamics, held identical between training-set generation and
-"real" observation generation.
+deterministic-given-seed integration. Every episode of a call is stepped
+in lockstep: dynamics, termination and controllers act on the last axis,
+so one time step is a few numpy operations on ``(N, D_s)`` states and
+``(N, d_theta)`` parameters. Scripted controllers stand in for trained
+policies: the inference method only needs an action source that excites
+the dynamics, held identical between training-set generation and "real"
+observation generation.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +34,48 @@ class Trajectory:
         return self.actions.shape[0]
 
 
+@dataclass
+class Rollouts:
+    """N episodes stepped in lockstep.
+
+    Row i holds ``lengths[i]`` steps. Past its length a row is frozen:
+    its last state repeats and its actions are zero. A row whose theta
+    lies outside the model's limits is never stepped (length 0); a row
+    that diverges is frozen at its last finite state and flagged.
+    """
+
+    thetas: np.ndarray          # (N, d_theta)
+    states: np.ndarray          # (N, T+1, D_s)
+    actions: np.ndarray         # (N, T, D_a)
+    lengths: np.ndarray         # (N,) steps taken per row
+    terminated: np.ndarray      # (N,) the termination predicate ended the row
+    diverged: np.ndarray        # (N,) non-finite or beyond STATE_LIMIT
+    in_limits: np.ndarray       # (N,) theta inside the model's limits
+
+    @property
+    def length(self) -> int:
+        """Steps taken over the whole batch."""
+        return int(self.lengths.sum())
+
+    @property
+    def terminated_early(self) -> int:
+        """Rows that the termination predicate ended."""
+        return int(self.terminated.sum())
+
+    def select(self, rows) -> "Rollouts":
+        return Rollouts(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def check(self) -> None:
+        """Raise for the first failed row: ContractError for a theta
+        outside the limits, DivergedTrajectoryError for a divergence."""
+        for i in np.flatnonzero(~self.in_limits | self.diverged):
+            theta = self.thetas[i].tolist()
+            if not self.in_limits[i]:
+                raise ContractError(f"theta={theta} outside the parameter limits")
+            raise DivergedTrajectoryError(
+                f"state diverged at step {self.lengths[i]} for theta={theta}")
+
+
 @dataclass(frozen=True)
 class ParamField:
     name: str
@@ -40,8 +85,9 @@ class ParamField:
 
 class GenerativeModel:
     """Base simulator: subclasses define dynamics, termination and the
-    mutable parameter schema. Rollouts are pure functions of
-    (theta, seed, controller)."""
+    mutable parameter schema. ``step`` and ``terminated`` act on the last
+    axis, so one call serves a single state or a batch. Rollouts are pure
+    functions of (theta, seed, controller)."""
 
     name: str = ""
     state_dim: int = 0
@@ -53,20 +99,17 @@ class GenerativeModel:
     def param_names(self):
         return [p.name for p in self.mutable_params]
 
-    def check_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape[0] != len(self.mutable_params):
+    def in_limits(self, thetas: np.ndarray) -> np.ndarray:
+        """(N,) mask of the rows of ``thetas`` inside every parameter's
+        [low, high]."""
+        if thetas.shape[-1] != len(self.mutable_params):
             raise ContractError(
                 f"{self.name}: expected {len(self.mutable_params)} parameters, "
-                f"got {theta.shape[0]}"
+                f"got {thetas.shape[-1]}"
             )
-        for value, spec in zip(theta, self.mutable_params):
-            if not spec.low <= value <= spec.high:
-                raise ContractError(
-                    f"{self.name}: parameter {spec.name}={value} outside "
-                    f"[{spec.low}, {spec.high}]"
-                )
-        return theta
+        low = np.array([p.low for p in self.mutable_params])
+        high = np.array([p.high for p in self.mutable_params])
+        return np.all((thetas >= low) & (thetas <= high), axis=-1)
 
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -74,8 +117,8 @@ class GenerativeModel:
     def step(self, state: np.ndarray, action: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def terminated(self, state: np.ndarray) -> bool:
-        return False
+    def terminated(self, state: np.ndarray) -> np.ndarray:
+        return np.zeros(state.shape[:-1], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +127,10 @@ class GenerativeModel:
 def cartpole_step(state, force, *, length, masspole, masscart=1.0, dt=0.02):
     """One explicit-Euler step of the classic cart-pole equations.
 
-    state = (x, x_dot, theta, theta_dot); force in newtons.
+    state = (..., 4) rows of (x, x_dot, theta, theta_dot); force in
+    newtons, broadcast against the leading axes like length and masspole.
     """
-    x, x_dot, theta, theta_dot = state
-    if not np.all(np.isfinite(state)):
-        raise DivergedTrajectoryError("non-finite cart-pole state")
+    x, x_dot, theta, theta_dot = np.moveaxis(state, -1, 0)
     total_mass = masscart + masspole
     pm_length = masspole * length
     sin_t, cos_t = np.sin(theta), np.cos(theta)
@@ -97,12 +139,12 @@ def cartpole_step(state, force, *, length, masspole, masscart=1.0, dt=0.02):
         length * (4.0 / 3.0 - masspole * cos_t ** 2 / total_mass)
     )
     x_acc = temp - pm_length * theta_acc * cos_t / total_mass
-    return np.array([
+    return np.stack([
         x + dt * x_dot,
         x_dot + dt * x_acc,
         theta + dt * theta_dot,
         theta_dot + dt * theta_acc,
-    ])
+    ], axis=-1)
 
 
 class CartPole(GenerativeModel):
@@ -124,13 +166,13 @@ class CartPole(GenerativeModel):
         return rng.uniform(-0.05, 0.05, size=4)
 
     def step(self, state, action, theta):
-        force = self.force_mag * float(np.clip(action[0], -1.0, 1.0))
-        return cartpole_step(state, force, length=theta[0], masspole=theta[1],
-                             dt=self.dt)
+        force = self.force_mag * np.clip(action[..., 0], -1.0, 1.0)
+        return cartpole_step(state, force, length=theta[..., 0],
+                             masspole=theta[..., 1], dt=self.dt)
 
     def terminated(self, state):
-        return bool(abs(state[0]) > self.x_threshold
-                    or abs(state[2]) > self.theta_threshold)
+        return ((np.abs(state[..., 0]) > self.x_threshold)
+                | (np.abs(state[..., 2]) > self.theta_threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +199,15 @@ class Pendulum(GenerativeModel):
         return np.array([np.cos(angle), np.sin(angle), speed])
 
     def step(self, state, action, theta):
-        dt = theta[0]
-        cos_t, sin_t, speed = state
+        dt = theta[..., 0]
+        cos_t, sin_t, speed = np.moveaxis(state, -1, 0)
         angle = np.arctan2(sin_t, cos_t)
-        torque = self.max_torque * float(np.clip(action[0], -1.0, 1.0))
+        torque = self.max_torque * np.clip(action[..., 0], -1.0, 1.0)
         acc = (3.0 * GRAVITY / (2.0 * self.length) * np.sin(angle)
                + 3.0 * torque / (self.mass * self.length ** 2))
         speed = np.clip(speed + dt * acc, -self.max_speed, self.max_speed)
         angle = angle + dt * speed
-        return np.array([np.cos(angle), np.sin(angle), speed])
+        return np.stack([np.cos(angle), np.sin(angle), speed], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +237,14 @@ class LotkaVolterra(GenerativeModel):
         return np.array([self.init_prey, self.init_predator])
 
     def _deriv(self, state, u, theta):
-        prey, pred = state
-        a, b, c, d = theta
+        prey, pred = np.moveaxis(state, -1, 0)
+        a, b, c, d = np.moveaxis(theta, -1, 0)
         dprey = a * prey - b * prey * pred + self.forcing_gain * u * prey
         dpred = -c * pred + d * prey * pred
-        return np.array([dprey, dpred])
+        return np.stack([dprey, dpred], axis=-1)
 
     def step(self, state, action, theta):
-        u = float(np.clip(action[0], -1.0, 1.0))
+        u = np.clip(action[..., 0], -1.0, 1.0)
         h = self.dt
         k1 = self._deriv(state, u, theta)
         k2 = self._deriv(state + 0.5 * h * k1, u, theta)
@@ -232,20 +274,37 @@ class ScriptedController:
     def episode_rng(self, episode_seed: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, episode_seed])
 
-    def act(self, state, t: int, rng: np.random.Generator, action_dim: int) -> np.ndarray:
+    def plan(self, seeds, horizon: int, action_dim: int) -> np.ndarray | None:
+        """(N, horizon, D_a) open-loop actions of ``random_uniform``,
+        each row drawn up front from its own episode's Generator; None
+        for the feedback kinds."""
+        if self.kind != "random_uniform":
+            return None
+        return np.array([
+            self.episode_rng(int(s)).uniform(-self.amplitude, self.amplitude,
+                                             size=(horizon, action_dim))
+            for s in seeds
+        ]).reshape(len(seeds), horizon, action_dim)
+
+    def act(self, states: np.ndarray, t: int, model: GenerativeModel,
+            plan: np.ndarray | None = None) -> np.ndarray:
+        """(N, D_a) actions at step ``t`` for the (N, D_s) ``states``."""
         if self.kind == "random_uniform":
-            return rng.uniform(-self.amplitude, self.amplitude, size=action_dim)
+            return plan[:, t]
+        n = states.shape[0]
         if self.kind == "sinusoid":
-            return np.full(action_dim,
-                           self.amplitude * np.sin(2.0 * np.pi * t / 25.0))
-        # bang_bang_energy: feedback keyed on the model's state layout
-        if len(state) == 4:       # cart-pole: push toward the lean
-            u = np.sign(state[2] + 0.5 * state[3]) or 1.0
-        elif len(state) == 3:     # pendulum: pump energy with the swing
-            u = np.sign(state[2]) or 1.0
+            u = np.full(n, np.sin(2.0 * np.pi * t / 25.0))
+        # bang_bang_energy: feedback keyed on the model's state layout;
+        # a zero sign pushes +1
+        elif model.state_dim == 4:    # cart-pole: push toward the lean
+            u = np.sign(states[:, 2] + 0.5 * states[:, 3])
+            u[u == 0] = 1.0
+        elif model.state_dim == 3:    # pendulum: pump energy with the swing
+            u = np.sign(states[:, 2])
+            u[u == 0] = 1.0
         else:
-            u = 1.0 if t % 50 < 25 else -1.0
-        return np.full(action_dim, self.amplitude * u)
+            u = np.full(n, 1.0 if t % 50 < 25 else -1.0)
+        return np.repeat((self.amplitude * u)[:, None], model.action_dim, axis=1)
 
 
 def builtin_controller(kind: str, seed: int, amplitude: float = 1.0) -> ScriptedController:
@@ -262,40 +321,80 @@ def rollout(
     theta,
     controller: ScriptedController,
     horizon: int = 200,
-    seed: int = 0,
+    seed=0,
     initial_state: np.ndarray | None = None,
-) -> Trajectory:
-    """Integrate the model under the controller's actions.
+):
+    """Integrate the model under the controller's actions, every episode
+    in lockstep.
 
-    Stops at ``horizon`` (at most 200 steps) or the model's termination
-    predicate, whichever comes first.
+    A ``(N, d_theta)`` theta with N ``seed`` values returns Rollouts;
+    failed rows are flagged there and do not stop the others. A
+    ``(d_theta,)`` theta with one seed is the N=1 case: it raises
+    ContractError for an out-of-limit theta and DivergedTrajectoryError
+    for a diverged state, and returns that episode's Trajectory. Each
+    row stops at ``horizon`` (at most 200 steps) or the model's
+    termination predicate, whichever comes first.
     """
     if not 1 <= horizon <= 200:
         raise ContractError("horizon must be in [1, 200]")
-    theta = model.check_theta(theta)
-    rng = controller.episode_rng(seed)
-    init_rng = np.random.default_rng([seed, zlib.crc32(model.name.encode())])
-    state = (np.asarray(initial_state, dtype=float)
-             if initial_state is not None else model.initial_state(init_rng))
-    states = [state]
-    actions = []
-    terminated = False
-    for t in range(horizon):
-        action = np.asarray(controller.act(state, t, rng, model.action_dim))
-        state = model.step(state, action, theta)
-        if not np.all(np.isfinite(state)) or np.any(np.abs(state) > STATE_LIMIT):
-            raise DivergedTrajectoryError(
-                f"{model.name}: state diverged at step {t} for theta={theta.tolist()}"
-            )
-        states.append(state)
-        actions.append(action)
-        if model.terminated(state):
-            terminated = True
-            break
-    return Trajectory(
-        states=np.asarray(states), actions=np.asarray(actions),
-        terminated_early=terminated,
+    single = np.ndim(theta) < 2
+    thetas = np.atleast_2d(np.asarray(theta, dtype=float))
+    seeds = np.atleast_1d(seed)
+    n = thetas.shape[0]
+    if seeds.shape != (n,):
+        raise ContractError(f"expected {n} seeds, got shape {seeds.shape}")
+    in_limits = model.in_limits(thetas)
+    if initial_state is None:
+        salt = zlib.crc32(model.name.encode())
+        state = np.array([
+            model.initial_state(np.random.default_rng([int(s), salt]))
+            for s in seeds
+        ]).reshape(n, model.state_dim)
+    else:
+        state = np.broadcast_to(np.asarray(initial_state, dtype=float),
+                                (n, model.state_dim))
+    plan = controller.plan(seeds, horizon, model.action_dim)
+
+    states = np.empty((n, horizon + 1, model.state_dim))
+    states[:, 0] = state
+    actions = np.zeros((n, horizon, model.action_dim))
+    lengths = np.zeros(n, dtype=int)
+    terminated = np.zeros(n, dtype=bool)
+    diverged = np.zeros(n, dtype=bool)
+    alive = in_limits.copy()
+    steps = 0
+    # Frozen and never-started rows are stepped too and their results
+    # discarded, so overflow in them is silenced.
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            if not alive.any():
+                break
+            action = controller.act(state, t, model, plan)
+            nxt = model.step(state, action, thetas)
+            # NaN and +-inf both fail the comparison
+            ok = np.all(np.abs(nxt) <= STATE_LIMIT, axis=-1)
+            diverged |= alive & ~ok
+            alive &= ok
+            state = np.where(alive[:, None], nxt, state)
+            actions[:, t] = np.where(alive[:, None], action, 0.0)
+            lengths += alive
+            ended = alive & model.terminated(state)
+            terminated |= ended
+            alive &= ~ended
+            steps = t + 1
+            states[:, steps] = state
+    batch = Rollouts(
+        thetas=thetas, states=states[:, :steps + 1], actions=actions[:, :steps],
+        lengths=lengths, terminated=terminated, diverged=diverged,
+        in_limits=in_limits,
     )
+    if not single:
+        return batch
+    batch.check()
+    length = int(lengths[0])
+    return Trajectory(states=batch.states[0, :length + 1],
+                      actions=batch.actions[0, :length],
+                      terminated_early=bool(terminated[0]))
 
 
 MODELS = {

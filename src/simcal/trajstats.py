@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .simulators import Trajectory
+from .simulators import Rollouts, Trajectory
 
 STD_FLOOR = 1e-8
 
@@ -49,22 +49,36 @@ def stat_dim(state_dim: int, action_dim: int) -> int:
     return state_dim * action_dim + 2 * state_dim
 
 
-def compute_stats(traj: Trajectory) -> np.ndarray:
-    """Raw (unstandardized) statistic vector of one trajectory.
+def compute_stats(traj: Trajectory | Rollouts) -> np.ndarray:
+    """Raw (unstandardized) statistic vector of one trajectory, or the
+    (N, stat_dim) statistics of a batch of rollouts in one pass.
 
-    Cross terms are divided by T so early-terminated episodes encode
-    dynamics, not length; the variance is the population (1/T) variance.
+    Each row uses only its own ``lengths[i]`` steps. Cross terms are
+    divided by T so early-terminated episodes encode dynamics, not
+    length; the variance is the population (1/T) variance.
     """
     states = np.asarray(traj.states, dtype=float)
-    actions = np.atleast_2d(np.asarray(traj.actions, dtype=float))
-    t = actions.shape[0]
-    if t < 2:
-        raise ContractError(f"trajectory too short for statistics (T={t})")
-    tau = np.diff(states, axis=0)          # (T, D_s)
-    cross = tau.T @ actions / t            # (D_s, D_a)
-    mean = tau.mean(axis=0)
-    var = tau.var(axis=0)                  # population variance
-    return np.concatenate([cross.ravel(), mean, var])
+    actions = np.asarray(traj.actions, dtype=float)
+    single = states.ndim == 2
+    if single:
+        states = states[None]
+        actions = np.atleast_2d(actions)[None]
+        lengths = np.array([actions.shape[1]])
+    else:
+        lengths = np.asarray(traj.lengths)
+    if lengths.size and lengths.min() < 2:
+        raise ContractError(
+            f"trajectory too short for statistics (T={lengths.min()})")
+    steps = np.arange(actions.shape[1])[None, :, None] < lengths[:, None, None]
+    t = lengths.astype(float)[:, None]
+    tau = np.where(steps, np.diff(states, axis=1), 0.0)    # (N, T, D_s)
+    actions = np.where(steps, actions, 0.0)
+    cross = np.swapaxes(tau, 1, 2) @ actions / t[:, None]  # (N, D_s, D_a)
+    mean = tau.sum(axis=1) / t
+    dev = np.where(steps, tau - mean[:, None, :], 0.0)
+    var = (dev * dev).sum(axis=1) / t      # population variance
+    out = np.concatenate([cross.reshape(len(lengths), -1), mean, var], axis=1)
+    return out[0] if single else out
 
 
 def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:
@@ -81,11 +95,9 @@ def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:
                        mean=mean, std=std)
 
 
-def real_observation(trajectories, schema: StatsSchema) -> np.ndarray:
-    """Average the raw statistics of several real rollouts, then
+def real_observation(rollouts: Rollouts, schema: StatsSchema) -> np.ndarray:
+    """Average the raw statistics of a batch of real rollouts, then
     standardize with the training schema."""
-    trajs = list(trajectories)
-    if not trajs:
+    if rollouts.lengths.size == 0:
         raise ContractError("need at least one trajectory")
-    raw = np.mean([compute_stats(tr) for tr in trajs], axis=0)
-    return schema.standardize(raw)
+    return schema.standardize(compute_stats(rollouts).mean(axis=0))

@@ -105,3 +105,22 @@ def test_kde_far_target():
 def test_kde_requires_ten_samples():
     with pytest.raises(ContractError):
         abc_log_prob(np.zeros((9, 1)), [0.0])
+
+
+def test_seeds_passed_to_simulate_stats_equal_sequential_draws():
+    prior = uniform_box([0.0, 0.0], [1.0, 2.0])
+    seen = []
+
+    def recording_sim(thetas, seeds):
+        seen.append(np.array(seeds))
+        return np.asarray(thetas, dtype=float)
+
+    for seed in (0, 5, 99):
+        seen.clear()
+        rejection_abc(recording_sim, prior, [0.5, 1.0],
+                      AbcConfig(epsilon=1e9, max_simulations=300), seed=seed)
+        rng = np.random.default_rng(seed)
+        prior.sample(rng, 300)
+        sequential = [int(rng.integers(2 ** 31)) for _ in range(300)]
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], sequential)

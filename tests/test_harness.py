@@ -278,3 +278,102 @@ def test_cli_bad_config_exit_2(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["generate", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path)]) == 2
+
+
+# -- failure accounting ----------------------------------------------------
+
+def _gaussian_cartpole(**over):
+    # N(1, 0.35^2) per parameter puts a few draws below cart-pole's 0.01
+    # limit; seed 9 draws 2 of them (1%, kept), seed 0 draws 3 (aborts)
+    base = dict(benchmark="cartpole", controller_kind="bang_bang_energy",
+                num_train=200, num_components=3, proposal="gaussian",
+                proposal_mean=(1.0, 1.0),
+                proposal_cov=((0.35 ** 2, 0.0), (0.0, 0.35 ** 2)))
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+def test_generate_dataset_keeps_exactly_the_in_limit_draws():
+    cfg = _gaussian_cartpole()
+    drawn = cfg.proposal_spec.sample(np.random.default_rng(9), cfg.num_train)
+    in_limits = np.all((drawn >= 0.01) & (drawn <= 10.0), axis=1)
+    assert (~in_limits).sum() == 2
+    d = generate_dataset(cfg, seed=9)
+    np.testing.assert_array_equal(d.thetas, drawn[in_limits])
+    assert d.raw_stats.shape[0] == 198
+
+
+def test_generate_dataset_aborts_above_one_percent_failed():
+    with pytest.raises(ConfigurationError) as info:
+        generate_dataset(_gaussian_cartpole(), seed=0)
+    message = str(info.value)
+    assert "3/200 draws failed" in message
+    assert "3 outside the parameter limits" in message
+    assert "0 diverged" in message
+
+
+# -- corrupt dataset files -------------------------------------------------
+
+@pytest.mark.parametrize("keep", ["header_only", "ragged"])
+def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(CFG_YAML)
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    lines = (out / "dataset.csv").read_text().split("\n")
+    if keep == "header_only":
+        lines = lines[:1]
+    else:
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError):
+        load_dataset(out / "dataset.csv")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path),
+                     "--dataset", str(out / "dataset.csv"),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+# -- benchmark tracer contract ---------------------------------------------
+
+def test_benchmark_tracer_hooks_run_and_restore():
+    import importlib.util
+    from pathlib import Path
+
+    from simcal import harness
+    from simcal.simulators import builtin_controller, get_model, rollout
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    cfg = ExperimentConfig(benchmark="cartpole", num_train=60,
+                           num_components=3, horizon=80)
+    originals = [getattr(importlib.import_module(m), a)
+                 for m, a, _, _ in spans.HOOKS]
+    tracer = spans.Tracer()
+    saved = spans.instrument(tracer)
+    try:
+        traced = harness.generate_dataset(cfg, seed=4)
+    finally:
+        restored = spans.uninstrument(saved)
+    assert restored
+    assert [getattr(importlib.import_module(m), a)
+            for m, a, _, _ in spans.HOOKS] == originals
+
+    plain = generate_dataset(cfg, seed=4)
+    np.testing.assert_array_equal(traced.thetas, plain.thetas)
+    np.testing.assert_array_equal(traced.raw_stats, plain.raw_stats)
+
+    thetas = cfg.proposal_spec.sample(np.random.default_rng(4), 60)
+    batch = rollout(get_model("cartpole"), thetas,
+                    builtin_controller(cfg.controller_kind, cfg.controller_seed),
+                    horizon=80, seed=4 * 100003 + np.arange(60))
+    assert tracer.counts["rollouts"] == 1
+    assert tracer.counts["steps"] == batch.lengths.sum()
+    assert tracer.counts["terminated_early"] == batch.terminated.sum()

@@ -1,8 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 from scipy.stats import ttest_ind
 
-from simcal.errors import ContractError
+from simcal.errors import ContractError, DivergedTrajectoryError
 from simcal.simulators import (
     CartPole,
     LotkaVolterra,
@@ -123,10 +125,8 @@ def test_lotka_volterra_stays_positive_and_finite():
 
 def test_controller_deterministic_sequence():
     ctrl = builtin_controller("random_uniform", seed=9)
-    r1 = ctrl.episode_rng(4)
-    r2 = ctrl.episode_rng(4)
-    a1 = [ctrl.act(None, t, r1, 1) for t in range(20)]
-    a2 = [ctrl.act(None, t, r2, 1) for t in range(20)]
+    a1 = ctrl.plan([4], 20, 1)
+    a2 = ctrl.plan([4], 20, 1)
     np.testing.assert_array_equal(a1, a2)
 
 
@@ -139,9 +139,20 @@ def test_bang_bang_keeps_cartpole_alive():
 
 def test_sinusoid_bounded():
     ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.4)
-    rng = ctrl.episode_rng(0)
-    acts = np.array([ctrl.act(np.zeros(3), t, rng, 1) for t in range(100)])
+    acts = np.array([ctrl.act(np.zeros((1, 3)), t, Pendulum())
+                     for t in range(100)])
     assert np.max(np.abs(acts)) <= 0.4 + 1e-12
+
+
+def test_bang_bang_zero_sign_pushes_positive():
+    ctrl = builtin_controller("bang_bang_energy", seed=0, amplitude=0.5)
+    states = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, -0.1, 0.2],
+                       [0.0, 0.0, -0.1, 0.0]])
+    np.testing.assert_array_equal(ctrl.act(states, 0, CartPole()),
+                                  [[0.5], [0.5], [-0.5]])
+    np.testing.assert_array_equal(
+        ctrl.act(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -2.0]]), 0, Pendulum()),
+        [[0.5], [-0.5]])
 
 
 def test_unknown_controller_rejected():
@@ -183,3 +194,161 @@ def test_trajectories_finite_across_prior_box():
             theta = rng.uniform(low, high)
             traj = rollout(model, theta, ctrl, horizon=200, seed=int(rng.integers(1e6)))
             assert np.all(np.isfinite(traj.states))
+
+
+# -- lockstep batch against an independent per-step loop ---------------------
+
+def reference_step(name, state, action, theta):
+    """Per-episode update of each model, written out from its equations."""
+    u = min(max(action[0], -1.0), 1.0)
+    if name == "cartpole":
+        return textbook_cartpole_step(state, 10.0 * u, theta[0], theta[1])
+    if name == "pendulum":
+        angle = np.arctan2(state[1], state[0])
+        acc = 1.5 * 9.8 * np.sin(angle) + 3.0 * 2.0 * u
+        speed = min(max(state[2] + theta[0] * acc, -8.0), 8.0)
+        angle = angle + theta[0] * speed
+        return np.array([np.cos(angle), np.sin(angle), speed])
+    a, b, c, d = theta
+
+    def deriv(s):
+        return np.array([a * s[0] - b * s[0] * s[1] + 0.1 * u * s[0],
+                         -c * s[1] + d * s[0] * s[1]])
+
+    h = 0.01
+    k1 = deriv(state)
+    k2 = deriv(state + 0.5 * h * k1)
+    k3 = deriv(state + 0.5 * h * k2)
+    k4 = deriv(state + h * k3)
+    return state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_rollout(model, theta, kind, ctrl_seed, seed, horizon):
+    """(states, actions, terminated) of one episode, one step at a time,
+    with the controller's per-step draws from the episode's Generator."""
+    rng = np.random.default_rng([ctrl_seed, seed])
+    state = model.initial_state(
+        np.random.default_rng([seed, zlib.crc32(model.name.encode())]))
+    states, actions = [state], []
+    for t in range(horizon):
+        if kind == "random_uniform":
+            action = rng.uniform(-1.0, 1.0, size=1)
+        elif kind == "sinusoid":
+            action = np.array([np.sin(2.0 * np.pi * t / 25.0)])
+        elif model.name == "cartpole":
+            action = np.array([np.sign(state[2] + 0.5 * state[3]) or 1.0])
+        elif model.name == "pendulum":
+            action = np.array([np.sign(state[2]) or 1.0])
+        else:
+            action = np.array([1.0 if t % 50 < 25 else -1.0])
+        state = reference_step(model.name, state, action, theta)
+        states.append(state)
+        actions.append(action)
+        if model.name == "cartpole" and (abs(state[0]) > 2.4
+                                         or abs(state[2]) > np.pi / 15):
+            return np.array(states), np.array(actions), True
+    return np.array(states), np.array(actions), False
+
+
+PRIOR_BOXES = {
+    "cartpole": ([0.1, 0.1], [2.0, 2.0]),
+    "pendulum": ([0.01], [0.3]),
+    "lotka_volterra": ([0.01] * 4, [1.0] * 4),
+}
+
+
+@pytest.mark.parametrize("kind", ["random_uniform", "bang_bang_energy", "sinusoid"])
+@pytest.mark.parametrize("name", ["cartpole", "pendulum", "lotka_volterra"])
+def test_batch_matches_reference_loop(name, kind):
+    model = get_model(name)
+    rng = np.random.default_rng(21)
+    thetas = rng.uniform(*PRIOR_BOXES[name], size=(24, len(model.param_names)))
+    seeds = 1000 + np.arange(24)
+    batch = rollout(model, thetas, builtin_controller(kind, seed=5),
+                    horizon=120, seed=seeds)
+    assert not batch.diverged.any() and batch.in_limits.all()
+    for i in range(24):
+        states, actions, term = reference_rollout(model, thetas[i], kind, 5,
+                                                  int(seeds[i]), 120)
+        n = len(actions)
+        assert batch.lengths[i] == n
+        assert batch.terminated[i] == term
+        np.testing.assert_allclose(batch.states[i, :n + 1], states,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch.actions[i, :n], actions)
+        # frozen after its end: the last state repeats, actions are zero
+        np.testing.assert_array_equal(batch.states[i, n:],
+                                      np.broadcast_to(batch.states[i, n],
+                                                      batch.states[i, n:].shape))
+        np.testing.assert_array_equal(batch.actions[i, n:], 0.0)
+    assert batch.length == batch.lengths.sum()
+    assert batch.terminated_early == batch.terminated.sum()
+    if name == "cartpole" and kind == "random_uniform":
+        assert batch.terminated.mean() > 0.5   # a ragged batch
+
+
+def test_single_rollout_is_the_one_row_batch():
+    model = get_model("cartpole")
+    ctrl = builtin_controller("random_uniform", seed=2)
+    thetas = np.array([[0.3, 1.7], [1.9, 0.2]])
+    batch = rollout(model, thetas, ctrl, horizon=200, seed=[8, 9])
+    for i in range(2):
+        one = rollout(model, thetas[i], ctrl, horizon=200, seed=8 + i)
+        n = one.length
+        assert n == batch.lengths[i]
+        assert one.terminated_early == batch.terminated[i]
+        np.testing.assert_array_equal(one.states, batch.states[i, :n + 1])
+        np.testing.assert_array_equal(one.actions, batch.actions[i, :n])
+
+
+def test_out_of_limit_and_diverged_rows_do_not_stop_the_batch():
+    model = LotkaVolterra()
+    ctrl = builtin_controller("sinusoid", seed=0)
+    thetas = np.array([[0.5, 0.2, 0.4, 0.3], [2.0, 0.0, 0.0, 0.0],
+                       [3.0, 0.2, 0.4, 0.3]])
+    start = np.array([[1.0, 0.5], [9e7, 0.5], [1.0, 0.5]])
+    batch = rollout(model, thetas, ctrl, horizon=200, seed=[0, 1, 2],
+                    initial_state=start)
+    np.testing.assert_array_equal(batch.in_limits, [True, True, False])
+    np.testing.assert_array_equal(batch.diverged, [False, True, False])
+    assert batch.lengths[0] == 200
+    assert 0 < batch.lengths[1] < 200 and batch.lengths[2] == 0
+    # the diverged row is frozen at its last finite state
+    n = batch.lengths[1]
+    assert np.all(np.abs(batch.states[1]) <= 1e8)
+    np.testing.assert_array_equal(batch.states[1, n:],
+                                  np.broadcast_to(batch.states[1, n],
+                                                  batch.states[1, n:].shape))
+    np.testing.assert_array_equal(batch.states[2], np.broadcast_to(
+        start[2], batch.states[2].shape))
+    with pytest.raises(DivergedTrajectoryError):
+        rollout(model, thetas[1], ctrl, horizon=200, seed=1,
+                initial_state=start[1])
+    with pytest.raises(DivergedTrajectoryError):
+        batch.check()
+    with pytest.raises(ContractError):
+        batch.select([0, 2]).check()
+    batch.select([0]).check()
+
+
+def test_batch_stops_once_every_row_has_ended():
+    model = CartPole()
+    ctrl = builtin_controller("random_uniform", seed=1)
+    tipped = np.array([0.0, 0.0, 0.25, 0.0])
+    batch = rollout(model, np.array([[0.5, 0.1]] * 3), ctrl, horizon=200,
+                    seed=[0, 1, 2], initial_state=tipped)
+    assert batch.terminated.all()
+    assert batch.states.shape[1] == batch.lengths.max() + 1 < 200
+
+
+# -- random streams ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 3, 123456])
+def test_planned_actions_equal_per_step_draws(seed):
+    ctrl = builtin_controller("random_uniform", seed=seed, amplitude=0.7)
+    seeds = [seed * 100003 + n for n in range(4)]
+    plan = ctrl.plan(seeds, 200, 2)
+    for row, s in zip(plan, seeds):
+        rng = ctrl.episode_rng(s)
+        per_step = np.array([rng.uniform(-0.7, 0.7, size=2) for _ in range(200)])
+        np.testing.assert_array_equal(row, per_step)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simcal.errors import ContractError
-from simcal.simulators import Trajectory
+from simcal.simulators import Rollouts, Trajectory
 from simcal.trajstats import (
     StatsSchema,
     compute_stats,
@@ -17,6 +17,20 @@ from simcal.trajstats import (
 def traj(states, actions):
     return Trajectory(states=np.asarray(states, float),
                       actions=np.asarray(actions, float))
+
+
+def batch(trajs):
+    """Equal-length trajectories as one batch of rollouts."""
+    trajs = list(trajs)
+    n = len(trajs)
+    flags = np.zeros(n, dtype=bool)
+    return Rollouts(
+        thetas=np.zeros((n, 0)),
+        states=np.array([t.states for t in trajs]),
+        actions=np.array([t.actions for t in trajs]),
+        lengths=np.array([t.length for t in trajs], dtype=int),
+        terminated=flags, diverged=flags, in_limits=~flags,
+    )
 
 
 def test_hand_computed_example():
@@ -120,7 +134,7 @@ def test_real_observation_single_trajectory():
     t = _random_traj(rng)
     schema = fit_standardizer(rng.normal(size=(20, stat_dim(2, 1))), 2, 1)
     np.testing.assert_allclose(
-        real_observation([t], schema), schema.standardize(compute_stats(t))
+        real_observation(batch([t]), schema), schema.standardize(compute_stats(t))
     )
 
 
@@ -129,14 +143,14 @@ def test_real_observation_idempotent_mean():
     t = _random_traj(rng)
     schema = fit_standardizer(rng.normal(size=(20, stat_dim(2, 1))), 2, 1)
     np.testing.assert_allclose(
-        real_observation([t] * 10, schema), real_observation([t], schema)
+        real_observation(batch([t] * 10), schema), real_observation(batch([t]), schema)
     )
 
 
 def test_real_observation_empty_list():
     schema = fit_standardizer(np.zeros((2, 3)) + [[0], [1]], 1, 1)
     with pytest.raises(ContractError):
-        real_observation([], schema)
+        real_observation(batch([]), schema)
 
 
 def test_real_observation_separates_far_parameters():
@@ -161,3 +175,31 @@ def test_real_observation_separates_far_parameters():
     within = np.mean([np.linalg.norm(x - center) for x in xr_near])
     between = np.linalg.norm(xr_far - center)
     assert between > 3 * within
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(2, 12),
+       st.integers(1, 3), st.integers(1, 2))
+def test_ragged_batch_equals_trimmed_rows(seed, n, t, ds, da):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, t + 1, size=n)
+    # steps past each row's length hold unrelated values; they must not count
+    rollouts = Rollouts(
+        thetas=np.zeros((n, 0)),
+        states=rng.normal(size=(n, t + 1, ds)),
+        actions=rng.normal(size=(n, t, da)),
+        lengths=lengths, terminated=np.zeros(n, dtype=bool),
+        diverged=np.zeros(n, dtype=bool), in_limits=np.ones(n, dtype=bool),
+    )
+    got = compute_stats(rollouts)
+    assert got.shape == (n, stat_dim(ds, da))
+    for i, length in enumerate(lengths):
+        row = traj(rollouts.states[i, :length + 1], rollouts.actions[i, :length])
+        np.testing.assert_allclose(got[i], compute_stats(row),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_batch_with_a_short_row_rejected():
+    rollouts = batch([traj([[0.0], [1.0], [3.0]], [[1.0], [1.0]])] * 2)
+    rollouts.lengths[1] = 1
+    with pytest.raises(ContractError):
+        compute_stats(rollouts)
