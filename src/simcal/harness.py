@@ -19,7 +19,7 @@ import yaml
 
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimcalError
 from .features import (
     KernelConfig,
     NeuralFeatureMap,
@@ -36,7 +36,7 @@ from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observ
 
 DATASET_MAGIC = "#SIMCAL-DATASET"
 SAMPLES_MAGIC = "#SIMCAL-SAMPLES"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Benchmark prior boxes over the mutable parameters.
 BENCHMARK_PRIORS = {
@@ -228,6 +228,7 @@ def load_dataset(path) -> Dataset:
         raise ConfigurationError(f"{path} is not a dataset file")
     try:
         header = json.loads(text[0][len(DATASET_MAGIC):])
+        _check_version(path, header["version"])
         d_theta = len(header["param_names"])
         schema = StatsSchema(
             state_dim=header["state_dim"], action_dim=header["action_dim"],
@@ -377,14 +378,9 @@ def save_model(model: FittedModel, path) -> None:
         "selected_lengthscale": model.selected_lengthscale,
         "feature": feature_doc,
         "head": {
-            "w_alpha": model.head.w_alpha.tolist(),
-            "b_alpha": model.head.b_alpha.tolist(),
-            "w_mu": model.head.w_mu.tolist(),
-            "b_mu": model.head.b_mu.tolist(),
-            "w_sigma": model.head.w_sigma.tolist(),
-            "b_sigma": model.head.b_sigma.tolist(),
-            "elu_slope": model.head.elu_slope,
-            "variance_floor": model.head.variance_floor,
+            "weight": model.head.weight.tolist(),
+            "bias": model.head.bias.tolist(),
+            "num_components": model.head.num_components,
         },
         "param_offset": model.param_offset.tolist(),
         "param_scale": model.param_scale.tolist(),
@@ -398,42 +394,59 @@ def save_model(model: FittedModel, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _check_version(path, version) -> None:
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path} has format version {version!r}; this simcal reads "
+            f"version {FORMAT_VERSION}")
+
+
+def _read_json(path, kind: str) -> dict:
+    """Parse a JSON artifact, checking its format tag and version."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed {kind} file: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != f"simcal-{kind}":
+        raise ConfigurationError(f"{path} is not a {kind} file")
+    _check_version(path, doc.get("version"))
+    return doc
+
+
 def load_model(path) -> FittedModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "simcal-model":
-        raise ConfigurationError(f"{path} is not a model file")
-    fd = doc["feature"]
-    if fd["type"] == "nn":
-        fmap = NeuralFeatureMap(
-            np.array(fd["w1"]), np.array(fd["b1"]),
-            np.array(fd["w2"]), np.array(fd["b2"]),
+    doc = _read_json(path, "model")
+    try:
+        fd = doc["feature"]
+        if fd["type"] == "nn":
+            fmap = NeuralFeatureMap(
+                np.array(fd["w1"]), np.array(fd["b1"]),
+                np.array(fd["w2"]), np.array(fd["b2"]),
+            )
+        else:
+            ls = fd["lengthscale"]
+            ls = float(ls) if np.ndim(ls) == 0 else np.array(ls)
+            fmap = build_rff(
+                KernelConfig(fd["family"], ls, fd["num_features"]), fd["input_dim"]
+            )
+        hd = doc["head"]
+        head = mdn.MixtureHeadWeights(np.array(hd["weight"], dtype=float),
+                                      np.array(hd["bias"], dtype=float),
+                                      int(hd["num_components"]))
+        sd = doc["standardizer"]
+        schema = StatsSchema(
+            state_dim=sd["state_dim"], action_dim=sd["action_dim"],
+            mean=np.array(sd["mean"]), std=np.array(sd["std"]),
         )
-    else:
-        ls = fd["lengthscale"]
-        ls = float(ls) if np.ndim(ls) == 0 else np.array(ls)
-        fmap = build_rff(
-            KernelConfig(fd["family"], ls, fd["num_features"]), fd["input_dim"]
+        return FittedModel(
+            feature_map=fmap, head=head,
+            param_offset=np.array(doc["param_offset"]),
+            param_scale=np.array(doc["param_scale"]),
+            schema=schema, config_hash=doc["config_hash"],
+            benchmark=doc["benchmark"], param_names=doc["param_names"],
+            selected_lengthscale=doc["selected_lengthscale"],
         )
-    hd = doc["head"]
-    head = mdn.MixtureHeadWeights(
-        w_alpha=np.array(hd["w_alpha"]), b_alpha=np.array(hd["b_alpha"]),
-        w_mu=np.array(hd["w_mu"]), b_mu=np.array(hd["b_mu"]),
-        w_sigma=np.array(hd["w_sigma"]), b_sigma=np.array(hd["b_sigma"]),
-        elu_slope=hd["elu_slope"], variance_floor=hd["variance_floor"],
-    )
-    sd = doc["standardizer"]
-    schema = StatsSchema(
-        state_dim=sd["state_dim"], action_dim=sd["action_dim"],
-        mean=np.array(sd["mean"]), std=np.array(sd["std"]),
-    )
-    return FittedModel(
-        feature_map=fmap, head=head,
-        param_offset=np.array(doc["param_offset"]),
-        param_scale=np.array(doc["param_scale"]),
-        schema=schema, config_hash=doc["config_hash"],
-        benchmark=doc["benchmark"], param_names=doc["param_names"],
-        selected_lengthscale=doc["selected_lengthscale"],
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed model: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +490,19 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
 
 
 def load_posterior(path) -> PosteriorEstimate:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "simcal-posterior":
-        raise ConfigurationError(f"{path} is not a posterior file")
-    mixture = GaussianMixture(
-        np.array(doc["weights"]), np.array(doc["means"]),
-        np.array(doc["covariances"]),
-    )
-    support = None
-    if doc["support_low"] is not None:
-        support = uniform_box(doc["support_low"], doc["support_high"])
-    return PosteriorEstimate(mixture=mixture, support=support,
-                             provenance=doc["provenance"])
+    doc = _read_json(path, "posterior")
+    try:
+        mixture = GaussianMixture(
+            np.array(doc["weights"]), np.array(doc["means"]),
+            np.array(doc["covariances"]),
+        )
+        support = None
+        if doc["support_low"] is not None:
+            support = uniform_box(doc["support_low"], doc["support_high"])
+        return PosteriorEstimate(mixture=mixture, support=support,
+                                 provenance=doc["provenance"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed posterior: {exc!r}") from exc
 
 
 def density_grid(p: PosteriorEstimate, box: PriorSpec,
@@ -601,7 +615,7 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
                     post = infer_posterior(config, model, x_r)
                     lp = log_prob_target(post, theta_star)
                 per_method[method].append(lp)
-            except Exception:
+            except SimcalError:
                 failures[method] = True
 
     rows = []

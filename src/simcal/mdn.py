@@ -85,61 +85,71 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     return mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))
 
 
-def melu(z, elu_slope: float = 1.0):
+VARIANCE_FLOOR = 1e-6
+
+
+def melu(z):
     """Modified ELU used for positive variance outputs:
-    slope*(e^z - 1) + 1 for z <= 0, z + 1 for z > 0."""
-    if not 0.0 < elu_slope <= 1.0:
-        raise ContractError("elu_slope must lie in (0, 1]")
+    e^z for z <= 0, z + 1 for z > 0."""
     z = np.asarray(z, dtype=float)
-    out = np.where(z > 0, z + 1.0, elu_slope * np.expm1(np.minimum(z, 0.0)) + 1.0)
+    out = np.where(z > 0, z + 1.0, np.expm1(np.minimum(z, 0.0)) + 1.0)
     return out if out.ndim else float(out)
 
 
-def melu_grad(z, elu_slope: float = 1.0):
+def melu_grad(z):
     z = np.asarray(z, dtype=float)
-    return np.where(z > 0, 1.0, elu_slope * np.exp(np.minimum(z, 0.0)))
+    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
 @dataclass
 class MixtureHeadWeights:
-    """Trainable head parameters for K components over d_theta outputs."""
+    """Trainable head for K components over d parameters: one affine map
+    ``feats @ weight.T + bias`` from s features to K + 2Kd outputs.
 
-    w_alpha: np.ndarray  # (K, s)
-    b_alpha: np.ndarray  # (K,)
-    w_mu: np.ndarray     # (K, d, s)
-    b_mu: np.ndarray     # (K, d)
-    w_sigma: np.ndarray  # (K, d, s)
-    b_sigma: np.ndarray  # (K, d)
-    elu_slope: float = 1.0
-    variance_floor: float = 1e-6
+    Output rows are laid out as K mixture logits, then the K x d means
+    (component-major), then the K x d pre-activation variances; a
+    variance is ``melu(z) + VARIANCE_FLOOR``.
+    """
 
-    @property
-    def num_components(self) -> int:
-        return self.w_alpha.shape[0]
+    weight: np.ndarray  # (K + 2Kd, s)
+    bias: np.ndarray    # (K + 2Kd,)
+    num_components: int
+
+    def __post_init__(self):
+        k, rows = self.num_components, self.weight.shape[:1]
+        if (self.weight.ndim != 2 or self.bias.shape != rows or k < 1
+                or rows[0] < 3 * k or (rows[0] - k) % (2 * k)):
+            raise ContractError(f"head rows {rows} are not K + 2Kd for K = {k}")
 
     @property
     def theta_dim(self) -> int:
-        return self.w_mu.shape[1]
+        return (self.bias.shape[0] - self.num_components) // (2 * self.num_components)
 
     @property
     def feature_dim(self) -> int:
-        return self.w_alpha.shape[1]
+        return self.weight.shape[1]
+
+
+def _split(head: MixtureHeadWeights, out: np.ndarray):
+    """Views of the logits (n, K), means (n, K, d) and pre-activation
+    variances (n, K, d) in an (n, K + 2Kd) array of head outputs."""
+    n, k, d = out.shape[0], head.num_components, head.theta_dim
+    return (out[:, :k], out[:, k:k + k * d].reshape(n, k, d),
+            out[:, k + k * d:].reshape(n, k, d))
 
 
 def _forward_batch(head: MixtureHeadWeights, feats: np.ndarray):
     """Batched head evaluation. Returns (alpha (n,K), mu (n,K,d),
-    var (n,K,d), z_sigma (n,K,d), logits (n,K))."""
-    logits = feats @ head.w_alpha.T + head.b_alpha
+    var (n,K,d), z_sigma (n,K,d))."""
+    logits, mu, z = _split(head, feats @ head.weight.T + head.bias)
     mx = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - mx)
     alpha = e / e.sum(axis=1, keepdims=True)
-    mu = np.einsum("kds,ns->nkd", head.w_mu, feats) + head.b_mu
-    z = np.einsum("kds,ns->nkd", head.w_sigma, feats) + head.b_sigma
-    var = melu(z, head.elu_slope) + head.variance_floor
+    var = melu(z) + VARIANCE_FLOOR
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(mu))
             and np.all(np.isfinite(var))):
         raise TrainingDivergenceError("non-finite activations in mixture head")
-    return alpha, mu, var, z, logits
+    return alpha, mu, var, z
 
 
 def head_forward(head: MixtureHeadWeights, feats: np.ndarray) -> GaussianMixture:
@@ -147,7 +157,7 @@ def head_forward(head: MixtureHeadWeights, feats: np.ndarray) -> GaussianMixture
     feats = np.asarray(feats, dtype=float).reshape(-1)
     if feats.shape[0] != head.feature_dim:
         raise ContractError("feature length does not match head")
-    alpha, mu, var, _, _ = _forward_batch(head, feats[None, :])
+    alpha, mu, var, _ = _forward_batch(head, feats[None, :])
     return GaussianMixture(alpha[0], mu[0], var[0])
 
 
@@ -161,7 +171,7 @@ def _log_joint(theta, alpha, mu, var):
 def _row_log_likelihoods(head, feature_map, x, theta) -> np.ndarray:
     """Mixture log-likelihood log q(theta_i | x_i) of each row."""
     feats = _apply_map(feature_map, np.atleast_2d(x))
-    alpha, mu, var, _, _ = _forward_batch(head, feats)
+    alpha, mu, var, _ = _forward_batch(head, feats)
     return _logsumexp_rows(_log_joint(np.atleast_2d(theta), alpha, mu, var))
 
 
@@ -184,7 +194,7 @@ def loss_and_gradient(
         raise ContractError("batch must be non-empty")
     if feats is None:
         feats = _apply_map(feature_map, x_batch)
-    alpha, mu, var, z, _ = _forward_batch(head, feats)
+    alpha, mu, var, z = _forward_batch(head, feats)
 
     m = _log_joint(theta, alpha, mu, var)
     logq = _logsumexp_rows(m)
@@ -195,29 +205,18 @@ def loss_and_gradient(
 
     gamma = np.exp(m - logq[:, None])
 
-    d_logits = -(gamma - alpha) / n                       # (n, K)
-    diff = theta[:, None, :] - mu                         # (n, K, d)
-    d_mu = -(gamma[:, :, None] * diff / var) / n          # (n, K, d)
+    d_out = np.empty((n, head.bias.shape[0]))
+    d_logits, d_mu, d_z = _split(head, d_out)
+    d_logits[...] = -(gamma - alpha) / n
+    diff = theta[:, None, :] - mu
+    d_mu[...] = -(gamma[:, :, None] * diff / var) / n
     d_var = -(gamma[:, :, None] * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
-    d_z = d_var * melu_grad(z, head.elu_slope)
-
-    head_grads = {
-        "w_alpha": d_logits.T @ feats,
-        "b_alpha": d_logits.sum(axis=0),
-        "w_mu": np.einsum("nkd,ns->kds", d_mu, feats),
-        "b_mu": d_mu.sum(axis=0),
-        "w_sigma": np.einsum("nkd,ns->kds", d_z, feats),
-        "b_sigma": d_z.sum(axis=0),
-    }
+    d_z[...] = d_var * melu_grad(z)
+    head_grads = {"weight": d_out.T @ feats, "bias": d_out.sum(axis=0)}
 
     feature_grads = None
     if isinstance(feature_map, NeuralFeatureMap):
-        d_feats = (
-            d_logits @ head.w_alpha
-            + np.einsum("nkd,kds->ns", d_mu, head.w_mu)
-            + np.einsum("nkd,kds->ns", d_z, head.w_sigma)
-        )
-        feature_grads = nn_backprop(feature_map, x_batch, d_feats)
+        feature_grads = nn_backprop(feature_map, x_batch, d_out @ head.weight)
     return loss, head_grads, feature_grads
 
 
@@ -235,8 +234,6 @@ class TrainerConfig:
     every training report)."""
 
     num_components: int = 5
-    variance_floor: float = 1e-6
-    elu_slope: float = 1.0
     learning_rate: float = 1e-3
     batch_size: int = 100
     epochs: int = 500
@@ -272,7 +269,7 @@ class _Adam:
         params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-_HEAD_KEYS = ("w_alpha", "b_alpha", "w_mu", "b_mu", "w_sigma", "b_sigma")
+_HEAD_KEYS = ("weight", "bias")
 _NN_KEYS = ("w1", "b1", "w2", "b2")
 
 
@@ -301,41 +298,33 @@ def init_head(
     feature_dim: int,
     rng: np.random.Generator,
     theta_samples: np.ndarray | None = None,
-    config: TrainerConfig | None = None,
 ) -> MixtureHeadWeights:
     """Head init: small random weights, mean biases spread over the
     training parameters' quantiles so components do not collapse."""
-    cfg = config or TrainerConfig()
-    scale = 1.0 / np.sqrt(feature_dim)
     k, d, s = num_components, theta_dim, feature_dim
-    b_mu = np.zeros((k, d))
-    b_sigma = np.zeros((k, d))
+    rows = k + 2 * k * d
+    head = MixtureHeadWeights(np.empty((rows, s)), np.zeros(rows), k)
     if theta_samples is not None:
+        _, b_mu, b_z = _split(head, head.bias[None, :])
         ts = np.atleast_2d(theta_samples)
         qs = (np.arange(k) + 1.0) / (k + 1.0)
         for j in range(d):
             vals = np.quantile(ts[:, j], qs)
-            b_mu[:, j] = rng.permutation(vals)
+            b_mu[0, :, j] = rng.permutation(vals)
             spread = max(np.std(ts[:, j]) / max(k, 2), 1e-3)
-            b_sigma[:, j] = _melu_inverse(spread * spread, cfg.elu_slope)
-    return MixtureHeadWeights(
-        w_alpha=rng.normal(0, scale, (k, s)),
-        b_alpha=np.zeros(k),
-        w_mu=rng.normal(0, scale, (k, d, s)),
-        b_mu=b_mu,
-        w_sigma=rng.normal(0, scale, (k, d, s)),
-        b_sigma=b_sigma,
-        elu_slope=cfg.elu_slope,
-        variance_floor=cfg.variance_floor,
-    )
+            b_z[0, :, j] = _melu_inverse(spread * spread)
+    head.weight[...] = rng.normal(0, 1.0 / np.sqrt(s), (rows, s))
+    return head
 
 
-def _melu_inverse(target: float, elu_slope: float) -> float:
-    """z with melu(z) = target; target must exceed 1 - elu_slope."""
+def _melu_inverse(target: float) -> float:
+    """z with melu(z) = target, for target > 0."""
     if target > 1.0:
         return target - 1.0
-    t = max(target, 1.0 - elu_slope + 1e-9)
-    return float(np.log((t - 1.0) / elu_slope + 1.0))
+    t = max(target, 1e-9)
+    # log((t - 1) + 1), not log(t): the two differ in the last bit, and
+    # this form is the one every trained model was initialized with.
+    return float(np.log((t - 1.0) + 1.0))
 
 
 def train(
@@ -371,7 +360,7 @@ def train(
     train_nn = isinstance(feature_map, NeuralFeatureMap)
     head = init_head(
         config.num_components, theta.shape[1],
-        feature_map.num_features, rng, theta_samples=th_tr, config=config,
+        feature_map.num_features, rng, theta_samples=th_tr,
     )
 
     nn_keys = _NN_KEYS if train_nn else ()

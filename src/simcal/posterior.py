@@ -45,8 +45,7 @@ class PosteriorEstimate:
     def contains(self, theta: np.ndarray) -> bool:
         if self.support is None:
             return True
-        t = np.asarray(theta, float).reshape(-1)
-        return bool(np.all(t >= self.support.low) and np.all(t <= self.support.high))
+        return bool(_inside(self.support, np.asarray(theta, float).reshape(1, -1))[0])
 
     def log_density(self, theta) -> float:
         if not self.contains(theta):
@@ -56,10 +55,14 @@ class PosteriorEstimate:
     def log_density_batch(self, thetas) -> np.ndarray:
         out = log_density_batch(self.mixture, thetas)
         if self.support is not None:
-            t = np.atleast_2d(np.asarray(thetas, float))
-            inside = np.all((t >= self.support.low) & (t <= self.support.high), axis=1)
+            inside = _inside(self.support, np.atleast_2d(np.asarray(thetas, float)))
             out = np.where(inside, out, NEG_INF)
         return out
+
+
+def _inside(box: PriorSpec, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``t`` (n, d) that lie in the closed ``box``."""
+    return np.all((t >= box.low) & (t <= box.high), axis=1)
 
 
 def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixture:
@@ -128,8 +131,7 @@ def truncate(
     if mass_check_samples:
         rng = np.random.default_rng(0)
         draws = _sample_mixture(mixture, mass_check_samples, rng)
-        inside = np.all((draws >= box.low) & (draws <= box.high), axis=1)
-        frac = inside.mean()
+        frac = _inside(box, draws).mean()
         if frac < 1e-6:
             warnings.warn(
                 f"mixture mass inside support box ~{frac:.1e}; posterior is degenerate",
@@ -199,13 +201,7 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     while filled < count:
         batch = max(count - filled, 256)
         draws = _sample_mixture(p.mixture, batch, rng)
-        if p.support is not None:
-            ok = np.all(
-                (draws >= p.support.low) & (draws <= p.support.high), axis=1
-            )
-        else:
-            ok = np.ones(batch, dtype=bool)
-        accepted = draws[ok]
+        accepted = draws if p.support is None else draws[_inside(p.support, draws)]
         if accepted.shape[0] == 0:
             consecutive_rejects += batch
             if consecutive_rejects >= 1_000_000:

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from simcal import cli
-from simcal.errors import ConfigurationError
+from simcal import cli, harness
+from simcal.errors import ConfigurationError, TrainingDivergenceError
 from simcal.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -314,7 +314,7 @@ def test_generate_dataset_aborts_above_one_percent_failed():
 
 # -- corrupt dataset files -------------------------------------------------
 
-@pytest.mark.parametrize("keep", ["header_only", "ragged"])
+@pytest.mark.parametrize("keep", ["header_only", "ragged", "version_1"])
 def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(CFG_YAML)
@@ -324,8 +324,10 @@ def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
     lines = (out / "dataset.csv").read_text().split("\n")
     if keep == "header_only":
         lines = lines[:1]
-    else:
+    elif keep == "ragged":
         lines[2] = lines[2].rsplit(",", 1)[0]
+    else:
+        lines[0] = lines[0].replace('"version": 2', '"version": 1')
     (out / "dataset.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_dataset(out / "dataset.csv")
@@ -377,3 +379,75 @@ def test_benchmark_tracer_hooks_run_and_restore():
     assert tracer.counts["rollouts"] == 1
     assert tracer.counts["steps"] == batch.lengths.sum()
     assert tracer.counts["terminated_early"] == batch.terminated.sum()
+
+
+# -- corrupt model and posterior files -------------------------------------
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    cfg_path = root / "cfg.yaml"
+    cfg_path.write_text(CFG_YAML)
+    for cmd, extra in (("generate", []),
+                       ("train", ["--dataset", str(root / "dataset.csv")]),
+                       ("infer", ["--model", str(root / "model.json")])):
+        assert cli.main([cmd, "--config", str(cfg_path), "--out", str(root)]
+                        + extra) == 0
+    return cfg_path, root
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+CORRUPTIONS = {
+    "model_truncated": ("model.json", lambda p: p.write_bytes(p.read_bytes()[:200])),
+    "model_version_1": ("model.json",
+                        lambda p: _edit_json(p, lambda d: d.update(version=1))),
+    "model_head_rows": ("model.json",
+                        lambda p: _edit_json(p, lambda d: d["head"]["bias"].pop())),
+    "posterior_without_means": ("posterior.json",
+                                lambda p: _edit_json(p, lambda d: d.pop("means"))),
+    "posterior_truncated": ("posterior.json",
+                            lambda p: p.write_bytes(p.read_bytes()[:100])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsys, case):
+    cfg_path, root = cli_artifacts
+    name, corrupt = CORRUPTIONS[case]
+    path = tmp_path / name
+    path.write_bytes((root / name).read_bytes())
+    corrupt(path)
+    capsys.readouterr()
+    if name == "model.json":
+        argv = ["infer", "--config", str(cfg_path), "--model", str(path)]
+    else:
+        argv = ["sample", "--posterior", str(path), "--count", "5"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    if case == "model_version_1":
+        assert "version 1" in err and "version 2" in err
+
+
+# -- evaluate failure handling ---------------------------------------------
+
+def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch):
+    def raise_(exc):
+        def fake(*args, **kwargs):
+            raise exc
+        return fake
+
+    cfg = small_config(methods=("mdn_rff",))
+    monkeypatch.setattr(harness, "train_model",
+                        raise_(TrainingDivergenceError("non-finite loss")))
+    (row,) = evaluate(cfg)
+    assert row.failed and row.repeats == 0
+    monkeypatch.setattr(harness, "train_model", raise_(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        evaluate(cfg)

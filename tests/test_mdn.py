@@ -19,18 +19,14 @@ from simcal.mdn import (
 )
 
 
-def zero_head(k, d, s, floor=1e-6, slope=1.0):
-    return MixtureHeadWeights(
-        w_alpha=np.zeros((k, s)), b_alpha=np.zeros(k),
-        w_mu=np.zeros((k, d, s)), b_mu=np.zeros((k, d)),
-        w_sigma=np.zeros((k, d, s)), b_sigma=np.zeros((k, d)),
-        elu_slope=slope, variance_floor=floor,
-    )
+def zero_head(k, d, s):
+    rows = k + 2 * k * d
+    return MixtureHeadWeights(np.zeros((rows, s)), np.zeros(rows), k)
 
 
 def random_head(k, d, s, rng, scale=0.3):
     h = zero_head(k, d, s)
-    for key in ("w_alpha", "b_alpha", "w_mu", "b_mu", "w_sigma", "b_sigma"):
+    for key in ("weight", "bias"):
         getattr(h, key)[...] = rng.normal(0, scale, getattr(h, key).shape)
     return h
 
@@ -38,23 +34,16 @@ def random_head(k, d, s, rng, scale=0.3):
 # -- melu -------------------------------------------------------------------
 
 def test_melu_values():
-    assert melu(0.0, 1.0) == pytest.approx(1.0)
-    assert melu(2.0, 1.0) == pytest.approx(3.0)
-    assert melu(-20.0, 0.5) == pytest.approx(0.5 + 0.5 * np.exp(-20), abs=1e-9)
+    assert melu(0.0) == pytest.approx(1.0)
+    assert melu(2.0) == pytest.approx(3.0)
+    assert melu(-20.0) == pytest.approx(np.exp(-20), abs=1e-15)
 
 
-@given(st.floats(-30, 30), st.floats(0.01, 1.0))
-def test_melu_positive_and_continuous(z, slope):
-    v = melu(z, slope)
+@given(st.floats(-30, 30))
+def test_melu_positive_and_continuous(z):
+    v = melu(z)
     assert v > 0
-    assert abs(melu(1e-12, slope) - melu(-1e-12, slope)) < 1e-10
-
-
-def test_melu_rejects_bad_slope():
-    with pytest.raises(ContractError):
-        melu(0.0, 0.0)
-    with pytest.raises(ContractError):
-        melu(0.0, 1.5)
+    assert abs(melu(1e-12) - melu(-1e-12)) < 1e-10
 
 
 # -- head forward -----------------------------------------------------------
@@ -66,7 +55,26 @@ def test_head_forward_zero_weights():
     np.testing.assert_allclose(m.weights, 1.0 / k)
     np.testing.assert_allclose(m.means, 0.0)
     np.testing.assert_allclose(np.diagonal(m.covariances, axis1=1, axis2=2),
-                               1.0 + head.variance_floor)
+                               1.0 + mdn.VARIANCE_FLOOR)
+
+
+def test_head_layout_matches_docstring():
+    # Rows: K logits, then the K x d means component-major, then the K x d
+    # pre-activation variances. Finite differences pass on any layout that
+    # forward and backward share; this pins the documented one.
+    k, d, s = 2, 3, 4
+    logits = np.array([0.3, -1.1])
+    means = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    pre_var = np.array([[0.5, -0.5, 1.5], [-2.0, 2.5, 0.25]])
+    head = MixtureHeadWeights(np.zeros((k + 2 * k * d, s)),
+                              np.concatenate([logits, means.ravel(), pre_var.ravel()]), k)
+    m = head_forward(head, np.random.default_rng(0).normal(size=s))
+    np.testing.assert_allclose(m.weights, np.exp(logits) / np.exp(logits).sum(),
+                               rtol=1e-12)
+    np.testing.assert_array_equal(m.means, means)
+    expected = np.where(pre_var > 0, pre_var + 1.0, np.exp(pre_var)) + mdn.VARIANCE_FLOOR
+    np.testing.assert_allclose(np.diagonal(m.covariances, axis1=1, axis2=2),
+                               expected, rtol=1e-12)
 
 
 def test_head_forward_singleton_softmax():
@@ -84,7 +92,7 @@ def test_head_forward_simplex_and_floor():
         assert abs(m.weights.sum() - 1.0) < 1e-12
         assert np.all(m.weights >= 0)
         variances = np.diagonal(m.covariances, axis1=1, axis2=2)
-        assert np.all(variances >= head.variance_floor)
+        assert np.all(variances >= mdn.VARIANCE_FLOOR)
 
 
 # -- log density ------------------------------------------------------------
@@ -136,11 +144,12 @@ def test_stationary_point_single_pair():
     d, s = 2, 6
     head = zero_head(1, d, s)
     theta = np.array([[0.7, -0.2]])
-    head.b_mu[0] = theta[0]
+    means = slice(1, 1 + d)  # the mean rows follow the single logit
+    head.bias[means] = theta[0]
     fmap = build_rff(KernelConfig("rbf", 1.0, s), 3)
     _, grads, _ = loss_and_gradient(head, fmap, np.array([[0.1, 0.2, 0.3]]), theta)
-    np.testing.assert_allclose(grads["b_mu"], 0.0, atol=1e-14)
-    np.testing.assert_allclose(grads["w_mu"], 0.0, atol=1e-14)
+    np.testing.assert_allclose(grads["bias"][means], 0.0, atol=1e-14)
+    np.testing.assert_allclose(grads["weight"][means], 0.0, atol=1e-14)
 
 
 def test_duplicated_batch_unchanged():
@@ -263,7 +272,7 @@ def test_train_deterministic():
     cfg = TrainerConfig(num_components=2, epochs=30, seed=11)
     r1 = train(cfg, x, th, build_rff(KernelConfig("rbf", 0.3, 40), 1))
     r2 = train(cfg, x, th, build_rff(KernelConfig("rbf", 0.3, 40), 1))
-    for k in ("w_alpha", "b_alpha", "w_mu", "b_mu", "w_sigma", "b_sigma"):
+    for k in ("weight", "bias"):
         np.testing.assert_array_equal(getattr(r1[0], k), getattr(r2[0], k))
 
 
