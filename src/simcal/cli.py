@@ -132,7 +132,8 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ConfigurationError, ContractError, FileNotFoundError) as exc:
+    except (ConfigurationError, ContractError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

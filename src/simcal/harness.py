@@ -551,6 +551,7 @@ class MetricsRow:
     std: float
     repeats: int
     failed: bool = False
+    reason: str = ""  # "<ExceptionClass>: <message>" of the first failed repeat
 
 
 def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
@@ -592,7 +593,7 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
     table is still emitted in full."""
     theta_star = np.asarray(config.theta_star)
     per_method: dict[str, list] = {m: [] for m in config.methods}
-    failures: dict[str, bool] = {m: False for m in config.methods}
+    reasons: dict[str, str] = {m: "" for m in config.methods}
 
     for r in range(config.repeats):
         data_seed = config.seed + 1000 * r
@@ -615,8 +616,8 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
                     post = infer_posterior(config, model, x_r)
                     lp = log_prob_target(post, theta_star)
                 per_method[method].append(lp)
-            except SimcalError:
-                failures[method] = True
+            except SimcalError as exc:
+                reasons[method] = reasons[method] or f"{type(exc).__name__}: {exc}"
 
     rows = []
     pname = "+".join(get_model(config.benchmark).param_names)
@@ -628,16 +629,21 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
             mean=float(vals.mean()) if vals.size else float("nan"),
             std=float(vals.std()) if vals.size else float("nan"),
             repeats=int(vals.size),
-            failed=failures[method] or not ok,
+            failed=bool(reasons[method]) or not ok,
+            reason=reasons[method],
         ))
     return rows
 
 
+def _csv_quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
 def save_metrics(rows: list[MetricsRow], csv_path, txt_path) -> None:
-    header = "benchmark,parameter,method,mean,std,repeats,failed"
+    header = "benchmark,parameter,method,mean,std,repeats,failed,reason"
     lines = [header] + [
         f"{r.benchmark},{r.parameter},{r.method},{r.mean!r},{r.std!r},"
-        f"{r.repeats},{int(r.failed)}"
+        f"{r.repeats},{int(r.failed)},{_csv_quoted(r.reason)}"
         for r in rows
     ]
     Path(csv_path).write_text("\n".join(lines) + "\n")
@@ -645,7 +651,7 @@ def save_metrics(rows: list[MetricsRow], csv_path, txt_path) -> None:
     txt = ["Log predicted probability of the true parameters "
            "(mean +- std over repeats)", ""]
     for r in rows:
-        flag = "  [FAILED]" if r.failed else ""
+        flag = f"  [FAILED] {r.reason}".rstrip() if r.failed else ""
         txt.append(f"{r.benchmark:>14}  {r.method:<{width}} "
                    f"{r.mean: .3f} +- {r.std:.3f}  (R={r.repeats}){flag}")
     Path(txt_path).write_text("\n".join(txt) + "\n")

@@ -9,6 +9,7 @@ trained jointly through its Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,10 @@ def log_density_batch(mixture: GaussianMixture, thetas: np.ndarray) -> np.ndarra
 
 
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted log-sum-exp of an (n, K) array of log terms,
-    e.g. log alpha_k + log N_k per row of a mixture."""
-    mx = m.max(axis=1, keepdims=True)
-    return mx[:, 0] + np.log(np.sum(np.exp(m - mx), axis=1))
+    """Row-wise max-shifted log-sum-exp of an (..., n, K) array of log
+    terms, e.g. log alpha_k + log N_k per row of a mixture."""
+    mx = m.max(axis=-1, keepdims=True)
+    return mx[..., 0] + np.log(np.sum(np.exp(m - mx), axis=-1))
 
 
 VARIANCE_FLOOR = 1e-6
@@ -108,43 +109,46 @@ class MixtureHeadWeights:
 
     Output rows are laid out as K mixture logits, then the K x d means
     (component-major), then the K x d pre-activation variances; a
-    variance is ``melu(z) + VARIANCE_FLOOR``.
+    variance is ``melu(z) + VARIANCE_FLOOR``. In training, a leading
+    axis stacks C heads that are evaluated together.
     """
 
-    weight: np.ndarray  # (K + 2Kd, s)
-    bias: np.ndarray    # (K + 2Kd,)
+    weight: np.ndarray  # (K + 2Kd, s), or (C, K + 2Kd, s) stacked
+    bias: np.ndarray    # (K + 2Kd,), or (C, K + 2Kd) stacked
     num_components: int
 
     def __post_init__(self):
-        k, rows = self.num_components, self.weight.shape[:1]
-        if (self.weight.ndim != 2 or self.bias.shape != rows or k < 1
-                or rows[0] < 3 * k or (rows[0] - k) % (2 * k)):
+        k, rows = self.num_components, self.bias.shape[-1:]
+        if (self.bias.ndim not in (1, 2) or self.weight.shape[:-1] != self.bias.shape
+                or k < 1 or rows[0] < 3 * k or (rows[0] - k) % (2 * k)):
             raise ContractError(f"head rows {rows} are not K + 2Kd for K = {k}")
 
     @property
     def theta_dim(self) -> int:
-        return (self.bias.shape[0] - self.num_components) // (2 * self.num_components)
+        return (self.bias.shape[-1] - self.num_components) // (2 * self.num_components)
 
     @property
     def feature_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
 
 def _split(head: MixtureHeadWeights, out: np.ndarray):
-    """Views of the logits (n, K), means (n, K, d) and pre-activation
-    variances (n, K, d) in an (n, K + 2Kd) array of head outputs."""
-    n, k, d = out.shape[0], head.num_components, head.theta_dim
-    return (out[:, :k], out[:, k:k + k * d].reshape(n, k, d),
-            out[:, k + k * d:].reshape(n, k, d))
+    """Views of the logits (..., K), means (..., K, d) and pre-activation
+    variances (..., K, d) in an (..., K + 2Kd) array of head outputs."""
+    lead, k, d = out.shape[:-1], head.num_components, head.theta_dim
+    return (out[..., :k], out[..., k:k + k * d].reshape(lead + (k, d)),
+            out[..., k + k * d:].reshape(lead + (k, d)))
 
 
 def _forward_batch(head: MixtureHeadWeights, feats: np.ndarray):
-    """Batched head evaluation. Returns (alpha (n,K), mu (n,K,d),
-    var (n,K,d), z_sigma (n,K,d))."""
-    logits, mu, z = _split(head, feats @ head.weight.T + head.bias)
-    mx = logits.max(axis=1, keepdims=True)
+    """Batched head evaluation of feats (n, s), or (C, n, s) for a stack
+    of C heads. Returns (alpha (..., n, K), mu (..., n, K, d),
+    var (..., n, K, d), z_sigma (..., n, K, d))."""
+    logits, mu, z = _split(
+        head, feats @ head.weight.swapaxes(-1, -2) + head.bias[..., None, :])
+    mx = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - mx)
-    alpha = e / e.sum(axis=1, keepdims=True)
+    alpha = e / e.sum(axis=-1, keepdims=True)
     var = melu(z) + VARIANCE_FLOOR
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(mu))
             and np.all(np.isfinite(var))):
@@ -155,16 +159,16 @@ def _forward_batch(head: MixtureHeadWeights, feats: np.ndarray):
 def head_forward(head: MixtureHeadWeights, feats: np.ndarray) -> GaussianMixture:
     """Evaluate the head at a single feature vector."""
     feats = np.asarray(feats, dtype=float).reshape(-1)
-    if feats.shape[0] != head.feature_dim:
+    if head.bias.ndim != 1 or feats.shape[0] != head.feature_dim:
         raise ContractError("feature length does not match head")
     alpha, mu, var, _ = _forward_batch(head, feats[None, :])
     return GaussianMixture(alpha[0], mu[0], var[0])
 
 
 def _log_joint(theta, alpha, mu, var):
-    """log alpha_k + log N(theta | mu_k, diag var_k) per row, (n, K)."""
+    """log alpha_k + log N(theta | mu_k, diag var_k) per row, (..., n, K)."""
     diff = theta[:, None, :] - mu
-    logn = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=2)
+    logn = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=-1)
     return logn + np.log(alpha + 1e-300)
 
 
@@ -173,6 +177,19 @@ def _row_log_likelihoods(head, feature_map, x, theta) -> np.ndarray:
     feats = _apply_map(feature_map, np.atleast_2d(x))
     alpha, mu, var, _ = _forward_batch(head, feats)
     return _logsumexp_rows(_log_joint(np.atleast_2d(theta), alpha, mu, var))
+
+
+def _batch_nll(head: MixtureHeadWeights, feats: np.ndarray, theta: np.ndarray):
+    """Forward pass only: the mean negative log-likelihood of a batch
+    (one per stacked head) and the terms its gradient reuses."""
+    alpha, mu, var, z = _forward_batch(head, feats)
+    m = _log_joint(theta, alpha, mu, var)
+    logq = _logsumexp_rows(m)
+    loss = -np.mean(logq, axis=-1)
+    if not np.all(np.isfinite(loss)):
+        bad = int(np.argmin(np.isfinite(logq).reshape(-1))) % logq.shape[-1]
+        raise TrainingDivergenceError(f"non-finite loss at batch index {bad}")
+    return loss, (alpha, mu, var, z, m, logq)
 
 
 def loss_and_gradient(
@@ -187,6 +204,8 @@ def loss_and_gradient(
     Returns (loss, head_grads: dict, feature_grads: dict | None). Feature
     gradients are produced only for a :class:`NeuralFeatureMap`; RFF maps
     are frozen. ``feats`` may be passed to reuse precomputed features.
+    A stack of C heads with feats (C, n, s) gives C losses and gradients
+    with a leading C axis.
     """
     theta = np.atleast_2d(np.asarray(theta_batch, dtype=float))
     n = theta.shape[0]
@@ -194,30 +213,25 @@ def loss_and_gradient(
         raise ContractError("batch must be non-empty")
     if feats is None:
         feats = _apply_map(feature_map, x_batch)
-    alpha, mu, var, z = _forward_batch(head, feats)
+    loss, (alpha, mu, var, z, m, logq) = _batch_nll(head, feats, theta)
 
-    m = _log_joint(theta, alpha, mu, var)
-    logq = _logsumexp_rows(m)
-    loss = -float(np.mean(logq))
-    if not np.isfinite(loss):
-        bad = int(np.argmin(np.isfinite(logq)))
-        raise TrainingDivergenceError(f"non-finite loss at batch index {bad}")
+    gamma = np.exp(m - logq[..., None])
 
-    gamma = np.exp(m - logq[:, None])
-
-    d_out = np.empty((n, head.bias.shape[0]))
+    d_out = np.empty(m.shape[:-1] + head.bias.shape[-1:])
     d_logits, d_mu, d_z = _split(head, d_out)
     d_logits[...] = -(gamma - alpha) / n
     diff = theta[:, None, :] - mu
-    d_mu[...] = -(gamma[:, :, None] * diff / var) / n
-    d_var = -(gamma[:, :, None] * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
+    d_mu[...] = -(gamma[..., None] * diff / var) / n
+    d_var = -(gamma[..., None] * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
     d_z[...] = d_var * melu_grad(z)
-    head_grads = {"weight": d_out.T @ feats, "bias": d_out.sum(axis=0)}
+    head_grads = {"weight": d_out.swapaxes(-1, -2) @ feats,
+                  "bias": d_out.sum(axis=-2)}
 
     feature_grads = None
     if isinstance(feature_map, NeuralFeatureMap):
-        feature_grads = nn_backprop(feature_map, x_batch, d_out @ head.weight)
-    return loss, head_grads, feature_grads
+        feature_grads = nn_backprop(feature_map, x_batch,
+                                    (d_out @ head.weight).reshape(feats.shape))
+    return (loss if loss.ndim else float(loss)), head_grads, feature_grads
 
 
 def _apply_map(feature_map, x):
@@ -251,8 +265,8 @@ class TrainingReport:
 
 
 class _Adam:
-    """Adaptive-moment minibatch optimizer updating a flat parameter
-    vector in place."""
+    """Adaptive-moment minibatch optimizer updating a parameter array in
+    place."""
 
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
@@ -273,23 +287,24 @@ _HEAD_KEYS = ("weight", "bias")
 _NN_KEYS = ("w1", "b1", "w2", "b2")
 
 
-def _flat_views(arrays):
-    """Copy ``arrays`` into one flat vector; return it with a view into
-    it shaped like each array.
+def _padded(shape) -> int:
+    return -(-math.prod(shape) // 8) * 8
+
+
+def _stack_views(stack, shapes):
+    """One (C, *shape) view per shape into the rows of a (C, P)
+    parameter stack, P being the sum of ``_padded(shape)``.
 
     Each view starts on a multiple of 8 elements: the head's loss ran
     about 20% slower on views that were not 16-byte aligned. The padding
     between views stays zero.
     """
-    sizes = [-(-a.size // 8) * 8 for a in arrays]
-    flat = np.zeros(sum(sizes))
     views, start = [], 0
-    for a, size in zip(arrays, sizes):
-        view = flat[start:start + a.size].reshape(a.shape)
-        view[...] = a
-        views.append(view)
-        start += size
-    return flat, views
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(stack[:, start:start + size].reshape(stack.shape[:1] + shape))
+        start += _padded(shape)
+    return views
 
 
 def init_head(
@@ -338,8 +353,22 @@ def train(
 
     Returns (head, feature_map, report); the feature map is returned
     unchanged for RFF, and as a trained copy for the neural family.
-    Every trainable array is a view into one flat vector that Adam
-    updates in place.
+    """
+    (fit,) = _train_stack(config, x_train, theta_train, [feature_map])
+    return fit
+
+
+def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
+    """Train one head per feature map in lockstep; returns a
+    (head, feature_map, report) triple per map, as ``train`` would.
+
+    The maps share the rows, the seed and the feature count, so every
+    draw (validation split, head init, epoch order) is the same for all
+    of them and one Generator serves the whole stack. Every trainable
+    array is a view into one (C, P) parameter stack that a single Adam
+    updates in place. A head that stops early leaves the stack with its
+    best parameters and its report; the loop ends once none is left. A
+    neural map is trained jointly with its head, so it trains alone.
     """
     x = np.atleast_2d(np.asarray(x_train, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
@@ -349,6 +378,11 @@ def train(
             f"need at least {10 * config.num_components} pairs for "
             f"{config.num_components} components, got {n}"
         )
+    train_nn = isinstance(feature_maps[0], NeuralFeatureMap)
+    s = feature_maps[0].num_features
+    if ((train_nn and len(feature_maps) > 1)
+            or any(m.num_features != s for m in feature_maps)):
+        raise ContractError("only RFF maps of one feature count train in lockstep")
     rng = np.random.default_rng(config.seed)
 
     n_val = max(1, int(round(config.validation_fraction * n)))
@@ -357,60 +391,84 @@ def train(
     x_tr, th_tr = x[tr_idx], theta[tr_idx]
     x_val, th_val = x[val_idx], theta[val_idx]
 
-    train_nn = isinstance(feature_map, NeuralFeatureMap)
-    head = init_head(
-        config.num_components, theta.shape[1],
-        feature_map.num_features, rng, theta_samples=th_tr,
-    )
-
+    init = init_head(config.num_components, theta.shape[1], s, rng,
+                     theta_samples=th_tr)
     nn_keys = _NN_KEYS if train_nn else ()
-    arrays = ([getattr(head, k) for k in _HEAD_KEYS]
-              + [getattr(feature_map, k) for k in nn_keys])
-    params, views = _flat_views(arrays)
-    grads, grad_views = _flat_views(arrays)
-    for k, v in zip(_HEAD_KEYS, views):
-        setattr(head, k, v)
-    if train_nn:
-        feature_map = NeuralFeatureMap(*views[len(_HEAD_KEYS):])
-    adam = _Adam(params.size, config.learning_rate)
+    arrays = ([getattr(init, k) for k in _HEAD_KEYS]
+              + [getattr(feature_maps[0], k) for k in nn_keys])
+    shapes = [a.shape for a in arrays]
+    params = np.zeros((len(feature_maps), sum(map(_padded, shapes))))
+    for view, a in zip(_stack_views(params, shapes), arrays):
+        view[...] = a
+    grads = np.zeros_like(params)
+    adam = _Adam(params.shape, config.learning_rate)
 
+    weight, bias, *nn = _stack_views(params, shapes)
+    head = MixtureHeadWeights(weight, bias, config.num_components)
+    grad_views = _stack_views(grads, shapes)
+    # A tanh map trains as views into row 0; for RFF, ``fmap`` only tells
+    # loss_and_gradient the family.
+    fmap = NeuralFeatureMap(*(v[0] for v in nn)) if train_nn else feature_maps[0]
     # RFF features are frozen, so precompute them once.
-    feats_tr = None if train_nn else _apply_map(feature_map, x_tr)
-    feats_val = None if train_nn else _apply_map(feature_map, x_val)
+    feats_tr = feats_val = None
+    if not train_nn:
+        feats_tr = np.stack([_apply_map(m, x_tr) for m in feature_maps])
+        feats_val = np.stack([_apply_map(m, x_val) for m in feature_maps])
 
-    def eval_loss(xs, ths, feats):
-        if feats is None:
-            feats = _apply_map(feature_map, xs)
-        loss, _, _ = loss_and_gradient(head, feature_map, xs, ths, feats=feats)
-        return loss
+    active = list(range(len(feature_maps)))  # stack row -> map index
+    reports = [TrainingReport(config=config) for _ in feature_maps]
+    results = [None] * len(feature_maps)
+    best, best_loss = params.copy(), np.full(len(active), np.inf)
+    best_epoch = np.zeros(len(active), dtype=int)
 
-    report = TrainingReport(config=config)
-    best = (np.inf, params.copy(), 0)
+    def finish(row):
+        c = active[row]
+        reports[c].best_epoch = int(best_epoch[row])
+        weight, bias, *nn = (v[0] for v in _stack_views(best[row:row + 1].copy(), shapes))
+        results[c] = (MixtureHeadWeights(weight, bias, config.num_components),
+                      NeuralFeatureMap(*nn) if train_nn else feature_maps[c], reports[c])
+
     n_tr = x_tr.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n_tr)
-        ep_loss = 0.0
+        ep_loss = np.zeros(len(active))
         for start in range(0, n_tr, config.batch_size):
             idx = order[start:start + config.batch_size]
-            feats_b = None if feats_tr is None else feats_tr[idx]
+            feats_b = None if feats_tr is None else feats_tr[:, idx]
             loss, hg, fg = loss_and_gradient(
-                head, feature_map, x_tr[idx], th_tr[idx], feats=feats_b
+                head, fmap, x_tr[idx], th_tr[idx], feats=feats_b
             )
             parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in nn_keys]
             for view, g in zip(grad_views, parts):
                 view[...] = g
             adam.step(params, grads)
             ep_loss += loss * len(idx)
-        report.train_loss.append(ep_loss / n_tr)
-        vl = eval_loss(x_val, th_val, feats_val)
-        report.val_loss.append(vl)
-        if vl < best[0] - 1e-12:
-            best = (vl, params.copy(), epoch)
-        elif epoch - best[2] >= config.patience:
-            break
-    params[...] = best[1]
-    report.best_epoch = best[2]
-    return head, feature_map, report
+        vl, _ = _batch_nll(head, _apply_map(fmap, x_val) if train_nn else feats_val,
+                           th_val)
+        for row, c in enumerate(active):
+            reports[c].train_loss.append(float(ep_loss[row] / n_tr))
+            reports[c].val_loss.append(float(vl[row]))
+        improved = vl < best_loss - 1e-12
+        best[improved], best_loss[improved] = params[improved], vl[improved]
+        best_epoch[improved] = epoch
+        done = ~improved & (epoch - best_epoch >= config.patience)
+        if done.any():
+            for row in np.flatnonzero(done):
+                finish(row)
+            keep = ~done
+            active = [c for c, kept in zip(active, keep) if kept]
+            if not active:
+                break
+            params, grads, best = params[keep], grads[keep], best[keep]
+            adam.m, adam.v = adam.m[keep], adam.v[keep]
+            best_loss, best_epoch = best_loss[keep], best_epoch[keep]
+            feats_tr, feats_val = feats_tr[keep], feats_val[keep]
+            head = MixtureHeadWeights(*_stack_views(params, shapes)[:2],
+                                      config.num_components)
+            grad_views = _stack_views(grads, shapes)
+    for row in range(len(active)):
+        finish(row)
+    return results
 
 
 def select_lengthscale(
@@ -423,9 +481,9 @@ def select_lengthscale(
 ):
     """k-fold cross-validated lengthscale choice.
 
-    ``build_map(sigma)`` constructs the feature map for a candidate; it
-    is built once and shared by that candidate's folds (``train`` does
-    not modify it). Returns the candidate maximizing mean held-out
+    ``build_map(sigma)`` constructs the RFF map for a candidate; it is
+    built once, and each fold trains every candidate's head in one
+    lockstep stack. Returns the candidate maximizing mean held-out
     log-density; exact ties break toward the larger lengthscale.
     """
     cands = list(candidates)
@@ -439,23 +497,24 @@ def select_lengthscale(
     idx = np.random.default_rng(config.seed).permutation(n)
     fold_ids = np.array_split(idx, folds)
 
-    scores = [_cv_score(build_map(sigma), x, theta, fold_ids, config)
-              for sigma in cands]
+    scores = _cv_scores([build_map(sigma) for sigma in cands],
+                        x, theta, fold_ids, config)
     best_score = max(scores)
     best = max(c for c, sc in zip(cands, scores) if sc == best_score)
     return best
 
 
-def _cv_score(feature_map, x, theta, fold_ids, config) -> float:
-    """Mean held-out log-likelihood, each fold scored by a head trained
-    on the other folds."""
-    total = 0.0
+def _cv_scores(feature_maps, x, theta, fold_ids, config) -> list:
+    """Mean held-out log-likelihood per feature map, each fold scored by
+    heads trained in lockstep on the other folds."""
+    totals = [0.0] * len(feature_maps)
     for f, te in enumerate(fold_ids):
         tr = np.concatenate([g for j, g in enumerate(fold_ids) if j != f])
-        head, trained, _ = train(config, x[tr], theta[tr], feature_map)
-        total += float(np.sum(
-            _row_log_likelihoods(head, trained, x[te], theta[te])))
-    return total / x.shape[0]
+        fits = _train_stack(config, x[tr], theta[tr], feature_maps)
+        for c, (head, fmap, _) in enumerate(fits):
+            totals[c] += float(np.sum(
+                _row_log_likelihoods(head, fmap, x[te], theta[te])))
+    return [total / x.shape[0] for total in totals]
 
 
 def held_out_log_density(head, feature_map, x, theta) -> float:

@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from simcal import cli, harness
+from simcal import cli, features, harness
 from simcal.errors import ConfigurationError, TrainingDivergenceError
 from simcal.harness import (
     ExperimentConfig,
@@ -437,7 +438,7 @@ def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsy
 
 # -- evaluate failure handling ---------------------------------------------
 
-def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch):
+def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch, tmp_path):
     def raise_(exc):
         def fake(*args, **kwargs):
             raise exc
@@ -445,9 +446,52 @@ def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch):
 
     cfg = small_config(methods=("mdn_rff",))
     monkeypatch.setattr(harness, "train_model",
-                        raise_(TrainingDivergenceError("non-finite loss")))
+                        raise_(TrainingDivergenceError('non-finite loss, "nan"')))
     (row,) = evaluate(cfg)
     assert row.failed and row.repeats == 0
+    reason = 'TrainingDivergenceError: non-finite loss, "nan"'
+    assert row.reason == reason
+    harness.save_metrics([row], tmp_path / "metrics.csv", tmp_path / "metrics.txt")
+    with open(tmp_path / "metrics.csv") as fh:
+        (written,) = csv.DictReader(fh)
+    assert written["failed"] == "1" and written["reason"] == reason
+    assert f"[FAILED] {reason}" in (tmp_path / "metrics.txt").read_text()
     monkeypatch.setattr(harness, "train_model", raise_(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         evaluate(cfg)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--dataset", "--model", "--posterior"])
+def test_cli_directory_as_path_exit_2(cli_artifacts, tmp_path, capsys, flag):
+    cfg_path, _ = cli_artifacts
+    argv = {
+        "--config": ["generate", "--config", str(tmp_path)],
+        "--dataset": ["train", "--config", str(cfg_path), "--dataset", str(tmp_path)],
+        "--model": ["infer", "--config", str(cfg_path), "--model", str(tmp_path)],
+        "--posterior": ["sample", "--posterior", str(tmp_path), "--count", "3"],
+    }[flag]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+def test_cli_train_with_diverging_candidate_exit_3(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(CFG_YAML.replace("lengthscale: 1.0",
+                                         "lengthscale_candidates: [0.5, 1.0, 2.0]"))
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+    def build_rff(kernel, input_dim):
+        fmap = features.build_rff(kernel, input_dim)
+        if kernel.lengthscale == 2.0:
+            fmap.frequencies[0, 0] = np.inf  # NaN features, non-finite head
+        return fmap
+
+    monkeypatch.setattr(harness, "build_rff", build_rff)
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["train", "--config", str(cfg_path), "--dataset",
+                         str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err

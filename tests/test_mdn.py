@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcal import mdn
-from simcal.errors import ConfigurationError, ContractError
+from simcal.errors import ConfigurationError, ContractError, TrainingDivergenceError
 from simcal.features import KernelConfig, apply_nn, apply_rff, build_rff, init_neural_map
 from simcal.mdn import (
     GaussianMixture,
@@ -231,9 +231,10 @@ def test_loss_values_match_log_density_oracle(kind, monkeypatch):
 
     # CV score with every fold's fit replaced by ``head``: the folds
     # partition the rows, so it is the same mean.
-    monkeypatch.setattr(mdn, "train", lambda cfg, xs, ths, f: (head, f, None))
+    monkeypatch.setattr(mdn, "_train_stack",
+                        lambda cfg, xs, ths, maps: [(head, f, None) for f in maps])
     folds = np.array_split(rng.permutation(30), 3)
-    score = mdn._cv_score(fmap, x, th, folds, TrainerConfig(num_components=3))
+    (score,) = mdn._cv_scores([fmap], x, th, folds, TrainerConfig(num_components=3))
     assert score == pytest.approx(oracle, abs=1e-12)
 
 
@@ -333,3 +334,112 @@ def test_select_lengthscale_tie_breaks_large():
         lambda s: build_rff(KernelConfig("rbf", s, 20), 1), cfg,
     )
     assert got == 0.5
+
+
+# -- lockstep training ------------------------------------------------------
+
+def _two_param_data(n=240, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, 2))
+    th = np.c_[2 * x[:, 0], x[:, 1] ** 2] + 0.1 * rng.normal(size=(n, 2))
+    return x, th
+
+
+def _reference_train(cfg, x, th, fmap):
+    """One RFF head trained alone by a plain loop with separate arrays,
+    scoring validation with ``loss_and_gradient``: what every head of a
+    lockstep stack must equal bitwise. Returns ((weight, bias),
+    (train_loss, val_loss, best_epoch))."""
+    rng = np.random.default_rng(cfg.seed)
+    n_val = max(1, int(round(cfg.validation_fraction * len(x))))
+    perm = rng.permutation(len(x))
+    val, tr = perm[:n_val], perm[n_val:]
+    head = mdn.init_head(cfg.num_components, th.shape[1], fmap.num_features,
+                         rng, theta_samples=th[tr])
+    feats, feats_val = apply_rff(fmap, x[tr]), apply_rff(fmap, x[val])
+    adams = {k: mdn._Adam(getattr(head, k).shape, cfg.learning_rate)
+             for k in ("weight", "bias")}
+    train_loss, val_loss, best = [], [], (np.inf, None, 0)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(tr))
+        ep_loss = 0.0
+        for start in range(0, len(tr), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads, _ = loss_and_gradient(head, fmap, None, th[tr][idx],
+                                               feats=feats[idx])
+            for k, g in grads.items():
+                adams[k].step(getattr(head, k), g)
+            ep_loss += loss * len(idx)
+        train_loss.append(ep_loss / len(tr))
+        val_loss.append(loss_and_gradient(head, fmap, None, th[val], feats=feats_val)[0])
+        if val_loss[-1] < best[0] - 1e-12:
+            best = (val_loss[-1], (head.weight.copy(), head.bias.copy()), epoch)
+        elif epoch - best[2] >= cfg.patience:
+            break
+    return best[1], (train_loss, val_loss, best[2])
+
+
+CANDIDATES = [0.05, 0.2, 0.5, 1.0, 3.0]
+
+
+def _candidate_map(sigma):
+    return build_rff(KernelConfig("rbf", sigma, 24), 2)
+
+
+@pytest.mark.parametrize("lr,patience", [(0.02, 3), (0.05, 2)])
+def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
+    x, th = _two_param_data()
+    cfg = TrainerConfig(num_components=2, learning_rate=lr, batch_size=40,
+                        epochs=80, patience=patience, seed=3)
+    maps = [_candidate_map(s) for s in CANDIDATES]
+
+    stops = set()
+    for fmap, stacked in zip(maps, mdn._train_stack(cfg, x, th, maps)):
+        (weight, bias), ref_report = _reference_train(cfg, x, th, fmap)
+        for head, got_map, report in (stacked, train(cfg, x, th, fmap)):
+            np.testing.assert_array_equal(head.weight, weight)
+            np.testing.assert_array_equal(head.bias, bias)
+            assert got_map is fmap
+            assert (report.train_loss, report.val_loss, report.best_epoch) == ref_report
+        stops.add(len(report.val_loss))
+    assert len(stops) > 1 and max(stops) < cfg.epochs  # heads leave at different epochs
+
+    folds = np.array_split(np.random.default_rng(cfg.seed).permutation(len(x)), 3)
+    scores = []
+    for fmap in maps:
+        total = 0.0
+        for f, te in enumerate(folds):
+            tr = np.concatenate([g for j, g in enumerate(folds) if j != f])
+            (weight, bias), _ = _reference_train(cfg, x[tr], th[tr], fmap)
+            head = MixtureHeadWeights(weight, bias, cfg.num_components)
+            total += float(np.sum(mdn._row_log_likelihoods(head, fmap, x[te], th[te])))
+        scores.append(total / len(x))
+    assert mdn._cv_scores(maps, x, th, folds, cfg) == scores
+    best = max(c for c, sc in zip(CANDIDATES, scores) if sc == max(scores))
+    assert select_lengthscale(CANDIDATES, x, th, _candidate_map, cfg) == best
+
+
+def test_nn_validation_loss_equals_loss_at_best_epoch():
+    x, th = _two_param_data()
+    cfg = TrainerConfig(num_components=2, learning_rate=0.02, batch_size=40,
+                        epochs=30, patience=3, seed=3)
+    fmap = init_neural_map(2, 6, 24, np.random.default_rng(1))
+    head, trained, report = train(cfg, x, th, fmap)
+    val = np.random.default_rng(cfg.seed).permutation(len(x))[:24]
+    assert report.best_epoch < len(report.val_loss) - 1
+    assert (report.val_loss[report.best_epoch]
+            == loss_and_gradient(head, trained, x[val], th[val])[0])
+
+
+def test_diverging_candidate_raises():
+    x, th = _two_param_data()
+    cfg = TrainerConfig(num_components=2, epochs=5, seed=3)
+
+    def build(sigma):
+        fmap = _candidate_map(sigma)
+        if sigma == 1.0:
+            fmap.frequencies[0, 0] = np.inf  # NaN features, non-finite head
+        return fmap
+
+    with pytest.raises(TrainingDivergenceError), np.errstate(invalid="ignore"):
+        select_lengthscale([0.5, 1.0, 3.0], x, th, build, cfg)
