@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .mdn import _logsumexp_rows
+from .mdn import _logsumexp
 from .priors import PriorSpec
 
 
@@ -97,4 +97,4 @@ def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray,
     z = (theta_star - samples) / h
     log_kernels = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(h)) \
         - 0.5 * d * np.log(2.0 * np.pi)
-    return float(_logsumexp_rows(log_kernels[None, :])[0] - np.log(n))
+    return float(_logsumexp(log_kernels[:, None])[0] - np.log(n))

@@ -190,18 +190,22 @@ def init_neural_map(
     return NeuralFeatureMap(w1, b1, w2, b2)
 
 
-def apply_nn(nn: NeuralFeatureMap, x: np.ndarray) -> np.ndarray:
-    """Forward pass; single vector (d,) or batch (n, d)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
+def nn_activations(nn: NeuralFeatureMap, x: np.ndarray):
+    """Hidden and output activations (h (n, hidden), phi (n, s)) of a
+    batch (n, d); :func:`nn_backprop` takes both back."""
+    xb = np.atleast_2d(np.asarray(x, dtype=float))
     if xb.shape[1] != nn.input_dim:
         raise ContractError(
             f"input dimension {xb.shape[1]} != map dimension {nn.input_dim}"
         )
     h = np.tanh(xb @ nn.w1.T + nn.b1)
-    out = np.tanh(h @ nn.w2.T + nn.b2)
-    return out[0] if single else out
+    return h, np.tanh(h @ nn.w2.T + nn.b2)
+
+
+def apply_nn(nn: NeuralFeatureMap, x: np.ndarray) -> np.ndarray:
+    """Forward pass; single vector (d,) or batch (n, d)."""
+    out = nn_activations(nn, x)[1]
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def nn_feature_jacobian(nn: NeuralFeatureMap, x: np.ndarray) -> dict:
@@ -230,12 +234,13 @@ def nn_feature_jacobian(nn: NeuralFeatureMap, x: np.ndarray) -> dict:
     return {"w1": j_w1, "b1": j_b1, "w2": j_w2, "b2": j_b2}
 
 
-def nn_backprop(nn: NeuralFeatureMap, x_batch: np.ndarray, d_phi: np.ndarray) -> dict:
-    """Vector-Jacobian product: given dL/dphi per batch row, return
-    summed gradients w.r.t. the network weights."""
+def nn_backprop(nn: NeuralFeatureMap, x_batch: np.ndarray, d_phi: np.ndarray,
+                activations) -> dict:
+    """Vector-Jacobian product: given dL/dphi per batch row and the
+    forward pass's ``nn_activations(nn, x_batch)``, return summed
+    gradients w.r.t. the network weights."""
     xb = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    h = np.tanh(xb @ nn.w1.T + nn.b1)
-    phi = np.tanh(h @ nn.w2.T + nn.b2)
+    h, phi = activations
     g2 = d_phi * (1.0 - phi * phi)          # (n, s)
     g1 = (g2 @ nn.w2) * (1.0 - h * h)       # (n, h)
     return {

@@ -134,14 +134,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown config keys: {sorted(map(str, unknown))}")
     raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    return ExperimentConfig(**raw)
+    try:
+        return ExperimentConfig(**raw)
+    except TypeError as exc:  # a value of the wrong type, e.g. num_train: abc
+        raise ConfigurationError(f"config value of the wrong type: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must be a mapping")
     return config_from_dict(raw)
@@ -204,6 +210,21 @@ def generate_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     )
 
 
+def _csv_rows(a: np.ndarray) -> str:
+    """Rows of a 2-D array as CSV lines, each value as ``repr(float(v))``
+    (the shortest string that reads back to the same float)."""
+    return "\n".join(",".join(map(repr, row))
+                     for row in np.asarray(a, dtype=float).tolist())
+
+
+def _write_table(path, magic: str, header: dict, rows: np.ndarray) -> None:
+    """A magic tag and JSON header line, then one CSV line per row."""
+    lines = [f"{magic} {json.dumps(header, sort_keys=True)}"]
+    if rows.size:
+        lines.append(_csv_rows(rows))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
         "version": FORMAT_VERSION,
@@ -215,16 +236,16 @@ def save_dataset(dataset: Dataset, path) -> None:
         "standardizer_mean": dataset.schema.mean.tolist(),
         "standardizer_std": dataset.schema.std.tolist(),
     }
-    lines = [f"{DATASET_MAGIC} {json.dumps(header, sort_keys=True)}"]
-    for theta, raw in zip(dataset.thetas, dataset.raw_stats):
-        lines.append(",".join(repr(float(v))
-                              for v in np.concatenate([theta, raw])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, DATASET_MAGIC, header,
+                 np.hstack([dataset.thetas, dataset.raw_stats]))
 
 
 def load_dataset(path) -> Dataset:
-    text = Path(path).read_text().strip().split("\n")
-    if not text or not text[0].startswith(DATASET_MAGIC):
+    try:
+        text = Path(path).read_text().strip().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not a dataset file: {exc}") from exc
+    if not text[0].startswith(DATASET_MAGIC):
         raise ConfigurationError(f"{path} is not a dataset file")
     try:
         header = json.loads(text[0][len(DATASET_MAGIC):])
@@ -524,19 +545,14 @@ def density_grid(p: PosteriorEstimate, box: PriorSpec,
 
 
 def save_grid(grid: np.ndarray, logdens: np.ndarray, path) -> None:
-    lines = [",".join(repr(float(v)) for v in np.concatenate([g, [ld]]))
-             for g, ld in zip(grid, logdens)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_csv_rows(np.column_stack([grid, logdens])) + "\n")
 
 
 def save_samples(samples: np.ndarray, param_names, path,
                  config_hash_value: str) -> None:
     header = {"version": FORMAT_VERSION, "config_hash": config_hash_value,
               "param_names": list(param_names)}
-    lines = [f"{SAMPLES_MAGIC} {json.dumps(header, sort_keys=True)}"]
-    lines += [",".join(repr(float(v)) for v in row)
-              for row in np.atleast_2d(samples)] if samples.size else []
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, SAMPLES_MAGIC, header, np.atleast_2d(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .features import (
     RFFMap,
     apply_nn,
     apply_rff,
+    nn_activations,
     nn_backprop,
 )
 
@@ -69,21 +70,26 @@ def log_density_batch(mixture: GaussianMixture, thetas: np.ndarray) -> np.ndarra
     """Vectorized mixture log-density over rows of ``thetas`` (n, d)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     k, d = mixture.means.shape
-    comp = np.empty((thetas.shape[0], k))
+    comp = np.empty((k, thetas.shape[0]))
     for j in range(k):
         chol = np.linalg.cholesky(mixture.covariances[j])
         diff = thetas - mixture.means[j]
         y = np.linalg.solve(chol, diff.T).T
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        comp[:, j] = -0.5 * (d * LOG_2PI + logdet + np.sum(y * y, axis=1))
-    return _logsumexp_rows(comp + np.log(mixture.weights + 1e-300))
+        comp[j] = -0.5 * (d * LOG_2PI + logdet + np.sum(y * y, axis=1))
+    return _logsumexp(comp + np.log(mixture.weights + 1e-300)[:, None])
 
 
-def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted log-sum-exp of an (..., n, K) array of log
-    terms, e.g. log alpha_k + log N_k per row of a mixture."""
-    mx = m.max(axis=-1, keepdims=True)
-    return mx[..., 0] + np.log(np.sum(np.exp(m - mx), axis=-1))
+def _logsumexp(m: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp over the component axis of an (..., K, n)
+    array of log terms, e.g. log alpha_k + log N_k for each of n rows.
+
+    The K terms are summed in order. numpy sums a contiguous last axis
+    the same way only below 8 values (pairwise from 8 on), so a
+    row-major (n, K) layout gives the same bits only for K < 8.
+    """
+    mx = m.max(axis=-2, keepdims=True)
+    return mx[..., 0, :] + np.log(np.sum(np.exp(m - mx), axis=-2))
 
 
 VARIANCE_FLOOR = 1e-6
@@ -133,22 +139,31 @@ class MixtureHeadWeights:
 
 
 def _split(head: MixtureHeadWeights, out: np.ndarray):
-    """Views of the logits (..., K), means (..., K, d) and pre-activation
-    variances (..., K, d) in an (..., K + 2Kd) array of head outputs."""
-    lead, k, d = out.shape[:-1], head.num_components, head.theta_dim
-    return (out[..., :k], out[..., k:k + k * d].reshape(lead + (k, d)),
-            out[..., k + k * d:].reshape(lead + (k, d)))
+    """Views of the logits (..., K, n), means (..., K, d, n) and
+    pre-activation variances (..., K, d, n) in an (..., K + 2Kd, n)
+    array of head outputs, one column per batch row."""
+    lead, n = out.shape[:-2], out.shape[-1]
+    k, d = head.num_components, head.theta_dim
+    return (out[..., :k, :], out[..., k:k + k * d, :].reshape(lead + (k, d, n)),
+            out[..., k + k * d:, :].reshape(lead + (k, d, n)))
 
 
 def _forward_batch(head: MixtureHeadWeights, feats: np.ndarray):
     """Batched head evaluation of feats (n, s), or (C, n, s) for a stack
-    of C heads. Returns (alpha (..., n, K), mu (..., n, K, d),
-    var (..., n, K, d), z_sigma (..., n, K, d))."""
-    logits, mu, z = _split(
-        head, feats @ head.weight.swapaxes(-1, -2) + head.bias[..., None, :])
-    mx = logits.max(axis=-1, keepdims=True)
+    of C heads, component-major: returns (alpha (..., K, n),
+    mu (..., K, d, n), var (..., K, d, n), z_sigma (..., K, d, n)).
+
+    The GEMM runs row-major; its output is transposed once, fused with
+    the bias add, so that each reduction over K or d adds whole
+    contiguous rows of n values instead of striding along a short last
+    axis."""
+    out = feats @ head.weight.swapaxes(-1, -2)
+    cols = out.swapaxes(-1, -2)
+    logits, mu, z = _split(head, np.add(cols, head.bias[..., :, None],
+                                        out=np.empty(cols.shape)))
+    mx = logits.max(axis=-2, keepdims=True)
     e = np.exp(logits - mx)
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    alpha = e / e.sum(axis=-2, keepdims=True)
     var = melu(z) + VARIANCE_FLOOR
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(mu))
             and np.all(np.isfinite(var))):
@@ -162,34 +177,35 @@ def head_forward(head: MixtureHeadWeights, feats: np.ndarray) -> GaussianMixture
     if head.bias.ndim != 1 or feats.shape[0] != head.feature_dim:
         raise ContractError("feature length does not match head")
     alpha, mu, var, _ = _forward_batch(head, feats[None, :])
-    return GaussianMixture(alpha[0], mu[0], var[0])
+    return GaussianMixture(alpha[:, 0], mu[..., 0], var[..., 0])
 
 
 def _log_joint(theta, alpha, mu, var):
-    """log alpha_k + log N(theta | mu_k, diag var_k) per row, (..., n, K)."""
-    diff = theta[:, None, :] - mu
-    logn = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=-1)
-    return logn + np.log(alpha + 1e-300)
+    """log alpha_k + log N(theta | mu_k, diag var_k) per row, (..., K, n),
+    and the residuals theta - mu_k, (..., K, d, n)."""
+    diff = theta.T - mu
+    logn = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=-2)
+    return logn + np.log(alpha + 1e-300), diff
 
 
 def _row_log_likelihoods(head, feature_map, x, theta) -> np.ndarray:
     """Mixture log-likelihood log q(theta_i | x_i) of each row."""
     feats = _apply_map(feature_map, np.atleast_2d(x))
     alpha, mu, var, _ = _forward_batch(head, feats)
-    return _logsumexp_rows(_log_joint(np.atleast_2d(theta), alpha, mu, var))
+    return _logsumexp(_log_joint(np.atleast_2d(theta), alpha, mu, var)[0])
 
 
 def _batch_nll(head: MixtureHeadWeights, feats: np.ndarray, theta: np.ndarray):
     """Forward pass only: the mean negative log-likelihood of a batch
     (one per stacked head) and the terms its gradient reuses."""
     alpha, mu, var, z = _forward_batch(head, feats)
-    m = _log_joint(theta, alpha, mu, var)
-    logq = _logsumexp_rows(m)
+    m, diff = _log_joint(theta, alpha, mu, var)
+    logq = _logsumexp(m)
     loss = -np.mean(logq, axis=-1)
     if not np.all(np.isfinite(loss)):
         bad = int(np.argmin(np.isfinite(logq).reshape(-1))) % logq.shape[-1]
         raise TrainingDivergenceError(f"non-finite loss at batch index {bad}")
-    return loss, (alpha, mu, var, z, m, logq)
+    return loss, (alpha, diff, var, z, m, logq)
 
 
 def loss_and_gradient(
@@ -203,34 +219,39 @@ def loss_and_gradient(
 
     Returns (loss, head_grads: dict, feature_grads: dict | None). Feature
     gradients are produced only for a :class:`NeuralFeatureMap`; RFF maps
-    are frozen. ``feats`` may be passed to reuse precomputed features.
-    A stack of C heads with feats (C, n, s) gives C losses and gradients
-    with a leading C axis.
+    are frozen. ``feats`` may be passed to reuse precomputed RFF
+    features. A stack of C heads with feats (C, n, s) gives C losses and
+    gradients with a leading C axis.
     """
     theta = np.atleast_2d(np.asarray(theta_batch, dtype=float))
     n = theta.shape[0]
     if n == 0:
         raise ContractError("batch must be non-empty")
-    if feats is None:
+    hidden = None
+    if isinstance(feature_map, NeuralFeatureMap):
+        hidden, feats = nn_activations(feature_map, x_batch)
+    elif feats is None:
         feats = _apply_map(feature_map, x_batch)
-    loss, (alpha, mu, var, z, m, logq) = _batch_nll(head, feats, theta)
+    loss, (alpha, diff, var, z, m, logq) = _batch_nll(head, feats, theta)
 
-    gamma = np.exp(m - logq[..., None])
+    gamma = np.exp(m - logq[..., None, :])
 
-    d_out = np.empty(m.shape[:-1] + head.bias.shape[-1:])
-    d_logits, d_mu, d_z = _split(head, d_out)
+    # Row-major, as the backward GEMM reads it; written component-major.
+    d_out = np.empty(logq.shape + head.bias.shape[-1:])
+    d_logits, d_mu, d_z = _split(head, d_out.swapaxes(-1, -2))
     d_logits[...] = -(gamma - alpha) / n
-    diff = theta[:, None, :] - mu
-    d_mu[...] = -(gamma[..., None] * diff / var) / n
-    d_var = -(gamma[..., None] * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
+    gamma = gamma[..., None, :]
+    d_mu[...] = -(gamma * diff / var) / n
+    d_var = -(gamma * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
     d_z[...] = d_var * melu_grad(z)
     head_grads = {"weight": d_out.swapaxes(-1, -2) @ feats,
                   "bias": d_out.sum(axis=-2)}
 
     feature_grads = None
-    if isinstance(feature_map, NeuralFeatureMap):
+    if hidden is not None:
         feature_grads = nn_backprop(feature_map, x_batch,
-                                    (d_out @ head.weight).reshape(feats.shape))
+                                    (d_out @ head.weight).reshape(feats.shape),
+                                    (hidden, feats))
     return (loss if loss.ndim else float(loss)), head_grads, feature_grads
 
 
@@ -266,21 +287,35 @@ class TrainingReport:
 
 class _Adam:
     """Adaptive-moment minibatch optimizer updating a parameter array in
-    place."""
+    place, through preallocated scratch arrays of the same shape."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self._scratch = np.empty(shape), np.empty(shape)
         self.t = 0
 
     def step(self, params, grads):
+        """params -= lr m^ / (sqrt(v^) + eps), each operation in the
+        order of the textbook expression, so the bits are the same."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grads
-        self.v = self.b2 * self.v + (1 - self.b2) * grads * grads
-        mhat = self.m / (1 - self.b1 ** self.t)
-        vhat = self.v / (1 - self.b2 ** self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        m *= self.b1
+        m += np.multiply(grads, 1 - self.b1, out=a)
+        v *= self.b2
+        np.multiply(grads, 1 - self.b2, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.divide(m, 1 - self.b1 ** self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - self.b2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        params -= np.divide(a, b, out=a)
+
+    def keep(self, rows):
+        """Keep only the given rows of a stacked state."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._scratch = np.empty(self.m.shape), np.empty(self.m.shape)
 
 
 _HEAD_KEYS = ("weight", "bias")
@@ -320,14 +355,14 @@ def init_head(
     rows = k + 2 * k * d
     head = MixtureHeadWeights(np.empty((rows, s)), np.zeros(rows), k)
     if theta_samples is not None:
-        _, b_mu, b_z = _split(head, head.bias[None, :])
+        _, b_mu, b_z = _split(head, head.bias[:, None])
         ts = np.atleast_2d(theta_samples)
         qs = (np.arange(k) + 1.0) / (k + 1.0)
         for j in range(d):
             vals = np.quantile(ts[:, j], qs)
-            b_mu[0, :, j] = rng.permutation(vals)
+            b_mu[:, j, 0] = rng.permutation(vals)
             spread = max(np.std(ts[:, j]) / max(k, 2), 1e-3)
-            b_z[0, :, j] = _melu_inverse(spread * spread)
+            b_z[:, j, 0] = _melu_inverse(spread * spread)
     head.weight[...] = rng.normal(0, 1.0 / np.sqrt(s), (rows, s))
     return head
 
@@ -430,19 +465,23 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
 
     n_tr = x_tr.shape[0]
     for epoch in range(config.epochs):
+        # One gather per epoch; minibatches are contiguous slices of it.
         order = rng.permutation(n_tr)
+        x_ep, th_ep = x_tr[order], th_tr[order]
+        feats_ep = None if feats_tr is None else feats_tr[:, order]
         ep_loss = np.zeros(len(active))
         for start in range(0, n_tr, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            feats_b = None if feats_tr is None else feats_tr[:, idx]
+            batch = slice(start, start + config.batch_size)
+            th_b = th_ep[batch]
             loss, hg, fg = loss_and_gradient(
-                head, fmap, x_tr[idx], th_tr[idx], feats=feats_b
+                head, fmap, x_ep[batch], th_b,
+                feats=None if feats_ep is None else feats_ep[:, batch],
             )
             parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in nn_keys]
             for view, g in zip(grad_views, parts):
                 view[...] = g
             adam.step(params, grads)
-            ep_loss += loss * len(idx)
+            ep_loss += loss * len(th_b)
         vl, _ = _batch_nll(head, _apply_map(fmap, x_val) if train_nn else feats_val,
                            th_val)
         for row, c in enumerate(active):
@@ -460,7 +499,7 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
             if not active:
                 break
             params, grads, best = params[keep], grads[keep], best[keep]
-            adam.m, adam.v = adam.m[keep], adam.v[keep]
+            adam.keep(keep)
             best_loss, best_epoch = best_loss[keep], best_epoch[keep]
             feats_tr, feats_val = feats_tr[keep], feats_val[keep]
             head = MixtureHeadWeights(*_stack_views(params, shapes)[:2],

@@ -12,6 +12,7 @@ from simcal.features import (
     exact_kernel,
     halton_points,
     init_neural_map,
+    nn_activations,
     nn_backprop,
     nn_feature_jacobian,
 )
@@ -150,7 +151,7 @@ def test_nn_backprop_is_jacobian_contraction():
     x = rng.normal(size=2)
     d_phi = rng.normal(size=5)
     jac = nn_feature_jacobian(nn, x)
-    grads = nn_backprop(nn, x[None, :], d_phi[None, :])
+    grads = nn_backprop(nn, x[None, :], d_phi[None, :], nn_activations(nn, x[None, :]))
     for key in ("w1", "b1", "w2", "b2"):
         expected = np.tensordot(d_phi, jac[key], axes=1)
         np.testing.assert_allclose(grads[key], expected, atol=1e-12)

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from simcal import cli, features, harness
 from simcal.errors import ConfigurationError, TrainingDivergenceError
@@ -205,6 +208,19 @@ def test_save_samples_header(tmp_path):
     assert len(lines) == 3
 
 
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e22, 0.1, 3.0]
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from(EDGE_FLOATS)
+              | st.integers(-10 ** 17, 10 ** 17).map(float)))
+def test_csv_rows_equal_per_value_repr(a):
+    expected = "\n".join(",".join(repr(float(v)) for v in row) for row in a)
+    assert harness._csv_rows(a) == expected
+
+
 # -- evaluate --------------------------------------------------------------
 
 def test_evaluate_single_repeat_rows():
@@ -279,6 +295,33 @@ def test_cli_bad_config_exit_2(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["generate", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path)]) == 2
+
+
+UNPARSEABLE = {
+    "yaml_syntax": ("--config", b"benchmark: [cartpole\n"),
+    "config_not_utf8": ("--config", b"benchmark: cart\xff\xfepole\n"),
+    "num_train_text": ("--config", b"num_train: abc\n"),
+    "theta_star_scalar": ("--config", b"theta_star: 5\n"),
+    "dataset_not_utf8": ("--dataset", b"#SIMCAL-DATASET \xff\xfe\n1.0,2.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSEABLE))
+def test_cli_unparseable_input_exit_2(tmp_path, capsys, case):
+    flag, data = UNPARSEABLE[case]
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    if flag == "--config":
+        argv = ["generate", "--config", str(bad), "--out", str(tmp_path)]
+    else:
+        good = tmp_path / "cfg.yaml"
+        good.write_text(CFG_YAML)
+        argv = ["train", "--config", str(good), "--dataset", str(bad),
+                "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
 
 
 # -- failure accounting ----------------------------------------------------

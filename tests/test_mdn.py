@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from simcal import mdn
 from simcal.errors import ConfigurationError, ContractError, TrainingDivergenceError
-from simcal.features import KernelConfig, apply_nn, apply_rff, build_rff, init_neural_map
+from simcal.features import (
+    KernelConfig,
+    NeuralFeatureMap,
+    apply_nn,
+    apply_rff,
+    build_rff,
+    init_neural_map,
+)
 from simcal.mdn import (
     GaussianMixture,
     MixtureHeadWeights,
@@ -443,3 +450,151 @@ def test_diverging_candidate_raises():
 
     with pytest.raises(TrainingDivergenceError), np.errstate(invalid="ignore"):
         select_lengthscale([0.5, 1.0, 3.0], x, th, build, cfg)
+
+
+# -- bitwise oracle for the component-major kernel --------------------------
+#
+# The row-major head kernel that trained every shipped model, frozen as it
+# was: outputs (..., n, K + 2Kd), reductions over a trailing K or d axis.
+# The component-major kernel must give the same bits (K, d < 8).
+
+def _ref_split(k, d, out):
+    lead = out.shape[:-1]
+    return (out[..., :k], out[..., k:k + k * d].reshape(lead + (k, d)),
+            out[..., k + k * d:].reshape(lead + (k, d)))
+
+
+def _ref_forward_batch(head, feats):
+    k, d = head.num_components, head.theta_dim
+    logits, mu, z = _ref_split(
+        k, d, feats @ head.weight.swapaxes(-1, -2) + head.bias[..., None, :])
+    mx = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - mx)
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    return alpha, mu, melu(z) + mdn.VARIANCE_FLOOR, z
+
+
+def _ref_logsumexp_rows(m):
+    mx = m.max(axis=-1, keepdims=True)
+    return mx[..., 0] + np.log(np.sum(np.exp(m - mx), axis=-1))
+
+
+def _ref_log_joint(theta, alpha, mu, var):
+    diff = theta[:, None, :] - mu
+    logn = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=-1)
+    return logn + np.log(alpha + 1e-300)
+
+
+def _ref_loss_and_gradient(head, fmap, x, theta, feats):
+    k, d, n = head.num_components, head.theta_dim, theta.shape[0]
+    alpha, mu, var, z = _ref_forward_batch(head, feats)
+    m = _ref_log_joint(theta, alpha, mu, var)
+    logq = _ref_logsumexp_rows(m)
+    loss = -np.mean(logq, axis=-1)
+    gamma = np.exp(m - logq[..., None])
+    d_out = np.empty(m.shape[:-1] + head.bias.shape[-1:])
+    d_logits, d_mu, d_z = _ref_split(k, d, d_out)
+    d_logits[...] = -(gamma - alpha) / n
+    diff = theta[:, None, :] - mu
+    d_mu[...] = -(gamma[..., None] * diff / var) / n
+    d_var = -(gamma[..., None] * 0.5 * (diff * diff / (var * var) - 1.0 / var)) / n
+    d_z[...] = d_var * mdn.melu_grad(z)
+    grads = {"weight": d_out.swapaxes(-1, -2) @ feats, "bias": d_out.sum(axis=-2)}
+    if not isinstance(fmap, NeuralFeatureMap):
+        return loss, grads, None
+    h = np.tanh(x @ fmap.w1.T + fmap.b1)
+    g2 = (d_out @ head.weight).reshape(feats.shape) * (1.0 - feats * feats)
+    g1 = (g2 @ fmap.w2) * (1.0 - h * h)
+    return loss, grads, {"w2": g2.T @ h, "b2": g2.sum(axis=0),
+                         "w1": g1.T @ x, "b1": g1.sum(axis=0)}
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _oracle_case(k, d, n, c, rng, s=32):
+    head = random_head(k, d, s, rng, scale=0.4)
+    if c > 1:
+        head = MixtureHeadWeights(
+            head.weight + rng.normal(0, 0.1, (c,) + head.weight.shape),
+            head.bias + rng.normal(0, 0.5, (c,) + head.bias.shape), k)
+    x = rng.normal(size=(n, 3))
+    th = rng.normal(size=(n, d))
+    maps = [build_rff(KernelConfig("rbf", ls, s), 3) for ls in np.geomspace(0.3, 3.0, c)]
+    feats = np.stack([apply_rff(m, x) for m in maps]) if c > 1 else apply_rff(maps[0], x)
+    return head, maps[0], x, th, feats
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_component_major_kernel_equals_row_major_bitwise(k, d):
+    rng = np.random.default_rng(10 * k + d)
+    for c in (1, 5):
+        for n in (17, 100):
+            head, fmap, x, th, feats = _oracle_case(k, d, n, c, rng)
+            loss, grads, _ = loss_and_gradient(head, fmap, x, th, feats=feats)
+            ref_loss, ref_grads, _ = _ref_loss_and_gradient(head, fmap, x, th, feats)
+            assert _bits(loss) == _bits(ref_loss), (c, n)
+            for key in ("weight", "bias"):
+                assert _bits(grads[key]) == _bits(ref_grads[key]), (c, n, key)
+            if c == 1:
+                expected = _ref_logsumexp_rows(
+                    _ref_log_joint(th, *_ref_forward_batch(head, feats)[:3]))
+                assert (_bits(mdn._row_log_likelihoods(head, fmap, x, th))
+                        == _bits(expected)), n
+
+        # A tanh map, with its gradients through the forward activations.
+        nn = init_neural_map(3, 7, 32, rng)
+        head, _, x, th, _ = _oracle_case(k, d, 100, 1, rng)
+        got = loss_and_gradient(head, nn, x, th)
+        ref = _ref_loss_and_gradient(head, nn, x, th, apply_nn(nn, x))
+        assert _bits(got[0]) == _bits(ref[0])
+        for part in (1, 2):
+            for key in ref[part]:
+                assert _bits(got[part][key]) == _bits(ref[part][key]), key
+
+
+def _ref_log_density_batch(mixture, thetas):
+    k, d = mixture.means.shape
+    comp = np.empty((thetas.shape[0], k))
+    for j in range(k):
+        chol = np.linalg.cholesky(mixture.covariances[j])
+        y = np.linalg.solve(chol, (thetas - mixture.means[j]).T).T
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        comp[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(y * y, axis=1))
+    return _ref_logsumexp_rows(comp + np.log(mixture.weights + 1e-300))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_log_density_batch_equals_row_major_bitwise(k, d):
+    rng = np.random.default_rng(100 + 10 * k + d)
+    a = rng.normal(size=(k, d, d))
+    covs = a @ a.swapaxes(1, 2) + 0.1 * np.eye(d)
+    mixture = GaussianMixture(rng.dirichlet(np.ones(k)), rng.normal(0, 2, (k, d)), covs)
+    thetas = rng.normal(0, 3, (257, d))
+    assert (_bits(mdn.log_density_batch(mixture, thetas))
+            == _bits(_ref_log_density_batch(mixture, thetas)))
+
+
+def test_adam_in_place_step_equals_textbook_bitwise():
+    rng = np.random.default_rng(8)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    params = rng.normal(size=(4, 37))
+    adam = mdn._Adam(params.shape, lr)
+    ref, m, v = params.copy(), np.zeros(params.shape), np.zeros(params.shape)
+    keep = np.array([True, False, True, True])
+    for t in range(1, 51):
+        if t == 26:  # a head leaves the stack
+            adam.keep(keep)
+            params, ref, m, v = params[keep], ref[keep], m[keep], v[keep]
+        g = rng.normal(size=params.shape) * 10.0 ** rng.integers(-6, 3, params.shape)
+        adam.step(params, g)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat, vhat = m / (1 - b1 ** t), v / (1 - b2 ** t)
+        ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
+        assert _bits(params) == _bits(ref), t
+        assert _bits(adam.m) == _bits(m) and _bits(adam.v) == _bits(v), t
