@@ -76,8 +76,10 @@ def epsilon_for_acceptance(distances, target_rate: float = 0.02) -> float:
     return float(np.quantile(d, target_rate))
 
 
-def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray,
-                 bandwidth_floor: float = 1e-8) -> float:
+BANDWIDTH_FLOOR = 1e-8
+
+
+def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray) -> float:
     """Gaussian kernel-density estimate over the accepted set, evaluated
     in log at the target.
 
@@ -93,7 +95,7 @@ def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray,
         raise ContractError("target dimension does not match accepted samples")
     std = samples.std(axis=0, ddof=1)
     h = np.maximum(std * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0)),
-                   bandwidth_floor)
+                   BANDWIDTH_FLOOR)
     z = (theta_star - samples) / h
     log_kernels = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(h)) \
         - 0.5 * d * np.log(2.0 * np.pi)

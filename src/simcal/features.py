@@ -171,10 +171,6 @@ class NeuralFeatureMap:
         return self.w1.shape[1]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def num_features(self) -> int:
         return self.w2.shape[0]
 
@@ -206,32 +202,6 @@ def apply_nn(nn: NeuralFeatureMap, x: np.ndarray) -> np.ndarray:
     """Forward pass; single vector (d,) or batch (n, d)."""
     out = nn_activations(nn, x)[1]
     return out[0] if np.ndim(x) == 1 else out
-
-
-def nn_feature_jacobian(nn: NeuralFeatureMap, x: np.ndarray) -> dict:
-    """Gradients of every feature output w.r.t. every network weight.
-
-    Returns {"w1": (s, h, d), "b1": (s, h), "w2": (s, s, h), "b2": (s, s)}.
-    Used by the gradient-oracle tests; training uses the cheaper
-    vector-Jacobian product in :func:`nn_backprop`.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != nn.input_dim:
-        raise ContractError("nn_feature_jacobian expects a single input vector")
-    h = np.tanh(nn.w1 @ x + nn.b1)          # (h,)
-    phi = np.tanh(nn.w2 @ h + nn.b2)        # (s,)
-    dphi = 1.0 - phi * phi                  # (s,)
-    dh = 1.0 - h * h                        # (h,)
-    s, hd = nn.num_features, nn.hidden_dim
-
-    j_b2 = np.diag(dphi)                                   # (s, s)
-    j_w2 = np.zeros((s, s, hd))
-    j_w2[np.arange(s), np.arange(s), :] = dphi[:, None] * h
-    # dphi_i/dh_k = dphi_i * w2[i,k]; chain into layer 1
-    back = dphi[:, None] * nn.w2                           # (s, h)
-    j_b1 = back * dh                                       # (s, h)
-    j_w1 = j_b1[:, :, None] * x[None, None, :]             # (s, h, d)
-    return {"w1": j_w1, "b1": j_b1, "w2": j_w2, "b2": j_b2}
 
 
 def nn_backprop(nn: NeuralFeatureMap, x_batch: np.ndarray, d_phi: np.ndarray,

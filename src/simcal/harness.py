@@ -59,7 +59,7 @@ class ExperimentConfig:
     theta_star: tuple = ()
     prior_low: tuple = ()
     prior_high: tuple = ()
-    proposal: str = "prior"          # "prior" or a gaussian dict via from_dict
+    proposal: str = "prior"          # "prior" or "gaussian"
     proposal_mean: tuple = ()
     proposal_cov: tuple = ()
     controller_kind: str = "random_uniform"
@@ -130,16 +130,43 @@ class ExperimentConfig:
         )
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+# What a config value must be, by the type of its field's default; a
+# None default marks an optional number. Lists become tuples on load.
+_VALUE_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _number),
+    type(None): ("a number or null", lambda v: v is None or _number(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of numbers", _numbers),
+}
+_FIELD_VALUE_TYPES = {
+    "proposal_cov": ("a list of rows of numbers",
+                     lambda v: isinstance(v, list) and all(map(_numbers, v))),
+    "methods": ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
+}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(map(str, unknown))}")
+    for name, value in raw.items():
+        what, ok = (_FIELD_VALUE_TYPES.get(name)
+                    or _VALUE_TYPES[type(fields[name].default)])
+        if not ok(value):
+            raise ConfigurationError(f"config field {name!r} must be {what}, got {value!r}")
     raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:  # a value of the wrong type, e.g. num_train: abc
-        raise ConfigurationError(f"config value of the wrong type: {exc}") from exc
+    return ExperimentConfig(**raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -306,11 +333,14 @@ class FittedModel:
         return GaussianMixture(m.weights, means, covs)
 
 
-def median_heuristic_lengthscale(x: np.ndarray, rng_seed: int = 0) -> float:
+MEDIAN_HEURISTIC_SEED = 0
+
+
+def median_heuristic_lengthscale(x: np.ndarray) -> float:
     """Median pairwise distance over (a subsample of) the inputs; the
     center of the default cross-validation grid."""
     x = np.atleast_2d(x)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(MEDIAN_HEURISTIC_SEED)
     idx = rng.choice(x.shape[0], size=min(200, x.shape[0]), replace=False)
     sub = x[idx]
     d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2)
@@ -526,17 +556,19 @@ def load_posterior(path) -> PosteriorEstimate:
         raise ConfigurationError(f"{path}: malformed posterior: {exc!r}") from exc
 
 
-def density_grid(p: PosteriorEstimate, box: PriorSpec,
-                 points_1d: int = 512, points_2d: int = 128):
+GRID_POINTS_1D, GRID_POINTS_2D = 512, 128  # per axis
+
+
+def density_grid(p: PosteriorEstimate, box: PriorSpec):
     """Grid-evaluated log density for plotting. Returns (grid, logdens)
     for 1-D/2-D posteriors, None for higher dimensions."""
     d = p.mixture.dim
     if d == 1:
-        xs = np.linspace(box.low[0], box.high[0], points_1d)
+        xs = np.linspace(box.low[0], box.high[0], GRID_POINTS_1D)
         grid = xs[:, None]
     elif d == 2:
-        xs = np.linspace(box.low[0], box.high[0], points_2d)
-        ys = np.linspace(box.low[1], box.high[1], points_2d)
+        xs = np.linspace(box.low[0], box.high[0], GRID_POINTS_2D)
+        ys = np.linspace(box.low[1], box.high[1], GRID_POINTS_2D)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         grid = np.column_stack([gx.ravel(), gy.ravel()])
     else:

@@ -58,18 +58,13 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def log_density(mixture: GaussianMixture, theta: np.ndarray) -> float:
-    """log sum_k alpha_k N(theta | mu_k, Sigma_k), via log-sum-exp."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != mixture.dim:
-        raise ContractError("theta dimension does not match mixture")
-    return float(log_density_batch(mixture, theta[None, :])[0])
-
-
 def log_density_batch(mixture: GaussianMixture, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized mixture log-density over rows of ``thetas`` (n, d)."""
+    """log sum_k alpha_k N(theta | mu_k, Sigma_k) at each row of
+    ``thetas`` (n, d), via log-sum-exp."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     k, d = mixture.means.shape
+    if thetas.shape[1] != d:
+        raise ContractError("theta dimension does not match mixture")
     comp = np.empty((k, thetas.shape[0]))
     for j in range(k):
         chol = np.linalg.cholesky(mixture.covariances[j])
@@ -99,8 +94,7 @@ def melu(z):
     """Modified ELU used for positive variance outputs:
     e^z for z <= 0, z + 1 for z > 0."""
     z = np.asarray(z, dtype=float)
-    out = np.where(z > 0, z + 1.0, np.expm1(np.minimum(z, 0.0)) + 1.0)
-    return out if out.ndim else float(out)
+    return np.where(z > 0, z + 1.0, np.expm1(np.minimum(z, 0.0)) + 1.0)
 
 
 def melu_grad(z):
@@ -347,22 +341,21 @@ def init_head(
     theta_dim: int,
     feature_dim: int,
     rng: np.random.Generator,
-    theta_samples: np.ndarray | None = None,
+    theta_samples: np.ndarray,
 ) -> MixtureHeadWeights:
     """Head init: small random weights, mean biases spread over the
     training parameters' quantiles so components do not collapse."""
     k, d, s = num_components, theta_dim, feature_dim
     rows = k + 2 * k * d
     head = MixtureHeadWeights(np.empty((rows, s)), np.zeros(rows), k)
-    if theta_samples is not None:
-        _, b_mu, b_z = _split(head, head.bias[:, None])
-        ts = np.atleast_2d(theta_samples)
-        qs = (np.arange(k) + 1.0) / (k + 1.0)
-        for j in range(d):
-            vals = np.quantile(ts[:, j], qs)
-            b_mu[:, j, 0] = rng.permutation(vals)
-            spread = max(np.std(ts[:, j]) / max(k, 2), 1e-3)
-            b_z[:, j, 0] = _melu_inverse(spread * spread)
+    _, b_mu, b_z = _split(head, head.bias[:, None])
+    ts = np.atleast_2d(theta_samples)
+    qs = (np.arange(k) + 1.0) / (k + 1.0)
+    for j in range(d):
+        vals = np.quantile(ts[:, j], qs)
+        b_mu[:, j, 0] = rng.permutation(vals)
+        spread = max(np.std(ts[:, j]) / max(k, 2), 1e-3)
+        b_z[:, j, 0] = _melu_inverse(spread * spread)
     head.weight[...] = rng.normal(0, 1.0 / np.sqrt(s), (rows, s))
     return head
 
@@ -510,15 +503,17 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     return results
 
 
+CV_FOLDS = 3
+
+
 def select_lengthscale(
     candidates,
     x_train: np.ndarray,
     theta_train: np.ndarray,
     build_map,
     config: TrainerConfig,
-    folds: int = 3,
 ):
-    """k-fold cross-validated lengthscale choice.
+    """Lengthscale choice by cross-validation over CV_FOLDS folds.
 
     ``build_map(sigma)`` constructs the RFF map for a candidate; it is
     built once, and each fold trains every candidate's head in one
@@ -534,7 +529,7 @@ def select_lengthscale(
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
     n = x.shape[0]
     idx = np.random.default_rng(config.seed).permutation(n)
-    fold_ids = np.array_split(idx, folds)
+    fold_ids = np.array_split(idx, CV_FOLDS)
 
     scores = _cv_scores([build_map(sigma) for sigma in cands],
                         x, theta, fold_ids, config)
@@ -554,8 +549,3 @@ def _cv_scores(feature_maps, x, theta, fold_ids, config) -> list:
             totals[c] += float(np.sum(
                 _row_log_likelihoods(head, fmap, x[te], theta[te])))
     return [total / x.shape[0] for total in totals]
-
-
-def held_out_log_density(head, feature_map, x, theta) -> float:
-    """Mean conditional log-density of (theta, x) pairs under the model."""
-    return float(np.mean(_row_log_likelihoods(head, feature_map, x, theta)))

@@ -20,10 +20,11 @@ from .errors import (
     ContractError,
     DegeneratePosteriorError,
 )
-from .mdn import GaussianMixture, log_density, log_density_batch
-from .priors import GAUSSIAN, IMPROPER, UNIFORM_BOX, PriorSpec
+from .mdn import GaussianMixture, log_density_batch
+from .priors import GAUSSIAN, UNIFORM_BOX, PriorSpec
 
 NEG_INF = float("-inf")
+MASS_CHECK_SAMPLES = 10000  # draws behind truncate's in-box mass estimate
 
 
 @dataclass
@@ -41,16 +42,6 @@ class PosteriorEstimate:
     def __post_init__(self):
         if self.support is not None and self.support.kind != UNIFORM_BOX:
             raise ConfigurationError("support must be a uniform box")
-
-    def contains(self, theta: np.ndarray) -> bool:
-        if self.support is None:
-            return True
-        return bool(_inside(self.support, np.asarray(theta, float).reshape(1, -1))[0])
-
-    def log_density(self, theta) -> float:
-        if not self.contains(theta):
-            return NEG_INF
-        return log_density(self.mixture, theta)
 
     def log_density_batch(self, thetas) -> np.ndarray:
         out = log_density_batch(self.mixture, thetas)
@@ -115,7 +106,6 @@ def truncate(
     mixture: GaussianMixture,
     box: PriorSpec,
     provenance: dict | None = None,
-    mass_check_samples: int = 10000,
 ) -> PosteriorEstimate:
     """Restrict a mixture to a box support.
 
@@ -128,15 +118,13 @@ def truncate(
         raise ContractError("box dimension does not match mixture")
     est = PosteriorEstimate(mixture=mixture, support=box,
                             provenance=provenance or {})
-    if mass_check_samples:
-        rng = np.random.default_rng(0)
-        draws = _sample_mixture(mixture, mass_check_samples, rng)
-        frac = _inside(box, draws).mean()
-        if frac < 1e-6:
-            warnings.warn(
-                f"mixture mass inside support box ~{frac:.1e}; posterior is degenerate",
-                RuntimeWarning,
-            )
+    draws = _sample_mixture(mixture, MASS_CHECK_SAMPLES, np.random.default_rng(0))
+    frac = _inside(box, draws).mean()
+    if frac < 1e-6:
+        warnings.warn(
+            f"mixture mass inside support box ~{frac:.1e}; posterior is degenerate",
+            RuntimeWarning,
+        )
     return est
 
 
@@ -157,18 +145,11 @@ def recover_posterior(
     prov = dict(provenance or {})
     prov.setdefault("x_r", np.asarray(x_r, float).tolist())
 
-    flat_prior = prior.kind in (UNIFORM_BOX, IMPROPER)
-    if proposal.kind in (UNIFORM_BOX, IMPROPER) and flat_prior:
-        adjusted = mixture
-    elif proposal.kind == GAUSSIAN and flat_prior:
-        adjusted = divide_by_gaussian(mixture, proposal)
-    else:
-        raise ConfigurationError(
-            f"unsupported prior/proposal combination: {prior.kind}/{proposal.kind}"
-        )
-    if prior.kind == UNIFORM_BOX:
-        return truncate(adjusted, prior, provenance=prov)
-    return PosteriorEstimate(mixture=adjusted, support=None, provenance=prov)
+    if prior.kind != UNIFORM_BOX:
+        raise ConfigurationError(f"the prior must be a uniform box, got {prior.kind!r}")
+    if proposal.kind == GAUSSIAN:
+        mixture = divide_by_gaussian(mixture, proposal)
+    return truncate(mixture, prior, provenance=prov)
 
 
 def _sample_mixture(
@@ -192,8 +173,6 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     given seed."""
     if count < 0:
         raise ContractError("count must be >= 0")
-    if count == 0:
-        return np.empty((0, p.mixture.dim))
     rng = np.random.default_rng(seed)
     out = np.empty((count, p.mixture.dim))
     filled = 0
@@ -219,8 +198,9 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:
     """Untruncated mixture log-density at the target parameter; -inf with
     a warning when the target sits outside the support box."""
-    if not p.contains(theta_star):
+    theta = np.asarray(theta_star, dtype=float).reshape(1, -1)
+    if p.support is not None and not _inside(p.support, theta)[0]:
         warnings.warn("target parameter lies outside the posterior support",
                       RuntimeWarning)
         return NEG_INF
-    return log_density(p.mixture, theta_star)
+    return float(log_density_batch(p.mixture, theta)[0])

@@ -10,12 +10,11 @@ from .errors import ConfigurationError
 
 UNIFORM_BOX = "uniform_box"
 GAUSSIAN = "gaussian"
-IMPROPER = "improper"
 
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Uniform box, Gaussian, or improper (flat everywhere) prior.
+    """Uniform box or Gaussian prior.
 
     Uniform boxes carry per-dimension [low, high]; Gaussians carry mean
     and a symmetric positive-definite covariance.
@@ -44,25 +43,21 @@ class PriorSpec:
                 raise ConfigurationError("Gaussian prior covariance must be SPD") from exc
             object.__setattr__(self, "mean", mean)
             object.__setattr__(self, "cov", cov)
-        elif self.kind != IMPROPER:
+        else:
             raise ConfigurationError(f"unknown prior kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
         if self.kind == UNIFORM_BOX:
             return self.low.shape[0]
-        if self.kind == GAUSSIAN:
-            return self.mean.shape[0]
-        raise ConfigurationError("improper prior has no fixed dimension")
+        return self.mean.shape[0]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == UNIFORM_BOX:
             return rng.uniform(self.low, self.high, size=(count, self.dim))
-        if self.kind == GAUSSIAN:
-            chol = np.linalg.cholesky(self.cov)
-            z = rng.standard_normal((count, self.dim))
-            return self.mean + z @ chol.T
-        raise ConfigurationError("cannot sample from an improper prior")
+        chol = np.linalg.cholesky(self.cov)
+        z = rng.standard_normal((count, self.dim))
+        return self.mean + z @ chol.T
 
 
 def uniform_box(low, high) -> PriorSpec:
@@ -71,7 +66,3 @@ def uniform_box(low, high) -> PriorSpec:
 
 def gaussian_prior(mean, cov) -> PriorSpec:
     return PriorSpec(kind=GAUSSIAN, mean=np.asarray(mean, float), cov=np.asarray(cov, float))
-
-
-def improper_prior() -> PriorSpec:
-    return PriorSpec(kind=IMPROPER)

@@ -1,13 +1,13 @@
 """Desk-scale black-box generative models behind one rollout interface.
 
-Each model maps a parameter vector to a trajectory of states/actions via
-deterministic-given-seed integration. Every episode of a call is stepped
-in lockstep: dynamics, termination and controllers act on the last axis,
-so one time step is a few numpy operations on ``(N, D_s)`` states and
-``(N, d_theta)`` parameters. Scripted controllers stand in for trained
-policies: the inference method only needs an action source that excites
-the dynamics, held identical between training-set generation and "real"
-observation generation.
+Each model maps a batch of parameter vectors to a batch of state/action
+trajectories via deterministic-given-seed integration. Every episode of
+a call is stepped in lockstep: dynamics, termination and controllers act
+on the last axis, so one time step is a few numpy operations on
+``(N, D_s)`` states and ``(N, d_theta)`` parameters. Scripted
+controllers stand in for trained policies: the inference method only
+needs an action source that excites the dynamics, held identical between
+training-set generation and "real" observation generation.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ from .errors import ContractError, DivergedTrajectoryError
 
 GRAVITY = 9.8
 STATE_LIMIT = 1e8  # beyond this we call the trajectory diverged
-
-
-@dataclass
-class Trajectory:
-    states: np.ndarray          # (T+1, D_s)
-    actions: np.ndarray         # (T, D_a)
-    terminated_early: bool = False
-
-    @property
-    def length(self) -> int:
-        return self.actions.shape[0]
 
 
 @dataclass
@@ -318,31 +307,30 @@ def builtin_controller(kind: str, seed: int, amplitude: float = 1.0) -> Scripted
 
 def rollout(
     model: GenerativeModel,
-    theta,
+    thetas,
     controller: ScriptedController,
     horizon: int = 200,
-    seed=0,
+    *,
+    seed,
     initial_state: np.ndarray | None = None,
-):
-    """Integrate the model under the controller's actions, every episode
-    in lockstep.
+) -> Rollouts:
+    """Integrate the model under the controller's actions: one episode
+    per row of the ``(N, d_theta)`` thetas and of the N ``seed`` values,
+    every episode in lockstep.
 
-    A ``(N, d_theta)`` theta with N ``seed`` values returns Rollouts;
-    failed rows are flagged there and do not stop the others. A
-    ``(d_theta,)`` theta with one seed is the N=1 case: it raises
-    ContractError for an out-of-limit theta and DivergedTrajectoryError
-    for a diverged state, and returns that episode's Trajectory. Each
-    row stops at ``horizon`` (at most 200 steps) or the model's
-    termination predicate, whichever comes first.
+    Failed rows are flagged in the returned Rollouts and do not stop the
+    others; ``Rollouts.check`` raises for them. Each row stops at
+    ``horizon`` (at most 200 steps) or the model's termination
+    predicate, whichever comes first.
     """
     if not 1 <= horizon <= 200:
         raise ContractError("horizon must be in [1, 200]")
-    single = np.ndim(theta) < 2
-    thetas = np.atleast_2d(np.asarray(theta, dtype=float))
-    seeds = np.atleast_1d(seed)
+    thetas = np.asarray(thetas, dtype=float)
+    seeds = np.asarray(seed)
+    if thetas.ndim != 2 or seeds.shape != thetas.shape[:1]:
+        raise ContractError(f"expected (N, d_theta) thetas and N seeds, got "
+                            f"shapes {thetas.shape} and {seeds.shape}")
     n = thetas.shape[0]
-    if seeds.shape != (n,):
-        raise ContractError(f"expected {n} seeds, got shape {seeds.shape}")
     in_limits = model.in_limits(thetas)
     if initial_state is None:
         salt = zlib.crc32(model.name.encode())
@@ -383,18 +371,11 @@ def rollout(
             alive &= ~ended
             steps = t + 1
             states[:, steps] = state
-    batch = Rollouts(
+    return Rollouts(
         thetas=thetas, states=states[:, :steps + 1], actions=actions[:, :steps],
         lengths=lengths, terminated=terminated, diverged=diverged,
         in_limits=in_limits,
     )
-    if not single:
-        return batch
-    batch.check()
-    length = int(lengths[0])
-    return Trajectory(states=batch.states[0, :length + 1],
-                      actions=batch.actions[0, :length],
-                      terminated_early=bool(terminated[0]))
 
 
 MODELS = {

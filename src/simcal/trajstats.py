@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .simulators import Rollouts, Trajectory
+from .simulators import Rollouts
 
 STD_FLOOR = 1e-8
 
@@ -45,27 +45,17 @@ class StatsSchema:
         return (raw - self.mean) / self.std
 
 
-def stat_dim(state_dim: int, action_dim: int) -> int:
-    return state_dim * action_dim + 2 * state_dim
-
-
-def compute_stats(traj: Trajectory | Rollouts) -> np.ndarray:
-    """Raw (unstandardized) statistic vector of one trajectory, or the
-    (N, stat_dim) statistics of a batch of rollouts in one pass.
+def compute_stats(rollouts: Rollouts) -> np.ndarray:
+    """Raw (unstandardized) (N, stat_dim) statistics of a batch of
+    rollouts, in one pass.
 
     Each row uses only its own ``lengths[i]`` steps. Cross terms are
     divided by T so early-terminated episodes encode dynamics, not
     length; the variance is the population (1/T) variance.
     """
-    states = np.asarray(traj.states, dtype=float)
-    actions = np.asarray(traj.actions, dtype=float)
-    single = states.ndim == 2
-    if single:
-        states = states[None]
-        actions = np.atleast_2d(actions)[None]
-        lengths = np.array([actions.shape[1]])
-    else:
-        lengths = np.asarray(traj.lengths)
+    states = np.asarray(rollouts.states, dtype=float)
+    actions = np.asarray(rollouts.actions, dtype=float)
+    lengths = np.asarray(rollouts.lengths)
     if lengths.size and lengths.min() < 2:
         raise ContractError(
             f"trajectory too short for statistics (T={lengths.min()})")
@@ -77,8 +67,7 @@ def compute_stats(traj: Trajectory | Rollouts) -> np.ndarray:
     mean = tau.sum(axis=1) / t
     dev = np.where(steps, tau - mean[:, None, :], 0.0)
     var = (dev * dev).sum(axis=1) / t      # population variance
-    out = np.concatenate([cross.reshape(len(lengths), -1), mean, var], axis=1)
-    return out[0] if single else out
+    return np.concatenate([cross.reshape(len(lengths), -1), mean, var], axis=1)
 
 
 def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:
@@ -87,12 +76,12 @@ def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:
     raw = np.atleast_2d(np.asarray(raw_stats, dtype=float))
     if raw.shape[0] < 2:
         raise ContractError("need at least 2 vectors to fit the standardizer")
-    if raw.shape[1] != stat_dim(state_dim, action_dim):
+    schema = StatsSchema(state_dim=state_dim, action_dim=action_dim,
+                         mean=raw.mean(axis=0),
+                         std=np.maximum(raw.std(axis=0), STD_FLOOR))
+    if raw.shape[1] != schema.stat_dim:
         raise ContractError("statistic length does not match dimensions")
-    mean = raw.mean(axis=0)
-    std = np.maximum(raw.std(axis=0), STD_FLOOR)
-    return StatsSchema(state_dim=state_dim, action_dim=action_dim,
-                       mean=mean, std=std)
+    return schema
 
 
 def real_observation(rollouts: Rollouts, schema: StatsSchema) -> np.ndarray:

@@ -14,8 +14,28 @@ from simcal.features import (
     init_neural_map,
     nn_activations,
     nn_backprop,
-    nn_feature_jacobian,
 )
+
+
+def nn_feature_jacobian(nn: NeuralFeatureMap, x: np.ndarray) -> dict:
+    """Gradients of every feature output w.r.t. every network weight at
+    one input vector: {"w1": (s, h, d), "b1": (s, h), "w2": (s, s, h),
+    "b2": (s, s)}. The oracle for the vector-Jacobian product that
+    training uses, :func:`nn_backprop`."""
+    h = np.tanh(nn.w1 @ x + nn.b1)          # (h,)
+    phi = np.tanh(nn.w2 @ h + nn.b2)        # (s,)
+    dphi = 1.0 - phi * phi                  # (s,)
+    dh = 1.0 - h * h                        # (h,)
+    s, hd = nn.w2.shape
+
+    j_b2 = np.diag(dphi)                                   # (s, s)
+    j_w2 = np.zeros((s, s, hd))
+    j_w2[np.arange(s), np.arange(s), :] = dphi[:, None] * h
+    # dphi_i/dh_k = dphi_i * w2[i,k]; chain into layer 1
+    back = dphi[:, None] * nn.w2                           # (s, h)
+    j_b1 = back * dh                                       # (s, h)
+    j_w1 = j_b1[:, :, None] * x[None, None, :]             # (s, h, d)
+    return {"w1": j_w1, "b1": j_b1, "w2": j_w2, "b2": j_b2}
 
 
 def test_kernel_config_validation():

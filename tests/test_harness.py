@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -60,6 +63,26 @@ def test_config_validation_errors():
         config_from_dict({"benchmark": "pendulum", "unknown_key": 1})
     with pytest.raises(ConfigurationError):
         ExperimentConfig(benchmark="pendulum", methods=("gibbs",))
+    # each value must have the type of its field's default
+    for key, value in (("seed", True), ("seed", None), ("learning_rate", "fast"),
+                       ("prior_low", 0.1), ("proposal_cov", [0.01]),
+                       ("methods", "mdn_rff"), ("methods", [1]), ("benchmark", 3)):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({"benchmark": "pendulum", key: value})
+
+
+def test_shipped_and_benchmark_configs_load():
+    root = Path(__file__).resolve().parents[1]
+    shipped = sorted((root / "configs").glob("*.yaml"))
+    assert shipped
+    for path in shipped:
+        load_config(path)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_configs", root / "perfbench" / "configs.py")
+    configs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(configs)
+    for workload in configs.WORKLOADS:
+        config_from_dict(yaml.safe_load(configs.config_text(workload, 1)))
 
 
 def test_config_hash_stable_and_sensitive():
@@ -73,10 +96,13 @@ def test_config_hash_stable_and_sensitive():
 
 def test_load_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
-    path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n")
+    path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n"
+                    "learning_rate: 1\nlengthscale: null\nproposal_cov: [[0.01]]\n")
     cfg = load_config(path)
     assert cfg.num_train == 120
     assert cfg.theta_star == (0.1,)
+    assert cfg.learning_rate == 1 and cfg.lengthscale is None
+    assert cfg.proposal_cov == ([0.01],)
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
@@ -302,6 +328,12 @@ UNPARSEABLE = {
     "config_not_utf8": ("--config", b"benchmark: cart\xff\xfepole\n"),
     "num_train_text": ("--config", b"num_train: abc\n"),
     "theta_star_scalar": ("--config", b"theta_star: 5\n"),
+    "seed_text": ("--config", b"seed: abc\n"),
+    "horizon_text": ("--config", b"horizon: abc\n"),
+    "prior_low_text": ("--config", b"prior_low: [a, b]\n"),
+    "num_train_fraction": ("--config", b"num_train: 60.5\n"),
+    "lengthscale_text": ("--config", b"lengthscale: abc\n"),
+    "methods_scalar": ("--config", b"methods: mdn_rff\n"),
     "dataset_not_utf8": ("--dataset", b"#SIMCAL-DATASET \xff\xfe\n1.0,2.0\n"),
 }
 

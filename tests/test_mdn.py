@@ -18,7 +18,7 @@ from simcal.mdn import (
     MixtureHeadWeights,
     TrainerConfig,
     head_forward,
-    log_density,
+    log_density_batch,
     loss_and_gradient,
     melu,
     select_lengthscale,
@@ -29,6 +29,11 @@ from simcal.mdn import (
 def zero_head(k, d, s):
     rows = k + 2 * k * d
     return MixtureHeadWeights(np.zeros((rows, s)), np.zeros(rows), k)
+
+
+def density_at(mixture, theta):
+    """Mixture log-density at one theta, through a one-row batch."""
+    return log_density_batch(mixture, np.reshape(theta, (1, -1)))[0]
 
 
 def random_head(k, d, s, rng, scale=0.3):
@@ -106,13 +111,13 @@ def test_head_forward_simplex_and_floor():
 
 def test_log_density_standard_normal_at_mode():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    assert log_density(m, [0.0]) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
+    assert density_at(m, [0.0]) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
 
 def test_log_density_identical_components():
     one = GaussianMixture([1.0], [[0.0]], [[1.0]])
     two = GaussianMixture([0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
-    assert log_density(two, [0.3]) == pytest.approx(log_density(one, [0.3]), abs=1e-14)
+    assert density_at(two, [0.3]) == pytest.approx(density_at(one, [0.3]), abs=1e-14)
 
 
 def test_log_density_matches_direct_sum_oracle():
@@ -129,7 +134,7 @@ def test_log_density_matches_direct_sum_oracle():
             det = np.linalg.det(covs[j])
             quad = diff @ np.linalg.inv(covs[j]) @ diff
             direct += w[j] * np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
-        assert log_density(m, theta) == pytest.approx(np.log(direct), abs=1e-10)
+        assert density_at(m, theta) == pytest.approx(np.log(direct), abs=1e-10)
 
 
 def test_log_density_component_permutation_invariant():
@@ -141,7 +146,14 @@ def test_log_density_component_permutation_invariant():
     a = GaussianMixture(w, means, covs)
     b = GaussianMixture(w[perm], means[perm], covs[perm])
     theta = rng.normal(size=2)
-    assert log_density(a, theta) == pytest.approx(log_density(b, theta), abs=1e-13)
+    assert density_at(a, theta) == pytest.approx(density_at(b, theta), abs=1e-13)
+
+
+def test_log_density_batch_rejects_wrong_dimension():
+    m = GaussianMixture([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.5, 0.5]])
+    for thetas in ([[0.5]], [[0.5, 0.5, 0.5]], np.zeros((3, 1))):
+        with pytest.raises(ContractError):
+            log_density_batch(m, thetas)
 
 
 # -- loss and gradient ------------------------------------------------------
@@ -230,11 +242,12 @@ def test_loss_values_match_log_density_oracle(kind, monkeypatch):
     head = random_head(3, 2, 16, rng)
     x = rng.normal(size=(30, 3))
     th = rng.normal(size=(30, 2))
-    oracle = np.mean([log_density(head_forward(head, phi(fmap, xi)), ti)
+    oracle = np.mean([density_at(head_forward(head, phi(fmap, xi)), ti)
                       for xi, ti in zip(x, th)])
 
     assert -loss_and_gradient(head, fmap, x, th)[0] == pytest.approx(oracle, abs=1e-12)
-    assert mdn.held_out_log_density(head, fmap, x, th) == pytest.approx(oracle, abs=1e-12)
+    assert (np.mean(mdn._row_log_likelihoods(head, fmap, x, th))
+            == pytest.approx(oracle, abs=1e-12))
 
     # CV score with every fold's fit replaced by ``head``: the folds
     # partition the rows, so it is the same mean.
@@ -267,7 +280,7 @@ def test_train_beats_unconditional_baseline():
     cfg = TrainerConfig(num_components=2, epochs=200, seed=1)
     head, fmap, _ = train(cfg, x, th, fmap)
     hx, hth = _synthetic_data(500, seed=9)
-    model_ld = mdn.held_out_log_density(head, fmap, hx, hth)
+    model_ld = np.mean(mdn._row_log_likelihoods(head, fmap, hx, hth))
     mu, sd = th.mean(), th.std()
     baseline = np.mean(
         -0.5 * np.log(2 * np.pi * sd ** 2) - (hth - mu) ** 2 / (2 * sd ** 2)
@@ -291,8 +304,8 @@ def test_train_shuffled_pairs_worse():
     perm = np.random.default_rng(0).permutation(x.shape[0])
     head_s, fmap_s, _ = train(cfg, x[perm], th, build_rff(KernelConfig("rbf", 0.3, 100), 1))
     hx, hth = _synthetic_data(500, seed=10)
-    assert (mdn.held_out_log_density(head_s, fmap_s, hx, hth)
-            <= mdn.held_out_log_density(head, fmap, hx, hth))
+    assert (np.mean(mdn._row_log_likelihoods(head_s, fmap_s, hx, hth))
+            <= np.mean(mdn._row_log_likelihoods(head, fmap, hx, hth)))
 
 
 def test_train_rejects_too_few_samples():

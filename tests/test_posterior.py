@@ -4,8 +4,9 @@ import pytest
 from simcal.errors import (
     ComponentWiderThanProposalError,
     ConfigurationError,
+    ContractError,
 )
-from simcal.mdn import GaussianMixture, log_density, log_density_batch
+from simcal.mdn import GaussianMixture, log_density_batch
 from simcal.posterior import (
     NEG_INF,
     PosteriorEstimate,
@@ -15,7 +16,7 @@ from simcal.posterior import (
     sample,
     truncate,
 )
-from simcal.priors import gaussian_prior, improper_prior, uniform_box
+from simcal.priors import gaussian_prior, uniform_box
 
 
 def random_narrow_mixture(rng, k=3, d=2):
@@ -103,8 +104,9 @@ def test_truncate_wide_box_high_acceptance():
 def test_truncate_density_outside_box():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
     p = truncate(m, uniform_box([-1.0], [1.0]))
-    assert p.log_density([2.0]) == NEG_INF
-    assert p.log_density([0.5]) == pytest.approx(log_density(m, [0.5]))
+    assert p.log_density_batch([[2.0]])[0] == NEG_INF
+    assert (p.log_density_batch([[0.5]])[0]
+            == pytest.approx(log_density_batch(m, [[0.5]])[0]))
 
 
 def test_truncate_degenerate_mass_warns():
@@ -188,7 +190,8 @@ def test_recover_gaussian_proposal_divides():
     m = random_narrow_mixture(rng)
     proposal = gaussian_prior(np.zeros(2), np.eye(2) * 1e8)
     post = recover_posterior(_FakeModel(m), np.zeros(3),
-                             prior=improper_prior(), proposal=proposal)
+                             prior=uniform_box([-50, -50], [50, 50]),
+                             proposal=proposal)
     # wide-proposal limit: division leaves means unchanged
     np.testing.assert_allclose(post.mixture.means, m.means, atol=1e-6)
 
@@ -205,6 +208,9 @@ def test_log_prob_target_values():
     p = PosteriorEstimate(m)
     assert log_prob_target(p, [0.0]) == pytest.approx(-0.9189385, abs=1e-6)
     boxed = truncate(m, uniform_box([-1.0], [1.0]))
-    assert log_prob_target(boxed, [0.5]) == pytest.approx(log_density(m, [0.5]))
+    assert (log_prob_target(boxed, [0.5])
+            == pytest.approx(log_density_batch(m, [[0.5]])[0]))
     with pytest.warns(RuntimeWarning):
         assert log_prob_target(boxed, [2.0]) == NEG_INF
+    with pytest.raises(ContractError):  # a 2-D target against a 1-D mixture
+        log_prob_target(p, [0.0, 0.0])

@@ -53,19 +53,26 @@ def test_cartpole_matches_independent_implementation():
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
+def rollout_one(model, theta, ctrl, seed, **kwargs):
+    """One episode as a one-row batch; raises for a failed row."""
+    batch = rollout(model, [theta], ctrl, seed=[seed], **kwargs)
+    batch.check()
+    return batch
+
+
 def test_rollout_from_equilibrium_constant():
     model = CartPole()
     ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-    traj = rollout(model, [0.5, 0.1], ctrl, horizon=50, seed=0,
-                   initial_state=np.zeros(4))
+    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=50, seed=0,
+                       initial_state=np.zeros(4))
     np.testing.assert_allclose(traj.states, 0.0)
 
 
 def test_rollout_determinism():
     model = get_model("pendulum")
     ctrl = builtin_controller("random_uniform", seed=3)
-    a = rollout(model, [0.05], ctrl, horizon=100, seed=5)
-    b = rollout(model, [0.05], ctrl, horizon=100, seed=5)
+    a = rollout_one(model, [0.05], ctrl, horizon=100, seed=5)
+    b = rollout_one(model, [0.05], ctrl, horizon=100, seed=5)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.actions, b.actions)
 
@@ -74,17 +81,19 @@ def test_rollout_bounds_checked():
     model = get_model("cartpole")
     ctrl = builtin_controller("random_uniform", seed=0)
     with pytest.raises(ContractError):
-        rollout(model, [50.0, 0.5], ctrl, seed=0)
+        rollout_one(model, [50.0, 0.5], ctrl, seed=0)
     with pytest.raises(ContractError):
-        rollout(model, [0.5, 0.5], ctrl, horizon=500, seed=0)
+        rollout_one(model, [0.5, 0.5], ctrl, horizon=500, seed=0)
+    with pytest.raises(ContractError):  # one theta vector, not a batch
+        rollout(model, [0.5, 0.5], ctrl, seed=[0])
 
 
 def test_cartpole_termination():
     model = CartPole()
     ctrl = builtin_controller("random_uniform", seed=1)
     tipped = np.array([0.0, 0.0, 0.25, 0.0])  # beyond the 12-degree threshold
-    traj = rollout(model, [0.5, 0.1], ctrl, horizon=200, seed=0,
-                   initial_state=tipped)
+    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=200, seed=0,
+                       initial_state=tipped)
     assert traj.terminated_early
     assert traj.length < 200
 
@@ -94,8 +103,8 @@ def test_pendulum_energy_drift_shrinks_with_dt():
 
     def drift(dt):
         ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-        traj = rollout(model, [dt], ctrl, horizon=200, seed=2)
-        cos_t, sin_t, om = traj.states.T
+        traj = rollout_one(model, [dt], ctrl, horizon=200, seed=2)
+        cos_t, sin_t, om = traj.states[0].T
         # pendulum energy about the pivot, unforced rollout
         energy = 0.5 * (1.0 / 3.0) * om ** 2 - 0.5 * 9.8 * cos_t
         return np.max(np.abs(energy - energy[0])) / traj.length
@@ -106,9 +115,10 @@ def test_pendulum_energy_drift_shrinks_with_dt():
 def test_lotka_volterra_zero_rates_constant():
     model = LotkaVolterra()
     ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-    traj = rollout(model, [0.0, 0.0, 0.0, 0.0], ctrl, horizon=100, seed=0)
+    states = rollout_one(model, [0.0, 0.0, 0.0, 0.0], ctrl, horizon=100,
+                         seed=0).states[0]
     np.testing.assert_allclose(
-        traj.states, np.tile(traj.states[0], (traj.states.shape[0], 1)),
+        states, np.tile(states[0], (states.shape[0], 1)),
         atol=1e-12)
 
 
@@ -118,7 +128,7 @@ def test_lotka_volterra_stays_positive_and_finite():
     rng = np.random.default_rng(5)
     for _ in range(20):
         theta = rng.uniform(0.01, 1.0, 4)
-        traj = rollout(model, theta, ctrl, horizon=200, seed=int(rng.integers(1e6)))
+        traj = rollout_one(model, theta, ctrl, horizon=200, seed=int(rng.integers(1e6)))
         assert np.all(np.isfinite(traj.states))
         assert np.all(traj.states > 0)
 
@@ -133,7 +143,7 @@ def test_controller_deterministic_sequence():
 def test_bang_bang_keeps_cartpole_alive():
     model = CartPole()
     ctrl = builtin_controller("bang_bang_energy", seed=0)
-    traj = rollout(model, [0.5, 0.1], ctrl, horizon=200, seed=3)
+    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=200, seed=3)
     assert traj.length >= 50
 
 
@@ -169,11 +179,9 @@ def test_parameter_sensitivity(name, low, high):
     # mean statistics must differ detectably between prior-box extremes
     model = get_model(name)
     ctrl = builtin_controller("random_uniform", seed=11)
-    lo_stats, hi_stats = [], []
-    for i in range(60):
-        lo_stats.append(compute_stats(rollout(model, low, ctrl, seed=2 * i)))
-        hi_stats.append(compute_stats(rollout(model, high, ctrl, seed=2 * i + 1)))
-    lo, hi = np.asarray(lo_stats), np.asarray(hi_stats)
+    even = 2 * np.arange(60)
+    lo = compute_stats(rollout(model, [low] * 60, ctrl, seed=even))
+    hi = compute_stats(rollout(model, [high] * 60, ctrl, seed=even + 1))
     pvals = np.array([
         ttest_ind(lo[:, j], hi[:, j], equal_var=False).pvalue
         for j in range(lo.shape[1])
@@ -192,7 +200,8 @@ def test_trajectories_finite_across_prior_box():
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = rng.uniform(low, high)
-            traj = rollout(model, theta, ctrl, horizon=200, seed=int(rng.integers(1e6)))
+            traj = rollout_one(model, theta, ctrl, horizon=200,
+                               seed=int(rng.integers(1e6)))
             assert np.all(np.isfinite(traj.states))
 
 
@@ -293,12 +302,12 @@ def test_single_rollout_is_the_one_row_batch():
     thetas = np.array([[0.3, 1.7], [1.9, 0.2]])
     batch = rollout(model, thetas, ctrl, horizon=200, seed=[8, 9])
     for i in range(2):
-        one = rollout(model, thetas[i], ctrl, horizon=200, seed=8 + i)
+        one = rollout_one(model, thetas[i], ctrl, horizon=200, seed=8 + i)
         n = one.length
         assert n == batch.lengths[i]
         assert one.terminated_early == batch.terminated[i]
-        np.testing.assert_array_equal(one.states, batch.states[i, :n + 1])
-        np.testing.assert_array_equal(one.actions, batch.actions[i, :n])
+        np.testing.assert_array_equal(one.states[0], batch.states[i, :n + 1])
+        np.testing.assert_array_equal(one.actions[0], batch.actions[i, :n])
 
 
 def test_out_of_limit_and_diverged_rows_do_not_stop_the_batch():
@@ -322,8 +331,8 @@ def test_out_of_limit_and_diverged_rows_do_not_stop_the_batch():
     np.testing.assert_array_equal(batch.states[2], np.broadcast_to(
         start[2], batch.states[2].shape))
     with pytest.raises(DivergedTrajectoryError):
-        rollout(model, thetas[1], ctrl, horizon=200, seed=1,
-                initial_state=start[1])
+        rollout_one(model, thetas[1], ctrl, horizon=200, seed=1,
+                    initial_state=start[1])
     with pytest.raises(DivergedTrajectoryError):
         batch.check()
     with pytest.raises(ContractError):

@@ -4,52 +4,61 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simcal.errors import ContractError
-from simcal.simulators import Rollouts, Trajectory
+from simcal.simulators import Rollouts
 from simcal.trajstats import (
     StatsSchema,
     compute_stats,
     fit_standardizer,
     real_observation,
-    stat_dim,
 )
 
 
+def stat_dim(ds, da):
+    """The documented statistic length, D_s * D_a + 2 * D_s."""
+    return ds * da + 2 * ds
+
+
 def traj(states, actions):
-    return Trajectory(states=np.asarray(states, float),
-                      actions=np.asarray(actions, float))
+    """One episode of (T+1, D_s) states and (T, D_a) actions."""
+    return np.asarray(states, float), np.asarray(actions, float)
 
 
 def batch(trajs):
-    """Equal-length trajectories as one batch of rollouts."""
+    """Equal-length episodes as one batch of rollouts."""
     trajs = list(trajs)
     n = len(trajs)
     flags = np.zeros(n, dtype=bool)
     return Rollouts(
         thetas=np.zeros((n, 0)),
-        states=np.array([t.states for t in trajs]),
-        actions=np.array([t.actions for t in trajs]),
-        lengths=np.array([t.length for t in trajs], dtype=int),
+        states=np.array([states for states, _ in trajs]),
+        actions=np.array([actions for _, actions in trajs]),
+        lengths=np.array([len(actions) for _, actions in trajs], dtype=int),
         terminated=flags, diverged=flags, in_limits=~flags,
     )
 
 
+def stats(t):
+    """Statistics of one episode, through a one-row batch."""
+    return compute_stats(batch([t]))[0]
+
+
 def test_hand_computed_example():
     t = traj([[0.0], [1.0], [3.0]], [[1.0], [1.0]])
-    got = compute_stats(t)
+    got = stats(t)
     # tau = [1, 2]; cross = (1 + 2)/2; mean = 1.5; population var = 0.25
     np.testing.assert_allclose(got, [1.5, 1.5, 0.25])
 
 
 def test_constant_states_all_zero():
     t = traj([[2.0, 3.0]] * 5, [[1.0]] * 4)
-    np.testing.assert_allclose(compute_stats(t), 0.0)
+    np.testing.assert_allclose(stats(t), 0.0)
 
 
 def test_cross_block_matches_direct_loop():
     rng = np.random.default_rng(0)
     states = rng.normal(size=(21, 3))
     actions = rng.normal(size=(20, 2))
-    got = compute_stats(traj(states, actions))
+    got = stats(traj(states, actions))
     tau = np.diff(states, axis=0)
     direct = np.zeros((3, 2))
     for i in range(3):
@@ -62,15 +71,15 @@ def test_cross_block_matches_direct_loop():
 
 def test_too_short_trajectory():
     with pytest.raises(ContractError):
-        compute_stats(traj([[0.0], [1.0]], [[1.0]]))
+        stats(traj([[0.0], [1.0]], [[1.0]]))
 
 
 def test_offset_invariance():
     rng = np.random.default_rng(1)
     states = rng.normal(size=(11, 2))
     actions = rng.normal(size=(10, 1))
-    a = compute_stats(traj(states, actions))
-    b = compute_stats(traj(states + 17.3, actions))
+    a = stats(traj(states, actions))
+    b = stats(traj(states + 17.3, actions))
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -79,9 +88,9 @@ def test_pattern_repetition_invariance():
     tau = rng.normal(size=(10, 2))
     actions = rng.normal(size=(10, 1))
     states = np.vstack([np.zeros(2), np.cumsum(tau, axis=0)])
-    once = compute_stats(traj(states, actions))
+    once = stats(traj(states, actions))
     states2 = np.vstack([np.zeros(2), np.cumsum(np.tile(tau, (2, 1)), axis=0)])
-    twice = compute_stats(traj(states2, np.tile(actions, (2, 1))))
+    twice = stats(traj(states2, np.tile(actions, (2, 1))))
     np.testing.assert_allclose(once[:2], twice[:2], atol=1e-12)
 
 
@@ -89,7 +98,7 @@ def test_pattern_repetition_invariance():
 def test_output_length(ds, da):
     rng = np.random.default_rng(ds * 10 + da)
     t = traj(rng.normal(size=(6, ds)), rng.normal(size=(5, da)))
-    assert compute_stats(t).shape == (stat_dim(ds, da),)
+    assert stats(t).shape == (stat_dim(ds, da),)
 
 
 # -- standardizer -----------------------------------------------------------
@@ -134,7 +143,7 @@ def test_real_observation_single_trajectory():
     t = _random_traj(rng)
     schema = fit_standardizer(rng.normal(size=(20, stat_dim(2, 1))), 2, 1)
     np.testing.assert_allclose(
-        real_observation(batch([t]), schema), schema.standardize(compute_stats(t))
+        real_observation(batch([t]), schema), schema.standardize(stats(t))
     )
 
 
@@ -160,12 +169,12 @@ def test_real_observation_separates_far_parameters():
     ctrl = builtin_controller("random_uniform", seed=6)
     near, far = [0.5, 0.3], [1.8, 1.6]
 
-    def stats_for(theta, base):
-        return [compute_stats(rollout(model, theta, ctrl, seed=base + i))
-                for i in range(10)]
+    def stats_for(theta, base, n=10):
+        rollouts = rollout(model, [theta] * n, ctrl, seed=base + np.arange(n))
+        rollouts.check()
+        return compute_stats(rollouts)
 
-    train = [compute_stats(rollout(model, [1.0, 1.0], ctrl, seed=100 + i))
-             for i in range(50)]
+    train = stats_for([1.0, 1.0], 100, n=50)
     schema = fit_standardizer(train, model.state_dim, model.action_dim)
 
     xr_near = [schema.standardize(np.mean(stats_for(near, 1000 * r), axis=0))
@@ -194,7 +203,7 @@ def test_ragged_batch_equals_trimmed_rows(seed, n, t, ds, da):
     assert got.shape == (n, stat_dim(ds, da))
     for i, length in enumerate(lengths):
         row = traj(rollouts.states[i, :length + 1], rollouts.actions[i, :length])
-        np.testing.assert_allclose(got[i], compute_stats(row),
+        np.testing.assert_allclose(got[i], stats(row),
                                    rtol=1e-12, atol=1e-12)
 
 
