@@ -53,13 +53,13 @@ def halton_points(dimension: int, count: int) -> np.ndarray:
 class KernelConfig:
     """Shift-invariant kernel choice for the RFF map.
 
-    ``lengthscale`` is a shared positive scalar or a per-input-dimension
-    array; ``num_features`` is the total (even) feature count, split into
-    cos/sin halves.
+    ``lengthscale`` is one positive number shared by every input
+    dimension; ``num_features`` is the total (even) feature count, split
+    into cos/sin halves.
     """
 
     family: str = "rbf"
-    lengthscale: float | np.ndarray = 1.0
+    lengthscale: float = 1.0
     num_features: int = 200
 
     def __post_init__(self):
@@ -67,7 +67,7 @@ class KernelConfig:
             raise ConfigurationError(f"unknown kernel family {self.family!r}")
         if self.num_features < 2 or self.num_features % 2 != 0:
             raise ConfigurationError("num_features must be a positive even integer")
-        if np.any(np.asarray(self.lengthscale) <= 0):
+        if not self.lengthscale > 0:  # also False for NaN
             raise ConfigurationError("lengthscale must be strictly positive")
 
 
@@ -107,9 +107,6 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     if input_dim < 1:
         raise ContractError("input_dim must be >= 1")
     n_freq = kernel.num_features // 2
-    inv_ls = 1.0 / np.broadcast_to(
-        np.asarray(kernel.lengthscale, dtype=float), (input_dim,)
-    )
     chi_columns = 0 if kernel.family == "rbf" else 5
     pts = halton_points(input_dim + chi_columns + 1, n_freq)
     z = ndtri(pts[:, :-1])
@@ -118,7 +115,7 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
         zc = z[:, input_dim:]
         chi2 = np.sum(zc * zc, axis=1)
         freqs = freqs / np.sqrt(chi2 / chi_columns)[:, None]
-    freqs = freqs * inv_ls
+    freqs = freqs * (1.0 / kernel.lengthscale)
     biases = 2.0 * np.pi * pts[:, -1] - np.pi
     return RFFMap(frequencies=freqs, biases=biases, kernel=kernel)
 
@@ -144,8 +141,7 @@ def apply_rff(rff: RFFMap, x: np.ndarray) -> np.ndarray:
 def exact_kernel(kernel: KernelConfig, x: np.ndarray, y: np.ndarray) -> float:
     """Closed-form kernel value, the oracle the RFF estimate is tested
     against."""
-    inv_ls = 1.0 / np.asarray(kernel.lengthscale, dtype=float)
-    r = np.linalg.norm((np.asarray(x) - np.asarray(y)) * inv_ls)
+    r = np.linalg.norm((np.asarray(x) - np.asarray(y)) * (1.0 / kernel.lengthscale))
     if kernel.family == "rbf":
         return float(np.exp(-0.5 * r * r))
     a = np.sqrt(5.0) * r
@@ -165,6 +161,13 @@ class NeuralFeatureMap:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (s, h)
     b2: np.ndarray  # (s,)
+
+    def __post_init__(self):
+        if (self.w1.ndim != 2 or self.b1.shape != self.w1.shape[:1]
+                or self.b2.ndim != 1 or self.w2.shape != self.b2.shape + self.b1.shape):
+            raise ContractError(
+                f"tanh map shapes w1 {self.w1.shape}, b1 {self.b1.shape}, "
+                f"w2 {self.w2.shape}, b2 {self.b2.shape} do not fit together")
 
     @property
     def input_dim(self) -> int:

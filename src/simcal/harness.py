@@ -19,7 +19,7 @@ import yaml
 
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
-from .errors import ConfigurationError, SimcalError
+from .errors import ConfigurationError, ContractError, SimcalError
 from .features import (
     KernelConfig,
     NeuralFeatureMap,
@@ -30,13 +30,15 @@ from .features import (
 )
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
 from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
-from .priors import GAUSSIAN, PriorSpec, uniform_box
+from .priors import PriorSpec, gaussian_prior, uniform_box
 from .simulators import builtin_controller, get_model, rollout
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
 
-DATASET_MAGIC = "#SIMCAL-DATASET"
-SAMPLES_MAGIC = "#SIMCAL-SAMPLES"
 FORMAT_VERSION = 2
+# An artifact's tag: a JSON document's "format", or the first word of a
+# CSV table's header line.
+ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
+                 "model": "simcal-model", "posterior": "simcal-posterior"}
 
 # Benchmark prior boxes over the mutable parameters.
 BENCHMARK_PRIORS = {
@@ -51,6 +53,12 @@ DEFAULT_THETA_STAR = {
 }
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
+
+# The least value of each count and seed; abc_max_simulations 0 means num_train.
+_FIELD_MINIMA = dict.fromkeys(
+    ("num_train", "num_features", "hidden_units", "num_components", "epochs",
+     "cv_epochs", "batch_size", "repeats", "real_rollouts"), 1)
+_FIELD_MINIMA.update(abc_max_simulations=0, seed=0, controller_seed=0)
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,10 @@ class ExperimentConfig:
     methods: tuple = ("mdn_rff", "mdn_nn", "rejection_abc")
 
     def __post_init__(self):
+        for name, low in _FIELD_MINIMA.items():
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"config field {name!r} must be >= {low}, "
+                                         f"got {getattr(self, name)!r}")
         if self.benchmark not in BENCHMARK_PRIORS:
             raise ConfigurationError(f"unknown benchmark {self.benchmark!r}")
         low, high = BENCHMARK_PRIORS[self.benchmark]
@@ -115,8 +127,7 @@ class ExperimentConfig:
         if self.proposal == "prior":
             return self.prior
         if self.proposal == "gaussian":
-            return PriorSpec(kind=GAUSSIAN, mean=np.asarray(self.proposal_mean),
-                             cov=np.asarray(self.proposal_cov))
+            return gaussian_prior(self.proposal_mean, self.proposal_cov)
         raise ConfigurationError(f"unknown proposal {self.proposal!r}")
 
     def trainer(self, seed: int, epochs: int | None = None) -> TrainerConfig:
@@ -197,6 +208,12 @@ class Dataset:
     benchmark: str
     param_names: list
 
+    def __post_init__(self):
+        n, d, s = self.thetas.shape[0], len(self.param_names), self.schema.stat_dim
+        if not n or self.thetas.shape != (n, d) or self.raw_stats.shape != (n, s):
+            raise ContractError(f"dataset arrays {self.thetas.shape} and "
+                                f"{self.raw_stats.shape} are not rows of {d} + {s} values")
+
     @property
     def x_standardized(self) -> np.ndarray:
         return self.schema.standardize(self.raw_stats)
@@ -244,17 +261,53 @@ def _csv_rows(a: np.ndarray) -> str:
                      for row in np.asarray(a, dtype=float).tolist())
 
 
-def _write_table(path, magic: str, header: dict, rows: np.ndarray) -> None:
-    """A magic tag and JSON header line, then one CSV line per row."""
-    lines = [f"{magic} {json.dumps(header, sort_keys=True)}"]
-    if rows.size:
-        lines.append(_csv_rows(rows))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_doc(path, kind: str, doc: dict, rows: np.ndarray | None = None) -> None:
+    """Write ``doc`` with its tag and ``version``: as a JSON document, or,
+    given ``rows``, as a tag and JSON header line and then one CSV line
+    per row."""
+    doc = {"version": FORMAT_VERSION, **doc}
+    if rows is None:
+        text = json.dumps({"format": ARTIFACT_TAGS[kind], **doc},
+                          sort_keys=True, indent=1)
+    else:
+        text = f"{ARTIFACT_TAGS[kind]} {json.dumps(doc, sort_keys=True)}"
+        if rows.size:
+            text += "\n" + _csv_rows(rows)
+    Path(path).write_text(text + "\n")
+
+
+def _read_doc(path, kind: str, build):
+    """Read an artifact of ``kind`` and return ``build(doc, rows)``, rows
+    being the CSV lines of a table as one 2-D array (None for a JSON
+    document). This is the one place that checks the tag and the
+    version; any malformed part, or any object ``build`` refuses, is a
+    ConfigurationError naming the path."""
+    tag = ARTIFACT_TAGS[kind]
+    try:
+        text = Path(path).read_text()
+        header, _, body = text.partition("\n")
+        if tag.startswith("#"):
+            if not header.startswith(tag):
+                raise ContractError(f"not a {kind} file")
+            doc = json.loads(header[len(tag):])
+        else:
+            doc, body = json.loads(text), None
+            if doc["format"] != tag:
+                raise ContractError(f"not a {kind} file")
+        if doc["version"] != FORMAT_VERSION:
+            raise ContractError(f"format version {doc['version']!r}; this "
+                                f"simcal reads version {FORMAT_VERSION}")
+        rows = None if body is None else np.array(
+            [[float(v) for v in line.split(",")] for line in body.splitlines()]
+            or np.empty((0, 0)))
+        return build(doc, rows)
+    except (ValueError, KeyError, TypeError, OverflowError, UnicodeDecodeError,
+            ContractError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: not a valid {kind} file: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
-        "version": FORMAT_VERSION,
         "config_hash": dataset.config_hash,
         "benchmark": dataset.benchmark,
         "param_names": dataset.param_names,
@@ -263,40 +316,22 @@ def save_dataset(dataset: Dataset, path) -> None:
         "standardizer_mean": dataset.schema.mean.tolist(),
         "standardizer_std": dataset.schema.std.tolist(),
     }
-    _write_table(path, DATASET_MAGIC, header,
-                 np.hstack([dataset.thetas, dataset.raw_stats]))
+    _write_doc(path, "dataset", header, np.hstack([dataset.thetas, dataset.raw_stats]))
+
+
+def _dataset_from(doc: dict, rows: np.ndarray) -> Dataset:
+    d = len(doc["param_names"])
+    return Dataset(
+        thetas=rows[:, :d], raw_stats=rows[:, d:],
+        schema=StatsSchema(doc["state_dim"], doc["action_dim"],
+                           doc["standardizer_mean"], doc["standardizer_std"]),
+        config_hash=doc["config_hash"], benchmark=doc["benchmark"],
+        param_names=doc["param_names"],
+    )
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        text = Path(path).read_text().strip().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path} is not a dataset file: {exc}") from exc
-    if not text[0].startswith(DATASET_MAGIC):
-        raise ConfigurationError(f"{path} is not a dataset file")
-    try:
-        header = json.loads(text[0][len(DATASET_MAGIC):])
-        _check_version(path, header["version"])
-        d_theta = len(header["param_names"])
-        schema = StatsSchema(
-            state_dim=header["state_dim"], action_dim=header["action_dim"],
-            mean=np.array(header["standardizer_mean"]),
-            std=np.array(header["standardizer_std"]),
-        )
-        rows = np.array([[float(v) for v in line.split(",")]
-                         for line in text[1:]])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"{path}: malformed dataset: {exc}") from exc
-    width = d_theta + schema.stat_dim
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != width:
-        raise ConfigurationError(
-            f"{path}: expected one or more rows of {width} values, "
-            f"got an array of shape {rows.shape}")
-    return Dataset(
-        thetas=rows[:, :d_theta], raw_stats=rows[:, d_theta:], schema=schema,
-        config_hash=header["config_hash"], benchmark=header["benchmark"],
-        param_names=header["param_names"],
-    )
+    return _read_doc(path, "dataset", _dataset_from)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +352,20 @@ class FittedModel:
     benchmark: str
     param_names: list
     selected_lengthscale: float | None = None
+
+    def __post_init__(self):
+        self.param_offset = np.asarray(self.param_offset, dtype=float)
+        self.param_scale = np.asarray(self.param_scale, dtype=float)
+        fmap, head, d = self.feature_map, self.head, self.head.theta_dim
+        if not (head.bias.ndim == 1 and len(self.param_names) == d
+                and self.param_offset.shape == self.param_scale.shape == (d,)
+                and (fmap.input_dim, fmap.num_features)
+                == (self.schema.stat_dim, head.feature_dim)):
+            raise ContractError(
+                f"model parts do not fit: {self.schema.stat_dim} statistics, feature map "
+                f"{fmap.input_dim} -> {fmap.num_features}, head {head.weight.shape} for {d} "
+                f"parameters, {len(self.param_names)} names, offsets "
+                f"{self.param_offset.shape} and scales {self.param_scale.shape}")
 
     def predict_mixture(self, x_standardized: np.ndarray) -> GaussianMixture:
         """Mixture over parameters, in parameter units, at one
@@ -416,13 +465,11 @@ def save_model(model: FittedModel, path) -> None:
         feature_doc = {
             "type": "rff",
             "family": fmap.kernel.family,
-            "lengthscale": np.asarray(fmap.kernel.lengthscale).tolist(),
+            "lengthscale": fmap.kernel.lengthscale,
             "num_features": fmap.kernel.num_features,
             "input_dim": fmap.input_dim,
         }
     doc = {
-        "format": "simcal-model",
-        "version": FORMAT_VERSION,
         "config_hash": model.config_hash,
         "benchmark": model.benchmark,
         "param_names": model.param_names,
@@ -442,62 +489,34 @@ def save_model(model: FittedModel, path) -> None:
             "std": model.schema.std.tolist(),
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_doc(path, "model", doc)
 
 
-def _check_version(path, version) -> None:
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"{path} has format version {version!r}; this simcal reads "
-            f"version {FORMAT_VERSION}")
-
-
-def _read_json(path, kind: str) -> dict:
-    """Parse a JSON artifact, checking its format tag and version."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: malformed {kind} file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != f"simcal-{kind}":
-        raise ConfigurationError(f"{path} is not a {kind} file")
-    _check_version(path, doc.get("version"))
-    return doc
+def _model_from(doc: dict, rows) -> FittedModel:
+    fd, hd, sd = doc["feature"], doc["head"], doc["standardizer"]
+    if fd["type"] == "nn":
+        fmap = NeuralFeatureMap(*(np.array(fd[k], dtype=float)
+                                  for k in ("w1", "b1", "w2", "b2")))
+    elif fd["type"] == "rff":
+        fmap = build_rff(KernelConfig(fd["family"], fd["lengthscale"],
+                                      fd["num_features"]), fd["input_dim"])
+    else:
+        raise ContractError(f"unknown feature type {fd['type']!r}")
+    return FittedModel(
+        feature_map=fmap,
+        head=mdn.MixtureHeadWeights(np.array(hd["weight"], dtype=float),
+                                    np.array(hd["bias"], dtype=float),
+                                    hd["num_components"]),
+        param_offset=doc["param_offset"], param_scale=doc["param_scale"],
+        schema=StatsSchema(sd["state_dim"], sd["action_dim"], sd["mean"], sd["std"]),
+        config_hash=doc["config_hash"], benchmark=doc["benchmark"],
+        param_names=doc["param_names"],
+        selected_lengthscale=doc["selected_lengthscale"],
+    )
 
 
 def load_model(path) -> FittedModel:
-    doc = _read_json(path, "model")
-    try:
-        fd = doc["feature"]
-        if fd["type"] == "nn":
-            fmap = NeuralFeatureMap(
-                np.array(fd["w1"]), np.array(fd["b1"]),
-                np.array(fd["w2"]), np.array(fd["b2"]),
-            )
-        else:
-            ls = fd["lengthscale"]
-            ls = float(ls) if np.ndim(ls) == 0 else np.array(ls)
-            fmap = build_rff(
-                KernelConfig(fd["family"], ls, fd["num_features"]), fd["input_dim"]
-            )
-        hd = doc["head"]
-        head = mdn.MixtureHeadWeights(np.array(hd["weight"], dtype=float),
-                                      np.array(hd["bias"], dtype=float),
-                                      int(hd["num_components"]))
-        sd = doc["standardizer"]
-        schema = StatsSchema(
-            state_dim=sd["state_dim"], action_dim=sd["action_dim"],
-            mean=np.array(sd["mean"]), std=np.array(sd["std"]),
-        )
-        return FittedModel(
-            feature_map=fmap, head=head,
-            param_offset=np.array(doc["param_offset"]),
-            param_scale=np.array(doc["param_scale"]),
-            schema=schema, config_hash=doc["config_hash"],
-            benchmark=doc["benchmark"], param_names=doc["param_names"],
-            selected_lengthscale=doc["selected_lengthscale"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed model: {exc!r}") from exc
+    return _read_doc(path, "model", _model_from)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +546,6 @@ def infer_posterior(config: ExperimentConfig, model: FittedModel,
 
 def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
     doc = {
-        "format": "simcal-posterior",
-        "version": FORMAT_VERSION,
         "config_hash": config_hash_value,
         "weights": p.mixture.weights.tolist(),
         "means": p.mixture.means.tolist(),
@@ -537,23 +554,20 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
         "support_high": None if p.support is None else p.support.high.tolist(),
         "provenance": p.provenance,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_doc(path, "posterior", doc)
+
+
+def _posterior_from(doc: dict, rows) -> PosteriorEstimate:
+    support = None
+    if doc["support_low"] is not None:
+        support = uniform_box(doc["support_low"], doc["support_high"])
+    return PosteriorEstimate(
+        mixture=GaussianMixture(doc["weights"], doc["means"], doc["covariances"]),
+        support=support, provenance=doc["provenance"])
 
 
 def load_posterior(path) -> PosteriorEstimate:
-    doc = _read_json(path, "posterior")
-    try:
-        mixture = GaussianMixture(
-            np.array(doc["weights"]), np.array(doc["means"]),
-            np.array(doc["covariances"]),
-        )
-        support = None
-        if doc["support_low"] is not None:
-            support = uniform_box(doc["support_low"], doc["support_high"])
-        return PosteriorEstimate(mixture=mixture, support=support,
-                                 provenance=doc["provenance"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed posterior: {exc!r}") from exc
+    return _read_doc(path, "posterior", _posterior_from)
 
 
 GRID_POINTS_1D, GRID_POINTS_2D = 512, 128  # per axis
@@ -582,9 +596,9 @@ def save_grid(grid: np.ndarray, logdens: np.ndarray, path) -> None:
 
 def save_samples(samples: np.ndarray, param_names, path,
                  config_hash_value: str) -> None:
-    header = {"version": FORMAT_VERSION, "config_hash": config_hash_value,
-              "param_names": list(param_names)}
-    _write_table(path, SAMPLES_MAGIC, header, np.atleast_2d(samples))
+    _write_doc(path, "samples", {"config_hash": config_hash_value,
+                                 "param_names": list(param_names)},
+               np.atleast_2d(samples))
 
 
 # ---------------------------------------------------------------------------

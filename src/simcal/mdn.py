@@ -48,6 +48,16 @@ class GaussianMixture:
         k, d = self.means.shape
         if self.weights.shape != (k,) or self.covariances.shape != (k, d, d):
             raise ContractError("inconsistent mixture shapes")
+        # The weights as Generator.choice accepts them: >= 0, summing to 1.
+        if not (np.all(self.weights >= 0)
+                and abs(self.weights.sum() - 1) <= np.sqrt(np.finfo(float).eps)
+                and np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
+            raise ContractError(f"mixture weights {self.weights.tolist()} must be >= 0 "
+                                "and sum to 1, and means and covariances be finite")
+        try:
+            np.linalg.cholesky(self.covariances)
+        except np.linalg.LinAlgError:
+            raise ContractError("mixture covariances must be positive definite") from None
 
     @property
     def num_components(self) -> int:
@@ -120,7 +130,8 @@ class MixtureHeadWeights:
     def __post_init__(self):
         k, rows = self.num_components, self.bias.shape[-1:]
         if (self.bias.ndim not in (1, 2) or self.weight.shape[:-1] != self.bias.shape
-                or k < 1 or rows[0] < 3 * k or (rows[0] - k) % (2 * k)):
+                or not isinstance(k, int) or k < 1 or rows[0] < 3 * k
+                or (rows[0] - k) % (2 * k)):
             raise ContractError(f"head rows {rows} are not K + 2Kd for K = {k}")
 
     @property

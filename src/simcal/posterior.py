@@ -42,6 +42,10 @@ class PosteriorEstimate:
     def __post_init__(self):
         if self.support is not None and self.support.kind != UNIFORM_BOX:
             raise ConfigurationError("support must be a uniform box")
+        if self.support is not None and self.support.dim != self.mixture.dim:
+            raise ContractError("box dimension does not match mixture")
+        if not isinstance(self.provenance, dict):
+            raise ContractError("provenance must be a mapping")
 
     def log_density_batch(self, thetas) -> np.ndarray:
         out = log_density_batch(self.mixture, thetas)
@@ -112,10 +116,6 @@ def truncate(
     Emits a degenerate-posterior warning when the estimated mixture mass
     inside the box falls below 1e-6.
     """
-    if box.kind != UNIFORM_BOX:
-        raise ConfigurationError("truncation support must be a uniform box")
-    if box.dim != mixture.dim:
-        raise ContractError("box dimension does not match mixture")
     est = PosteriorEstimate(mixture=mixture, support=box,
                             provenance=provenance or {})
     draws = _sample_mixture(mixture, MASS_CHECK_SAMPLES, np.random.default_rng(0))
@@ -171,8 +171,9 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     """Ancestral sampling (categorical over weights, then the chosen
     Gaussian) with rejection against the support box; deterministic for a
     given seed."""
-    if count < 0:
-        raise ContractError("count must be >= 0")
+    for name, value in (("count", count), ("seed", seed)):
+        if value < 0:
+            raise ContractError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     out = np.empty((count, p.mixture.dim))
     filled = 0

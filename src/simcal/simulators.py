@@ -81,7 +81,6 @@ class GenerativeModel:
     name: str = ""
     state_dim: int = 0
     action_dim: int = 0
-    t_max: int = 200
     mutable_params: tuple = ()
 
     @property

@@ -32,6 +32,15 @@ class StatsSchema:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        for name in ("mean", "std"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not (self.mean.shape == self.std.shape == (self.stat_dim,)
+                and np.all(self.std > 0)):
+            raise ContractError(
+                f"the standardizer of {self.stat_dim} statistics needs as many means "
+                f"and positive stds, got {self.mean.shape} and {self.std.shape}")
+
     @property
     def stat_dim(self) -> int:
         return self.state_dim * self.action_dim + 2 * self.state_dim
@@ -76,12 +85,9 @@ def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:
     raw = np.atleast_2d(np.asarray(raw_stats, dtype=float))
     if raw.shape[0] < 2:
         raise ContractError("need at least 2 vectors to fit the standardizer")
-    schema = StatsSchema(state_dim=state_dim, action_dim=action_dim,
-                         mean=raw.mean(axis=0),
-                         std=np.maximum(raw.std(axis=0), STD_FLOOR))
-    if raw.shape[1] != schema.stat_dim:
-        raise ContractError("statistic length does not match dimensions")
-    return schema
+    return StatsSchema(state_dim=state_dim, action_dim=action_dim,
+                       mean=raw.mean(axis=0),
+                       std=np.maximum(raw.std(axis=0), STD_FLOOR))
 
 
 def real_observation(rollouts: Rollouts, schema: StatsSchema) -> np.ndarray:

@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+import functools
 import importlib.util
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -66,7 +68,13 @@ def test_config_validation_errors():
     # each value must have the type of its field's default
     for key, value in (("seed", True), ("seed", None), ("learning_rate", "fast"),
                        ("prior_low", 0.1), ("proposal_cov", [0.01]),
-                       ("methods", "mdn_rff"), ("methods", [1]), ("benchmark", 3)):
+                       ("methods", "mdn_rff"), ("methods", [1]), ("benchmark", 3),
+                       # seeds and counts out of range
+                       ("seed", -1), ("controller_seed", -3), ("num_train", 0),
+                       ("num_features", 0), ("hidden_units", 0), ("num_components", 0),
+                       ("epochs", 0), ("cv_epochs", 0), ("batch_size", 0),
+                       ("repeats", 0), ("real_rollouts", 0),
+                       ("abc_max_simulations", -1)):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "pendulum", key: value})
 
@@ -390,7 +398,7 @@ def test_generate_dataset_aborts_above_one_percent_failed():
 
 # -- corrupt dataset files -------------------------------------------------
 
-@pytest.mark.parametrize("keep", ["header_only", "ragged", "version_1"])
+@pytest.mark.parametrize("keep", ["header_only", "ragged", "version_1", "mean_short"])
 def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(CFG_YAML)
@@ -402,8 +410,13 @@ def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
         lines = lines[:1]
     elif keep == "ragged":
         lines[2] = lines[2].rsplit(",", 1)[0]
-    else:
+    elif keep == "version_1":
         lines[0] = lines[0].replace('"version": 2', '"version": 1')
+    else:
+        tag, header = lines[0].split(" ", 1)
+        header = json.loads(header)
+        header["standardizer_mean"].pop()
+        lines[0] = f"{tag} {json.dumps(header)}"
     (out / "dataset.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_dataset(out / "dataset.csv")
@@ -461,9 +474,12 @@ def test_benchmark_tracer_hooks_run_and_restore():
 
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory):
+    """The CLI chain's artifacts on a 2-D posterior (cart-pole): a
+    parameter-space array of the wrong length can broadcast silently in
+    one dimension but not in two."""
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "cfg.yaml"
-    cfg_path.write_text(CFG_YAML)
+    cfg_path.write_text(CFG_YAML.replace("benchmark: pendulum", "benchmark: cartpole"))
     for cmd, extra in (("generate", []),
                        ("train", ["--dataset", str(root / "dataset.csv")]),
                        ("infer", ["--model", str(root / "model.json")])):
@@ -478,6 +494,18 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def _negate_first_weight(doc):
+    """Weight -w on component 0 and w more on component 1: the sum stays 1."""
+    w = doc["weights"]
+    w[1] += 2 * w[0]
+    w[0] = -w[0]
+
+
+def _negate_heaviest_variance(doc):
+    """Variance -1 in the component that sampling is sure to draw from."""
+    doc["covariances"][int(np.argmax(doc["weights"]))][0][0] = -1.0
+
+
 CORRUPTIONS = {
     "model_truncated": ("model.json", lambda p: p.write_bytes(p.read_bytes()[:200])),
     "model_version_1": ("model.json",
@@ -488,6 +516,26 @@ CORRUPTIONS = {
                                 lambda p: _edit_json(p, lambda d: d.pop("means"))),
     "posterior_truncated": ("posterior.json",
                             lambda p: p.write_bytes(p.read_bytes()[:100])),
+    "model_mean_short": ("model.json", lambda p: _edit_json(
+        p, lambda d: d["standardizer"]["mean"].pop())),
+    "model_param_scale_short": ("model.json",
+                                lambda p: _edit_json(p, lambda d: d["param_scale"].pop())),
+    "model_feature_type": ("model.json", lambda p: _edit_json(
+        p, lambda d: d["feature"].update(type="xyz"))),
+    "model_param_offset_text": ("model.json", lambda p: _edit_json(
+        p, lambda d: d.update(param_offset="abc"))),
+    "model_num_components_fraction": ("model.json", lambda p: _edit_json(
+        p, lambda d: d["head"].update(num_components=1.5))),
+    "posterior_weights_half": ("posterior.json", lambda p: _edit_json(
+        p, lambda d: d.update(weights=[w / 2 for w in d["weights"]]))),
+    "posterior_weight_negative": ("posterior.json",
+                                  lambda p: _edit_json(p, _negate_first_weight)),
+    "posterior_variance_negative": ("posterior.json",
+                                    lambda p: _edit_json(p, _negate_heaviest_variance)),
+    "posterior_provenance_list": ("posterior.json",
+                                  lambda p: _edit_json(p, lambda d: d.update(provenance=[1]))),
+    "posterior_support_3d": ("posterior.json", lambda p: _edit_json(
+        p, lambda d: [d[k].append(d[k][0]) for k in ("support_low", "support_high")])),
 }
 
 
@@ -509,6 +557,68 @@ def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsy
     assert "Traceback" not in err
     if case == "model_version_1":
         assert "version 1" in err and "version 2" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "sample"])
+def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
+    cfg_path, root = cli_artifacts
+    argv = {"generate": ["generate", "--config", str(cfg_path)],
+            "sample": ["sample", "--posterior", str(root / "posterior.json"),
+                       "--count", "5"]}[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "seed" in err
+
+
+def _json_paths(node, path=()):
+    """The path of every value nested in a parsed JSON document."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["dataset.csv", "model.json", "posterior.json"]),
+       truncate=st.booleans(), where=st.floats(0, 1, exclude_max=True),
+       value=JSON_VALUES)
+def test_cli_on_fuzzed_artifact_exits_0_2_or_3(cli_artifacts, name, truncate,
+                                               where, value):
+    """A dataset, model or posterior cut at a random byte, or with one
+    JSON value replaced by a random one, is read or refused: the CLI
+    returns 0, 2 or 3 and never raises."""
+    cfg_path, root = cli_artifacts
+    data = (root / name).read_bytes()
+    if truncate:
+        data = data[:int(where * len(data))]
+    else:
+        tag, header, rows = "", data.decode(), ""
+        if name == "dataset.csv":
+            first, rows = header.split("\n", 1)
+            tag, header = first.split(" ", 1)
+        doc = json.loads(header)
+        paths = list(_json_paths(doc))[1:]
+        *parents, key = paths[int(where * len(paths))]
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        text = json.dumps(doc)
+        data = (f"{tag} {text}\n{rows}" if tag else text).encode()
+    out = root / "fuzz"
+    out.mkdir(exist_ok=True)
+    path = out / name
+    path.write_bytes(data)
+    argv = {"dataset.csv": ["train", "--config", str(cfg_path), "--dataset", str(path)],
+            "model.json": ["infer", "--config", str(cfg_path), "--model", str(path)],
+            "posterior.json": ["sample", "--posterior", str(path), "--count", "5"]}[name]
+    assert cli.main(argv + ["--out", str(out)]) in (0, 2, 3)
 
 
 # -- evaluate failure handling ---------------------------------------------
