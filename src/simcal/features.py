@@ -1,8 +1,15 @@
-"""Frozen feature maps from summary statistics to feature space.
+"""Feature maps from summary statistics to feature space.
 
 Two families: quasi-Monte-Carlo random Fourier features approximating a
 shift-invariant kernel (RBF or Matern 5/2), and a small two-layer tanh
 network whose weights are trained jointly with the mixture head.
+
+Both maps offer one protocol, and no caller asks which map it holds:
+``apply(x)`` for one vector or a batch; ``trainable``, the names of the
+arrays training updates (none for the frozen RFF map);
+``with_params(arrays)``, the map over such arrays; and ``to_doc()`` /
+``from_doc(doc)``, the model file's "feature" entry. A trainable map
+also has ``activations`` and ``backprop``.
 """
 
 from __future__ import annotations
@@ -71,6 +78,14 @@ class KernelConfig:
             raise ConfigurationError("lengthscale must be strictly positive")
 
 
+def _batch(x, dim: int) -> np.ndarray:
+    """A vector (dim,) or batch (n, dim) as an (n, dim) float array."""
+    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    if xb.shape[1] != dim:
+        raise ContractError(f"input dimension {xb.shape[1]} != map dimension {dim}")
+    return xb
+
+
 @dataclass(frozen=True)
 class RFFMap:
     """Frozen random-Fourier projection.
@@ -90,6 +105,33 @@ class RFFMap:
     @property
     def num_features(self) -> int:
         return 2 * self.frequencies.shape[0]
+
+    trainable = ()  # frozen
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Feature vector [cos(wx+b), sin(wx+b)] / sqrt(s/2).
+
+        Accepts a single vector (d,) or a batch (n, d); returns (s,) or (n, s).
+        """
+        proj = _batch(x, self.input_dim) @ self.frequencies.T + self.biases
+        norm = 1.0 / np.sqrt(self.frequencies.shape[0])
+        feats = norm * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
+        return feats[0] if np.ndim(x) == 1 else feats
+
+    def with_params(self, arrays) -> RFFMap:
+        return self
+
+    def to_doc(self) -> dict:
+        """The model file's "feature" entry: the kernel, from which
+        :meth:`from_doc` redraws the same frequencies."""
+        return {"type": "rff", "family": self.kernel.family,
+                "lengthscale": self.kernel.lengthscale,
+                "num_features": self.kernel.num_features, "input_dim": self.input_dim}
+
+    @staticmethod
+    def from_doc(doc: dict) -> RFFMap:
+        return build_rff(KernelConfig(doc["family"], doc["lengthscale"],
+                                      doc["num_features"]), doc["input_dim"])
 
 
 def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
@@ -118,24 +160,6 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     freqs = freqs * (1.0 / kernel.lengthscale)
     biases = 2.0 * np.pi * pts[:, -1] - np.pi
     return RFFMap(frequencies=freqs, biases=biases, kernel=kernel)
-
-
-def apply_rff(rff: RFFMap, x: np.ndarray) -> np.ndarray:
-    """Feature vector [cos(wx+b), sin(wx+b)] / sqrt(s/2).
-
-    Accepts a single vector (d,) or a batch (n, d); returns (s,) or (n, s).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    if xb.shape[1] != rff.input_dim:
-        raise ContractError(
-            f"input dimension {xb.shape[1]} != map dimension {rff.input_dim}"
-        )
-    proj = xb @ rff.frequencies.T + rff.biases
-    norm = 1.0 / np.sqrt(rff.frequencies.shape[0])
-    feats = norm * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
-    return feats[0] if single else feats
 
 
 def exact_kernel(kernel: KernelConfig, x: np.ndarray, y: np.ndarray) -> float:
@@ -177,6 +201,46 @@ class NeuralFeatureMap:
     def num_features(self) -> int:
         return self.w2.shape[0]
 
+    trainable = ("w1", "b1", "w2", "b2")
+
+    def activations(self, x: np.ndarray):
+        """Hidden and output activations (h (n, hidden), phi (n, s)) of a
+        batch (n, d); :meth:`backprop` takes both back."""
+        h = np.tanh(_batch(x, self.input_dim) @ self.w1.T + self.b1)
+        return h, np.tanh(h @ self.w2.T + self.b2)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass; single vector (d,) or batch (n, d)."""
+        out = self.activations(x)[1]
+        return out[0] if np.ndim(x) == 1 else out
+
+    def backprop(self, x_batch: np.ndarray, d_phi: np.ndarray, activations) -> dict:
+        """Vector-Jacobian product: given dL/dphi per batch row and the
+        forward pass's ``activations(x_batch)``, return summed gradients
+        w.r.t. the network weights."""
+        xb = np.atleast_2d(np.asarray(x_batch, dtype=float))
+        h, phi = activations
+        g2 = d_phi * (1.0 - phi * phi)          # (n, s)
+        g1 = (g2 @ self.w2) * (1.0 - h * h)     # (n, h)
+        return {
+            "w2": g2.T @ h,
+            "b2": g2.sum(axis=0),
+            "w1": g1.T @ xb,
+            "b1": g1.sum(axis=0),
+        }
+
+    def with_params(self, arrays) -> NeuralFeatureMap:
+        """The map over ``trainable`` arrays, e.g. the trainer's views."""
+        return NeuralFeatureMap(*arrays)
+
+    def to_doc(self) -> dict:
+        return {"type": "nn", **{k: getattr(self, k).tolist() for k in self.trainable}}
+
+    @staticmethod
+    def from_doc(doc: dict) -> NeuralFeatureMap:
+        return NeuralFeatureMap(*(np.array(doc[k], dtype=float)
+                                  for k in NeuralFeatureMap.trainable))
+
 
 def init_neural_map(
     input_dim: int, hidden_dim: int, num_features: int, rng: np.random.Generator
@@ -189,36 +253,9 @@ def init_neural_map(
     return NeuralFeatureMap(w1, b1, w2, b2)
 
 
-def nn_activations(nn: NeuralFeatureMap, x: np.ndarray):
-    """Hidden and output activations (h (n, hidden), phi (n, s)) of a
-    batch (n, d); :func:`nn_backprop` takes both back."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    if xb.shape[1] != nn.input_dim:
-        raise ContractError(
-            f"input dimension {xb.shape[1]} != map dimension {nn.input_dim}"
-        )
-    h = np.tanh(xb @ nn.w1.T + nn.b1)
-    return h, np.tanh(h @ nn.w2.T + nn.b2)
+# A model file's "feature" type -> the map that reads it.
+FEATURE_MAPS = {"rff": RFFMap, "nn": NeuralFeatureMap}
 
-
-def apply_nn(nn: NeuralFeatureMap, x: np.ndarray) -> np.ndarray:
-    """Forward pass; single vector (d,) or batch (n, d)."""
-    out = nn_activations(nn, x)[1]
-    return out[0] if np.ndim(x) == 1 else out
-
-
-def nn_backprop(nn: NeuralFeatureMap, x_batch: np.ndarray, d_phi: np.ndarray,
-                activations) -> dict:
-    """Vector-Jacobian product: given dL/dphi per batch row and the
-    forward pass's ``nn_activations(nn, x_batch)``, return summed
-    gradients w.r.t. the network weights."""
-    xb = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    h, phi = activations
-    g2 = d_phi * (1.0 - phi * phi)          # (n, s)
-    g1 = (g2 @ nn.w2) * (1.0 - h * h)       # (n, h)
-    return {
-        "w2": g2.T @ h,
-        "b2": g2.sum(axis=0),
-        "w1": g1.T @ xb,
-        "b1": g1.sum(axis=0),
-    }
+# The maps' ``apply`` under their function names.
+apply_rff = RFFMap.apply
+apply_nn = NeuralFeatureMap.apply

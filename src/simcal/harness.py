@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,14 +21,10 @@ import yaml
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
 from .errors import ConfigurationError, ContractError, SimcalError
-from .features import (
-    KernelConfig,
-    NeuralFeatureMap,
-    apply_nn,
-    apply_rff,
-    build_rff,
-    init_neural_map,
-)
+from .features import FEATURE_MAPS, KernelConfig, build_rff, init_neural_map
+# Not called here: the benchmark's tracer (perfbench/spans.py) wraps
+# these names on this module.
+from .features import apply_nn, apply_rff  # noqa: F401
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
 from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
 from .priors import PriorSpec, gaussian_prior, uniform_box
@@ -54,11 +51,14 @@ DEFAULT_THETA_STAR = {
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
 
-# The least value of each count and seed; abc_max_simulations 0 means num_train.
-_FIELD_MINIMA = dict.fromkeys(
+# The closed range of each bounded field; abc_max_simulations 0 means
+# num_train, and a learning rate's least value is the least positive float.
+_FIELD_RANGES = dict.fromkeys(
     ("num_train", "num_features", "hidden_units", "num_components", "epochs",
-     "cv_epochs", "batch_size", "repeats", "real_rollouts"), 1)
-_FIELD_MINIMA.update(abc_max_simulations=0, seed=0, controller_seed=0)
+     "cv_epochs", "batch_size", "repeats", "real_rollouts"), (1, math.inf))
+_FIELD_RANGES.update(dict.fromkeys(
+    ("abc_max_simulations", "seed", "controller_seed", "patience"), (0, math.inf)),
+    learning_rate=(math.ulp(0.0), math.inf), abc_accept_rate=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class ExperimentConfig:
     methods: tuple = ("mdn_rff", "mdn_nn", "rejection_abc")
 
     def __post_init__(self):
-        for name, low in _FIELD_MINIMA.items():
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"config field {name!r} must be >= {low}, "
+        for name, (low, high) in _FIELD_RANGES.items():
+            if not low <= getattr(self, name) <= high:  # also True for NaN
+                raise ConfigurationError(f"config field {name!r} must be in [{low}, {high}], "
                                          f"got {getattr(self, name)!r}")
         if self.benchmark not in BENCHMARK_PRIORS:
             raise ConfigurationError(f"unknown benchmark {self.benchmark!r}")
@@ -159,8 +159,9 @@ _VALUE_TYPES = {
     tuple: ("a list of numbers", _numbers),
 }
 _FIELD_VALUE_TYPES = {
-    "proposal_cov": ("a list of rows of numbers",
-                     lambda v: isinstance(v, list) and all(map(_numbers, v))),
+    "proposal_cov": ("a list of equal-length rows of numbers",
+                     lambda v: isinstance(v, list) and all(map(_numbers, v))
+                     and len(set(map(len, v))) <= 1),
     "methods": ("a list of strings",
                 lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
 }
@@ -343,7 +344,7 @@ class FittedModel:
     feature map, head weights, the parameter-space affine normalization
     and the statistics standardizer."""
 
-    feature_map: object
+    feature_map: object  # a map of features.FEATURE_MAPS
     head: mdn.MixtureHeadWeights
     param_offset: np.ndarray
     param_scale: np.ndarray
@@ -371,11 +372,7 @@ class FittedModel:
         """Mixture over parameters, in parameter units, at one
         standardized statistic vector."""
         x = np.asarray(x_standardized, dtype=float).reshape(-1)
-        if isinstance(self.feature_map, NeuralFeatureMap):
-            feats = apply_nn(self.feature_map, x)
-        else:
-            feats = apply_rff(self.feature_map, x)
-        m = head_forward(self.head, feats)
+        m = head_forward(self.head, self.feature_map.apply(x))
         means = self.param_offset + self.param_scale * m.means
         scale = np.outer(self.param_scale, self.param_scale)
         covs = m.covariances * scale
@@ -454,27 +451,12 @@ def train_model(
 
 
 def save_model(model: FittedModel, path) -> None:
-    fmap = model.feature_map
-    if isinstance(fmap, NeuralFeatureMap):
-        feature_doc = {
-            "type": "nn",
-            "w1": fmap.w1.tolist(), "b1": fmap.b1.tolist(),
-            "w2": fmap.w2.tolist(), "b2": fmap.b2.tolist(),
-        }
-    else:
-        feature_doc = {
-            "type": "rff",
-            "family": fmap.kernel.family,
-            "lengthscale": fmap.kernel.lengthscale,
-            "num_features": fmap.kernel.num_features,
-            "input_dim": fmap.input_dim,
-        }
     doc = {
         "config_hash": model.config_hash,
         "benchmark": model.benchmark,
         "param_names": model.param_names,
         "selected_lengthscale": model.selected_lengthscale,
-        "feature": feature_doc,
+        "feature": model.feature_map.to_doc(),
         "head": {
             "weight": model.head.weight.tolist(),
             "bias": model.head.bias.tolist(),
@@ -494,16 +476,8 @@ def save_model(model: FittedModel, path) -> None:
 
 def _model_from(doc: dict, rows) -> FittedModel:
     fd, hd, sd = doc["feature"], doc["head"], doc["standardizer"]
-    if fd["type"] == "nn":
-        fmap = NeuralFeatureMap(*(np.array(fd[k], dtype=float)
-                                  for k in ("w1", "b1", "w2", "b2")))
-    elif fd["type"] == "rff":
-        fmap = build_rff(KernelConfig(fd["family"], fd["lengthscale"],
-                                      fd["num_features"]), fd["input_dim"])
-    else:
-        raise ContractError(f"unknown feature type {fd['type']!r}")
     return FittedModel(
-        feature_map=fmap,
+        feature_map=FEATURE_MAPS[fd["type"]].from_doc(fd),
         head=mdn.MixtureHeadWeights(np.array(hd["weight"], dtype=float),
                                     np.array(hd["bias"], dtype=float),
                                     hd["num_components"]),

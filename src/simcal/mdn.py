@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, TrainingDivergenceError
-from .features import (
-    NeuralFeatureMap,
-    RFFMap,
-    apply_nn,
-    apply_rff,
-    nn_activations,
-    nn_backprop,
-)
+# Not called here: the benchmark's tracer (perfbench/spans.py) wraps
+# these names on this module.
+from .features import apply_nn, apply_rff  # noqa: F401
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -195,7 +190,7 @@ def _log_joint(theta, alpha, mu, var):
 
 def _row_log_likelihoods(head, feature_map, x, theta) -> np.ndarray:
     """Mixture log-likelihood log q(theta_i | x_i) of each row."""
-    feats = _apply_map(feature_map, np.atleast_2d(x))
+    feats = feature_map.apply(np.atleast_2d(x))
     alpha, mu, var, _ = _forward_batch(head, feats)
     return _logsumexp(_log_joint(np.atleast_2d(theta), alpha, mu, var)[0])
 
@@ -223,20 +218,20 @@ def loss_and_gradient(
     """Mean negative log-likelihood and its analytic gradients.
 
     Returns (loss, head_grads: dict, feature_grads: dict | None). Feature
-    gradients are produced only for a :class:`NeuralFeatureMap`; RFF maps
-    are frozen. ``feats`` may be passed to reuse precomputed RFF
-    features. A stack of C heads with feats (C, n, s) gives C losses and
-    gradients with a leading C axis.
+    gradients, keyed by ``feature_map.trainable``, are produced only for
+    a trainable map; ``feats`` may be passed to reuse precomputed
+    features of a frozen one. A stack of C heads with feats (C, n, s)
+    gives C losses and gradients with a leading C axis.
     """
     theta = np.atleast_2d(np.asarray(theta_batch, dtype=float))
     n = theta.shape[0]
     if n == 0:
         raise ContractError("batch must be non-empty")
     hidden = None
-    if isinstance(feature_map, NeuralFeatureMap):
-        hidden, feats = nn_activations(feature_map, x_batch)
+    if feature_map.trainable:
+        hidden, feats = feature_map.activations(x_batch)
     elif feats is None:
-        feats = _apply_map(feature_map, x_batch)
+        feats = np.atleast_2d(feature_map.apply(x_batch))
     loss, (alpha, diff, var, z, m, logq) = _batch_nll(head, feats, theta)
 
     gamma = np.exp(m - logq[..., None, :])
@@ -254,18 +249,10 @@ def loss_and_gradient(
 
     feature_grads = None
     if hidden is not None:
-        feature_grads = nn_backprop(feature_map, x_batch,
-                                    (d_out @ head.weight).reshape(feats.shape),
-                                    (hidden, feats))
+        feature_grads = feature_map.backprop(x_batch,
+                                             (d_out @ head.weight).reshape(feats.shape),
+                                             (hidden, feats))
     return (loss if loss.ndim else float(loss)), head_grads, feature_grads
-
-
-def _apply_map(feature_map, x):
-    if isinstance(feature_map, NeuralFeatureMap):
-        return np.atleast_2d(apply_nn(feature_map, x))
-    if isinstance(feature_map, RFFMap):
-        return np.atleast_2d(apply_rff(feature_map, x))
-    raise ConfigurationError(f"unsupported feature map {type(feature_map).__name__}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +311,6 @@ class _Adam:
 
 
 _HEAD_KEYS = ("weight", "bias")
-_NN_KEYS = ("w1", "b1", "w2", "b2")
 
 
 def _padded(shape) -> int:
@@ -387,11 +373,11 @@ def train(
     theta_train: np.ndarray,
     feature_map,
 ):
-    """Fit the mixture head (and a neural feature map, if given) by
+    """Fit the mixture head (and the feature map, if trainable) by
     minibatch Adam with early stopping on a held-out split.
 
-    Returns (head, feature_map, report); the feature map is returned
-    unchanged for RFF, and as a trained copy for the neural family.
+    Returns (head, feature_map, report); a frozen feature map is returned
+    unchanged, a trainable one as a trained copy.
     """
     (fit,) = _train_stack(config, x_train, theta_train, [feature_map])
     return fit
@@ -407,7 +393,7 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     array is a view into one (C, P) parameter stack that a single Adam
     updates in place. A head that stops early leaves the stack with its
     best parameters and its report; the loop ends once none is left. A
-    neural map is trained jointly with its head, so it trains alone.
+    trainable map is trained jointly with its head, so it trains alone.
     """
     x = np.atleast_2d(np.asarray(x_train, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
@@ -417,11 +403,11 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
             f"need at least {10 * config.num_components} pairs for "
             f"{config.num_components} components, got {n}"
         )
-    train_nn = isinstance(feature_maps[0], NeuralFeatureMap)
+    map_keys = feature_maps[0].trainable
     s = feature_maps[0].num_features
-    if ((train_nn and len(feature_maps) > 1)
+    if ((map_keys and len(feature_maps) > 1)
             or any(m.num_features != s for m in feature_maps)):
-        raise ContractError("only RFF maps of one feature count train in lockstep")
+        raise ContractError("only frozen maps of one feature count train in lockstep")
     rng = np.random.default_rng(config.seed)
 
     n_val = max(1, int(round(config.validation_fraction * n)))
@@ -432,9 +418,8 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
 
     init = init_head(config.num_components, theta.shape[1], s, rng,
                      theta_samples=th_tr)
-    nn_keys = _NN_KEYS if train_nn else ()
     arrays = ([getattr(init, k) for k in _HEAD_KEYS]
-              + [getattr(feature_maps[0], k) for k in nn_keys])
+              + [getattr(feature_maps[0], k) for k in map_keys])
     shapes = [a.shape for a in arrays]
     params = np.zeros((len(feature_maps), sum(map(_padded, shapes))))
     for view, a in zip(_stack_views(params, shapes), arrays):
@@ -442,17 +427,16 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     grads = np.zeros_like(params)
     adam = _Adam(params.shape, config.learning_rate)
 
-    weight, bias, *nn = _stack_views(params, shapes)
+    weight, bias, *fviews = _stack_views(params, shapes)
     head = MixtureHeadWeights(weight, bias, config.num_components)
     grad_views = _stack_views(grads, shapes)
-    # A tanh map trains as views into row 0; for RFF, ``fmap`` only tells
-    # loss_and_gradient the family.
-    fmap = NeuralFeatureMap(*(v[0] for v in nn)) if train_nn else feature_maps[0]
-    # RFF features are frozen, so precompute them once.
+    # A trainable map trains as views into row 0.
+    fmap = feature_maps[0].with_params([v[0] for v in fviews])
+    # Frozen features are computed once.
     feats_tr = feats_val = None
-    if not train_nn:
-        feats_tr = np.stack([_apply_map(m, x_tr) for m in feature_maps])
-        feats_val = np.stack([_apply_map(m, x_val) for m in feature_maps])
+    if not map_keys:
+        feats_tr = np.stack([m.apply(x_tr) for m in feature_maps])
+        feats_val = np.stack([m.apply(x_val) for m in feature_maps])
 
     active = list(range(len(feature_maps)))  # stack row -> map index
     reports = [TrainingReport(config=config) for _ in feature_maps]
@@ -463,9 +447,9 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     def finish(row):
         c = active[row]
         reports[c].best_epoch = int(best_epoch[row])
-        weight, bias, *nn = (v[0] for v in _stack_views(best[row:row + 1].copy(), shapes))
+        weight, bias, *fv = (v[0] for v in _stack_views(best[row:row + 1].copy(), shapes))
         results[c] = (MixtureHeadWeights(weight, bias, config.num_components),
-                      NeuralFeatureMap(*nn) if train_nn else feature_maps[c], reports[c])
+                      feature_maps[c].with_params(fv), reports[c])
 
     n_tr = x_tr.shape[0]
     for epoch in range(config.epochs):
@@ -481,13 +465,12 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
                 head, fmap, x_ep[batch], th_b,
                 feats=None if feats_ep is None else feats_ep[:, batch],
             )
-            parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in nn_keys]
+            parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in map_keys]
             for view, g in zip(grad_views, parts):
                 view[...] = g
             adam.step(params, grads)
             ep_loss += loss * len(th_b)
-        vl, _ = _batch_nll(head, _apply_map(fmap, x_val) if train_nn else feats_val,
-                           th_val)
+        vl, _ = _batch_nll(head, fmap.apply(x_val) if map_keys else feats_val, th_val)
         for row, c in enumerate(active):
             reports[c].train_loss.append(float(ep_loss[row] / n_tr))
             reports[c].val_loss.append(float(vl[row]))

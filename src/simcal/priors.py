@@ -37,6 +37,9 @@ class PriorSpec:
         elif self.kind == GAUSSIAN:
             mean = np.asarray(self.mean, dtype=float).reshape(-1)
             cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+            if cov.shape != (mean.size, mean.size):
+                raise ConfigurationError(f"Gaussian prior covariance {cov.shape} does not "
+                                         f"match its {mean.size}-dimensional mean")
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:

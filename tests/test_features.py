@@ -12,8 +12,6 @@ from simcal.features import (
     exact_kernel,
     halton_points,
     init_neural_map,
-    nn_activations,
-    nn_backprop,
 )
 
 
@@ -21,7 +19,7 @@ def nn_feature_jacobian(nn: NeuralFeatureMap, x: np.ndarray) -> dict:
     """Gradients of every feature output w.r.t. every network weight at
     one input vector: {"w1": (s, h, d), "b1": (s, h), "w2": (s, s, h),
     "b2": (s, s)}. The oracle for the vector-Jacobian product that
-    training uses, :func:`nn_backprop`."""
+    training uses, :meth:`NeuralFeatureMap.backprop`."""
     h = np.tanh(nn.w1 @ x + nn.b1)          # (h,)
     phi = np.tanh(nn.w2 @ h + nn.b2)        # (s,)
     dphi = 1.0 - phi * phi                  # (s,)
@@ -171,7 +169,7 @@ def test_nn_backprop_is_jacobian_contraction():
     x = rng.normal(size=2)
     d_phi = rng.normal(size=5)
     jac = nn_feature_jacobian(nn, x)
-    grads = nn_backprop(nn, x[None, :], d_phi[None, :], nn_activations(nn, x[None, :]))
+    grads = nn.backprop(x[None, :], d_phi[None, :], nn.activations(x[None, :]))
     for key in ("w1", "b1", "w2", "b2"):
         expected = np.tensordot(d_phi, jac[key], axes=1)
         np.testing.assert_allclose(grads[key], expected, atol=1e-12)

@@ -74,7 +74,13 @@ def test_config_validation_errors():
                        ("num_features", 0), ("hidden_units", 0), ("num_components", 0),
                        ("epochs", 0), ("cv_epochs", 0), ("batch_size", 0),
                        ("repeats", 0), ("real_rollouts", 0),
-                       ("abc_max_simulations", -1)):
+                       ("abc_max_simulations", -1),
+                       # rates and patience out of range, NaN included
+                       ("learning_rate", -1.0), ("learning_rate", 0.0),
+                       ("learning_rate", float("nan")), ("patience", -1),
+                       ("abc_accept_rate", 2.0), ("abc_accept_rate", -0.5),
+                       ("abc_accept_rate", float("nan")),
+                       ("proposal_cov", [[0.01, 0.0], [0.0]])):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "pendulum", key: value})
 
@@ -168,28 +174,25 @@ def test_train_model_predicts_in_parameter_units(fitted):
     assert np.all(m.means > -0.5) and np.all(m.means < 1.0)
 
 
-def test_model_roundtrip_byte_identical(fitted, tmp_path):
-    _, _, model, _ = fitted
+@pytest.mark.parametrize("feature_type", ["rff", "nn"])
+def test_model_roundtrip_byte_identical(fitted, tmp_path, feature_type):
+    """Each feature map's to_doc / from_doc pair round-trips the model
+    file byte for byte and predicts the same mixture."""
+    _, dataset, model, _ = fitted
+    if feature_type == "nn":
+        cfg = small_config(feature_type="nn", epochs=20)
+        dataset = generate_dataset(cfg, seed=4)
+        model, _ = train_model(cfg, dataset, "nn", seed=5)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     save_model(model, p1)
     loaded = load_model(p1)
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    x = np.zeros(model.schema.stat_dim)
-    a, b = model.predict_mixture(x), loaded.predict_mixture(x)
-    np.testing.assert_array_equal(a.means, b.means)
-    np.testing.assert_array_equal(a.weights, b.weights)
-
-
-def test_nn_model_roundtrip(tmp_path):
-    cfg = small_config(feature_type="nn", epochs=20)
-    dataset = generate_dataset(cfg, seed=4)
-    model, _ = train_model(cfg, dataset, "nn", seed=5)
-    save_model(model, tmp_path / "m.json")
-    loaded = load_model(tmp_path / "m.json")
-    x = dataset.x_standardized[1]
-    np.testing.assert_array_equal(model.predict_mixture(x).means,
-                                  loaded.predict_mixture(x).means)
+    assert json.loads(p1.read_text())["feature"]["type"] == feature_type
+    for x in (np.zeros(model.schema.stat_dim), dataset.x_standardized[1]):
+        a, b = model.predict_mixture(x), loaded.predict_mixture(x)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def test_load_model_rejects_foreign_file(tmp_path):
@@ -342,6 +345,10 @@ UNPARSEABLE = {
     "num_train_fraction": ("--config", b"num_train: 60.5\n"),
     "lengthscale_text": ("--config", b"lengthscale: abc\n"),
     "methods_scalar": ("--config", b"methods: mdn_rff\n"),
+    "proposal_cov_ragged": ("--config", b"proposal: gaussian\nproposal_mean: [0.1, 0.1]\n"
+                            b"proposal_cov: [[0.01, 0.0], [0.0]]\n"),
+    "proposal_cov_not_dxd": ("--config", b"proposal: gaussian\nproposal_mean: [0.1, 0.1]\n"
+                             b"proposal_cov: [[0.01]]\n"),
     "dataset_not_utf8": ("--dataset", b"#SIMCAL-DATASET \xff\xfe\n1.0,2.0\n"),
 }
 
