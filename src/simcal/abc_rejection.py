@@ -20,7 +20,7 @@ class AbcConfig:
     max_simulations: int
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # also True for NaN
             raise ConfigurationError("epsilon must be >= 0")
         if self.max_simulations < 1:
             raise ConfigurationError("max_simulations must be >= 1")

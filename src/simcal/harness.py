@@ -21,7 +21,7 @@ import yaml
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
 from .errors import ConfigurationError, ContractError, SimcalError
-from .features import FEATURE_MAPS, KernelConfig, build_rff, init_neural_map
+from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, init_neural_map
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps
 # these names on this module.
 from .features import apply_nn, apply_rff  # noqa: F401
@@ -51,14 +51,27 @@ DEFAULT_THETA_STAR = {
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
 
-# The closed range of each bounded field; abc_max_simulations 0 means
-# num_train, and a learning rate's least value is the least positive float.
+# The closed range of each bounded field, checked for every value of a
+# list and for a number but not a null; abc_max_simulations 0 means
+# num_train, and the least positive value is the least positive float.
+_POSITIVE = (math.ulp(0.0), math.inf)
 _FIELD_RANGES = dict.fromkeys(
     ("num_train", "num_features", "hidden_units", "num_components", "epochs",
      "cv_epochs", "batch_size", "repeats", "real_rollouts"), (1, math.inf))
 _FIELD_RANGES.update(dict.fromkeys(
     ("abc_max_simulations", "seed", "controller_seed", "patience"), (0, math.inf)),
-    learning_rate=(math.ulp(0.0), math.inf), abc_accept_rate=(0, 1))
+    learning_rate=_POSITIVE, lengthscale=_POSITIVE, lengthscale_candidates=_POSITIVE,
+    abc_accept_rate=(0, 1), abc_epsilon=(0, math.inf))
+# The values a field, or each value of a list field, may take.
+_FIELD_CHOICES = {"benchmark": tuple(BENCHMARK_PRIORS), "proposal": ("prior", "gaussian"),
+                  "feature_type": ("rff", "nn"), "kernel_family": KERNEL_FAMILIES,
+                  "methods": METHODS}
+# Rejection ABC's fallback radius accepts 10.5 simulations; it needs 11.
+ABC_MIN_SIMULATIONS = 11
+
+
+def _values(v) -> tuple:
+    return v if isinstance(v, tuple) else () if v is None else (v,)
 
 
 @dataclass(frozen=True)
@@ -96,11 +109,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, (low, high) in _FIELD_RANGES.items():
-            if not low <= getattr(self, name) <= high:  # also True for NaN
+            if not all(low <= v <= high for v in _values(getattr(self, name))):  # NaN fails
                 raise ConfigurationError(f"config field {name!r} must be in [{low}, {high}], "
                                          f"got {getattr(self, name)!r}")
-        if self.benchmark not in BENCHMARK_PRIORS:
-            raise ConfigurationError(f"unknown benchmark {self.benchmark!r}")
+        for name, choices in _FIELD_CHOICES.items():
+            if not set(_values(getattr(self, name))) <= set(choices):
+                raise ConfigurationError(f"config field {name!r} must be one of {choices}, "
+                                         f"got {getattr(self, name)!r}")
+        if not self.methods:
+            raise ConfigurationError("config field 'methods' must name at least one method")
+        if (self.abc_max_simulations or self.num_train) < ABC_MIN_SIMULATIONS:
+            raise ConfigurationError(
+                f"config field 'abc_max_simulations' must give rejection ABC at least "
+                f"{ABC_MIN_SIMULATIONS} simulations (0 means num_train, {self.num_train}), "
+                f"got {self.abc_max_simulations!r}")
         low, high = BENCHMARK_PRIORS[self.benchmark]
         if not self.prior_low:
             object.__setattr__(self, "prior_low", tuple(low))
@@ -110,11 +132,6 @@ class ExperimentConfig:
                                tuple(DEFAULT_THETA_STAR[self.benchmark]))
         if len(self.theta_star) != len(self.prior_low):
             raise ConfigurationError("theta_star dimension does not match prior box")
-        if self.feature_type not in ("rff", "nn"):
-            raise ConfigurationError(f"unknown feature type {self.feature_type!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigurationError(f"unknown method {m!r}")
         if self.num_train < 10 * self.num_components:
             raise ConfigurationError("num_train must be at least 10 * num_components")
 
@@ -126,9 +143,7 @@ class ExperimentConfig:
     def proposal_spec(self) -> PriorSpec:
         if self.proposal == "prior":
             return self.prior
-        if self.proposal == "gaussian":
-            return gaussian_prior(self.proposal_mean, self.proposal_cov)
-        raise ConfigurationError(f"unknown proposal {self.proposal!r}")
+        return gaussian_prior(self.proposal_mean, self.proposal_cov)
 
     def trainer(self, seed: int, epochs: int | None = None) -> TrainerConfig:
         return TrainerConfig(
@@ -418,21 +433,17 @@ def train_model(
     selected = None
     if feature_type == "rff":
         if config.lengthscale is not None:
-            selected = float(config.lengthscale)
+            cands = [float(config.lengthscale)]
+        elif config.lengthscale_candidates:
+            cands = list(config.lengthscale_candidates)
         else:
             med = median_heuristic_lengthscale(x)
-            cands = (list(config.lengthscale_candidates)
-                     or [med * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)])
-            selected = mdn.select_lengthscale(
-                cands, x, theta_std,
-                build_map=lambda s: build_rff(
-                    KernelConfig(config.kernel_family, s, config.num_features),
-                    input_dim),
-                config=config.trainer(seed, epochs=config.cv_epochs),
-            )
-        fmap = build_rff(
-            KernelConfig(config.kernel_family, selected, config.num_features),
-            input_dim)
+            cands = [med * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        fmap = mdn.select_lengthscale(
+            [build_rff(KernelConfig(config.kernel_family, s, config.num_features), input_dim)
+             for s in cands],
+            x, theta_std, config.trainer(seed, epochs=config.cv_epochs))
+        selected = fmap.kernel.lengthscale
     elif feature_type == "nn":
         fmap = init_neural_map(input_dim, config.hidden_units,
                                config.num_features,

@@ -304,11 +304,6 @@ class _Adam:
         b += self.eps
         params -= np.divide(a, b, out=a)
 
-    def keep(self, rows):
-        """Keep only the given rows of a stacked state."""
-        self.m, self.v = self.m[rows], self.v[rows]
-        self._scratch = np.empty(self.m.shape), np.empty(self.m.shape)
-
 
 _HEAD_KEYS = ("weight", "bias")
 
@@ -391,9 +386,10 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     draw (validation split, head init, epoch order) is the same for all
     of them and one Generator serves the whole stack. Every trainable
     array is a view into one (C, P) parameter stack that a single Adam
-    updates in place. A head that stops early leaves the stack with its
-    best parameters and its report; the loop ends once none is left. A
-    trainable map is trained jointly with its head, so it trains alone.
+    updates in place. A head whose patience runs out stays in its row,
+    frozen, and its report stops growing; the loop ends once every head
+    has stopped. A trainable map is trained jointly with its head, so it
+    trains alone.
     """
     x = np.atleast_2d(np.asarray(x_train, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
@@ -438,18 +434,10 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
         feats_tr = np.stack([m.apply(x_tr) for m in feature_maps])
         feats_val = np.stack([m.apply(x_val) for m in feature_maps])
 
-    active = list(range(len(feature_maps)))  # stack row -> map index
     reports = [TrainingReport(config=config) for _ in feature_maps]
-    results = [None] * len(feature_maps)
-    best, best_loss = params.copy(), np.full(len(active), np.inf)
-    best_epoch = np.zeros(len(active), dtype=int)
-
-    def finish(row):
-        c = active[row]
-        reports[c].best_epoch = int(best_epoch[row])
-        weight, bias, *fv = (v[0] for v in _stack_views(best[row:row + 1].copy(), shapes))
-        results[c] = (MixtureHeadWeights(weight, bias, config.num_components),
-                      feature_maps[c].with_params(fv), reports[c])
+    best, best_loss = params.copy(), np.full(len(feature_maps), np.inf)
+    best_epoch = np.zeros(len(feature_maps), dtype=int)
+    stopped = np.zeros(len(feature_maps), dtype=bool)
 
     n_tr = x_tr.shape[0]
     for epoch in range(config.epochs):
@@ -457,7 +445,7 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
         order = rng.permutation(n_tr)
         x_ep, th_ep = x_tr[order], th_tr[order]
         feats_ep = None if feats_tr is None else feats_tr[:, order]
-        ep_loss = np.zeros(len(active))
+        ep_loss = np.zeros(len(feature_maps))
         for start in range(0, n_tr, config.batch_size):
             batch = slice(start, start + config.batch_size)
             th_b = th_ep[batch]
@@ -468,68 +456,55 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
             parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in map_keys]
             for view, g in zip(grad_views, parts):
                 view[...] = g
+            grads[stopped] = 0.0
             adam.step(params, grads)
             ep_loss += loss * len(th_b)
         vl, _ = _batch_nll(head, fmap.apply(x_val) if map_keys else feats_val, th_val)
-        for row, c in enumerate(active):
-            reports[c].train_loss.append(float(ep_loss[row] / n_tr))
-            reports[c].val_loss.append(float(vl[row]))
-        improved = vl < best_loss - 1e-12
+        for c in np.flatnonzero(~stopped):
+            reports[c].train_loss.append(float(ep_loss[c] / n_tr))
+            reports[c].val_loss.append(float(vl[c]))
+        improved = ~stopped & (vl < best_loss - 1e-12)
         best[improved], best_loss[improved] = params[improved], vl[improved]
         best_epoch[improved] = epoch
-        done = ~improved & (epoch - best_epoch >= config.patience)
-        if done.any():
-            for row in np.flatnonzero(done):
-                finish(row)
-            keep = ~done
-            active = [c for c, kept in zip(active, keep) if kept]
-            if not active:
-                break
-            params, grads, best = params[keep], grads[keep], best[keep]
-            adam.keep(keep)
-            best_loss, best_epoch = best_loss[keep], best_epoch[keep]
-            feats_tr, feats_val = feats_tr[keep], feats_val[keep]
-            head = MixtureHeadWeights(*_stack_views(params, shapes)[:2],
-                                      config.num_components)
-            grad_views = _stack_views(grads, shapes)
-    for row in range(len(active)):
-        finish(row)
+        stopped |= ~improved & (epoch - best_epoch >= config.patience)
+        # With a zero gradient and first moment, Adam's update of a
+        # stopped row is exactly 0: the row stays frozen.
+        adam.m[stopped] = 0.0
+        if stopped.all():
+            break
+
+    results = []
+    for c, report in enumerate(reports):
+        report.best_epoch = int(best_epoch[c])
+        weight, bias, *fv = (v[0] for v in _stack_views(best[c:c + 1].copy(), shapes))
+        results.append((MixtureHeadWeights(weight, bias, config.num_components),
+                        feature_maps[c].with_params(fv), report))
     return results
 
 
 CV_FOLDS = 3
 
 
-def select_lengthscale(
-    candidates,
-    x_train: np.ndarray,
-    theta_train: np.ndarray,
-    build_map,
-    config: TrainerConfig,
-):
+def select_lengthscale(feature_maps, x_train: np.ndarray, theta_train: np.ndarray,
+                       config: TrainerConfig):
     """Lengthscale choice by cross-validation over CV_FOLDS folds.
 
-    ``build_map(sigma)`` constructs the RFF map for a candidate; it is
-    built once, and each fold trains every candidate's head in one
-    lockstep stack. Returns the candidate maximizing mean held-out
-    log-density; exact ties break toward the larger lengthscale.
+    ``feature_maps`` are the candidate RFF maps; each fold trains one
+    head per map in one lockstep stack. Returns the map maximizing mean
+    held-out log-density; exact ties break toward the larger
+    lengthscale. A single candidate is returned without CV.
     """
-    cands = list(candidates)
-    if not cands:
+    if not feature_maps:
         raise ConfigurationError("need at least one lengthscale candidate")
-    if len(cands) == 1:
-        return cands[0]
+    if len(feature_maps) == 1:
+        return feature_maps[0]
     x = np.atleast_2d(np.asarray(x_train, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
-    n = x.shape[0]
-    idx = np.random.default_rng(config.seed).permutation(n)
-    fold_ids = np.array_split(idx, CV_FOLDS)
-
-    scores = _cv_scores([build_map(sigma) for sigma in cands],
-                        x, theta, fold_ids, config)
+    idx = np.random.default_rng(config.seed).permutation(x.shape[0])
+    scores = _cv_scores(feature_maps, x, theta, np.array_split(idx, CV_FOLDS), config)
     best_score = max(scores)
-    best = max(c for c, sc in zip(cands, scores) if sc == best_score)
-    return best
+    return max((m for m, sc in zip(feature_maps, scores) if sc == best_score),
+               key=lambda m: m.kernel.lengthscale)
 
 
 def _cv_scores(feature_maps, x, theta, fold_ids, config) -> list:

@@ -19,6 +19,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         AbcConfig(epsilon=-1.0, max_simulations=10)
     with pytest.raises(ConfigurationError):
+        AbcConfig(epsilon=float("nan"), max_simulations=10)
+    with pytest.raises(ConfigurationError):
         AbcConfig(epsilon=1.0, max_simulations=0)
 
 

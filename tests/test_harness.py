@@ -80,9 +80,42 @@ def test_config_validation_errors():
                        ("learning_rate", float("nan")), ("patience", -1),
                        ("abc_accept_rate", 2.0), ("abc_accept_rate", -0.5),
                        ("abc_accept_rate", float("nan")),
-                       ("proposal_cov", [[0.01, 0.0], [0.0]])):
+                       ("proposal_cov", [[0.01, 0.0], [0.0]]),
+                       # values used only by some stages, checked at load
+                       *REFUSED_AT_LOAD.values()):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "pendulum", key: value})
+    # null and the smallest rejection-ABC budgets still load
+    for key, value in (("lengthscale", None), ("abc_epsilon", None), ("abc_epsilon", 0.0),
+                       ("abc_max_simulations", 0), ("abc_max_simulations", 11)):
+        assert getattr(config_from_dict({"benchmark": "pendulum", key: value}), key) == value
+
+
+# Values that only a later stage would trip on; each exits 2 at load.
+REFUSED_AT_LOAD = {
+    "kernel_family": ("kernel_family", "matern"),
+    "lengthscale_negative": ("lengthscale", -1.0),
+    "lengthscale_nan": ("lengthscale", float("nan")),
+    "lengthscale_candidates_negative": ("lengthscale_candidates", [-1.0, 1.0]),
+    "abc_epsilon_negative": ("abc_epsilon", -1.0),
+    "abc_epsilon_nan": ("abc_epsilon", float("nan")),
+    "abc_max_simulations_5": ("abc_max_simulations", 5),
+    "abc_max_simulations_10": ("abc_max_simulations", 10),
+    "proposal": ("proposal", "uniform"),
+    "methods_empty": ("methods", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_AT_LOAD))
+def test_cli_evaluate_refuses_at_load_exit_2(tmp_path, capsys, case):
+    key, value = REFUSED_AT_LOAD[case]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"benchmark": "pendulum", key: value}))
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_shipped_and_benchmark_configs_load():

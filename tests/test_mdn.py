@@ -329,9 +329,8 @@ def test_validation_loss_trend():
 def test_select_lengthscale_singleton():
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=10, seed=0)
-    got = select_lengthscale([0.7], x, th,
-                             lambda s: build_rff(KernelConfig("rbf", s, 20), 1), cfg)
-    assert got == 0.7
+    got = select_lengthscale([build_rff(KernelConfig("rbf", 0.7, 20), 1)], x, th, cfg)
+    assert got.kernel.lengthscale == 0.7
 
 
 def test_select_lengthscale_prefers_data_scale():
@@ -339,10 +338,10 @@ def test_select_lengthscale_prefers_data_scale():
     cfg = TrainerConfig(num_components=2, epochs=60, seed=4)
     sigma0 = 0.3
     got = select_lengthscale(
-        [sigma0 * 1e-3, sigma0, sigma0 * 1e3], x, th,
-        lambda s: build_rff(KernelConfig("rbf", s, 60), 1), cfg,
+        [build_rff(KernelConfig("rbf", s, 60), 1) for s in (sigma0 * 1e-3, sigma0, sigma0 * 1e3)],
+        x, th, cfg,
     )
-    assert got == sigma0
+    assert got.kernel.lengthscale == sigma0
 
 
 def test_select_lengthscale_tie_breaks_large():
@@ -350,10 +349,9 @@ def test_select_lengthscale_tie_breaks_large():
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=5, seed=0)
     got = select_lengthscale(
-        [0.5, 0.5], x, th,
-        lambda s: build_rff(KernelConfig("rbf", s, 20), 1), cfg,
+        [build_rff(KernelConfig("rbf", s, 20), 1) for s in (0.5, 0.5)], x, th, cfg,
     )
-    assert got == 0.5
+    assert got.kernel.lengthscale == 0.5
 
 
 # -- lockstep training ------------------------------------------------------
@@ -436,7 +434,28 @@ def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
         scores.append(total / len(x))
     assert mdn._cv_scores(maps, x, th, folds, cfg) == scores
     best = max(c for c, sc in zip(CANDIDATES, scores) if sc == max(scores))
-    assert select_lengthscale(CANDIDATES, x, th, _candidate_map, cfg) == best
+    assert select_lengthscale(maps, x, th, cfg).kernel.lengthscale == best
+
+
+def test_stopped_head_stays_frozen(monkeypatch):
+    x, th = _two_param_data()
+    cfg = TrainerConfig(num_components=2, learning_rate=0.02, batch_size=40,
+                        epochs=80, patience=3, seed=3)
+    snapshots, step = [], mdn._Adam.step
+
+    def spy(self, params, grads):
+        step(self, params, grads)
+        snapshots.append(params.copy())
+
+    monkeypatch.setattr(mdn._Adam, "step", spy)
+    fits = mdn._train_stack(cfg, x, th, [_candidate_map(s) for s in CANDIDATES])
+    epochs = [len(report.val_loss) for _, _, report in fits]
+    per_epoch, rest = divmod(len(snapshots), max(epochs))
+    assert rest == 0 and min(epochs) < max(epochs)  # heads stop at different epochs
+    for c, stop in enumerate(epochs):
+        frozen = snapshots[stop * per_epoch - 1][c]
+        for t in range(stop * per_epoch, len(snapshots)):
+            assert _bits(snapshots[t][c]) == _bits(frozen), (c, t)
 
 
 def test_nn_validation_loss_equals_loss_at_best_epoch():
@@ -462,7 +481,7 @@ def test_diverging_candidate_raises():
         return fmap
 
     with pytest.raises(TrainingDivergenceError), np.errstate(invalid="ignore"):
-        select_lengthscale([0.5, 1.0, 3.0], x, th, build, cfg)
+        select_lengthscale([build(s) for s in (0.5, 1.0, 3.0)], x, th, cfg)
 
 
 # -- bitwise oracle for the component-major kernel --------------------------
@@ -598,11 +617,7 @@ def test_adam_in_place_step_equals_textbook_bitwise():
     params = rng.normal(size=(4, 37))
     adam = mdn._Adam(params.shape, lr)
     ref, m, v = params.copy(), np.zeros(params.shape), np.zeros(params.shape)
-    keep = np.array([True, False, True, True])
     for t in range(1, 51):
-        if t == 26:  # a head leaves the stack
-            adam.keep(keep)
-            params, ref, m, v = params[keep], ref[keep], m[keep], v[keep]
         g = rng.normal(size=params.shape) * 10.0 ** rng.integers(-6, 3, params.shape)
         adam.step(params, g)
         m = b1 * m + (1 - b1) * g
