@@ -39,18 +39,16 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     print("generating dataset ...", flush=True)
-    dataset = generate_dataset(config, config.seed)
+    dataset = generate_dataset(config)
     save_dataset(dataset, out / "dataset.csv")
 
     print("training ...", flush=True)
-    model, report = train_model(config, dataset, config.feature_type,
-                                seed=config.seed + 29)
+    model, report = train_model(config, dataset, config.feature_type)
     save_model(model, out / "model.json")
     print(f"best epoch {report.best_epoch}, "
           f"lengthscale {model.selected_lengthscale}")
 
-    x_r = synth_real_observation(config, dataset.schema,
-                                 seed=config.seed + 500)
+    x_r = synth_real_observation(config, dataset.schema)
     post = infer_posterior(config, model, x_r, model_ref="model.json")
     save_posterior(post, out / "posterior.json", model.config_hash)
 

@@ -39,7 +39,7 @@ def rejection_abc(
     proposal: PriorSpec,
     x_r: np.ndarray,
     cfg: AbcConfig,
-    seed: int,
+    seed,
 ) -> AbcResult:
     """Draw parameters from the proposal, simulate, accept within the
     epsilon-sphere around the real observation.
@@ -47,7 +47,7 @@ def rejection_abc(
     ``simulate_stats(thetas (n, d), seeds (n,)) -> (n, stat_dim)``
     standardized statistics simulates every draw in one batched call; it
     must run the same simulator/statistics pipeline used for the density
-    model, so distances are comparable.
+    model, so distances are comparable. ``seed`` seeds ``default_rng``.
     """
     x_r = np.asarray(x_r, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)

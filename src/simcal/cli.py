@@ -73,7 +73,7 @@ def run(argv=None) -> int:
 
     if args.command == "generate":
         config = _load_config(args)
-        dataset = harness.generate_dataset(config, config.seed)
+        dataset = harness.generate_dataset(config)
         path = out / "dataset.csv"
         harness.save_dataset(dataset, path)
         print(f"wrote {path} ({dataset.thetas.shape[0]} rows)")
@@ -85,9 +85,7 @@ def run(argv=None) -> int:
             raise ConfigurationError(
                 "dataset was generated under a different config"
             )
-        model, report = harness.train_model(
-            config, dataset, config.feature_type, seed=config.seed + 29
-        )
+        model, report = harness.train_model(config, dataset, config.feature_type)
         harness.save_model(model, out / "model.json")
         losses = "\n".join(
             f"{e},{float(tr)!r},{float(vl)!r}" for e, (tr, vl)
@@ -102,8 +100,7 @@ def run(argv=None) -> int:
         model = harness.load_model(args.model)
         if model.config_hash != harness.config_hash(config):
             raise ConfigurationError("model was trained under a different config")
-        x_r = harness.synth_real_observation(config, model.schema,
-                                             seed=config.seed + 500)
+        x_r = harness.synth_real_observation(config, model.schema)
         post = harness.infer_posterior(config, model, x_r,
                                        model_ref=Path(args.model).name)
         harness.save_posterior(post, out / "posterior.json", model.config_hash)
@@ -132,7 +129,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ConfigurationError, ContractError, FileNotFoundError,
+    except (ConfigurationError, ContractError, FileExistsError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -145,14 +145,15 @@ class ExperimentConfig:
             return self.prior
         return gaussian_prior(self.proposal_mean, self.proposal_cov)
 
-    def trainer(self, seed: int, epochs: int | None = None) -> TrainerConfig:
+    def trainer(self, repeat: int, epochs: int | None = None) -> TrainerConfig:
+        """The trainer of a repeat: its CV folds and head init share the seed."""
         return TrainerConfig(
             num_components=self.num_components,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=epochs if epochs is not None else self.epochs,
             patience=self.patience,
-            seed=seed,
+            seed=int(random_stream(self, "train", repeat).integers(2 ** 63)),
         )
 
 
@@ -212,6 +213,16 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
+SEED_STREAMS = ("dataset", "real", "abc", "train", "nn_init", "shuffle")
+
+
+def random_stream(config, name: str, repeat: int = 0) -> np.random.Generator:
+    """Stream ``name`` of evaluation repeat ``repeat``: the spawn key (its
+    index in SEED_STREAMS, repeat) under the config's seed, unique to it."""
+    return np.random.default_rng(np.random.SeedSequence(
+        config.seed, spawn_key=(SEED_STREAMS.index(name), repeat)))
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 
@@ -235,23 +246,25 @@ class Dataset:
         return self.schema.standardize(self.raw_stats)
 
 
-def generate_dataset(config: ExperimentConfig, seed: int) -> Dataset:
+def _completed(batch) -> np.ndarray:
+    return batch.in_limits & ~batch.diverged & (batch.lengths >= 2)
+
+
+def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
     """Sample parameters from the proposal, roll all of them out in one
     lockstep batch, compute statistics and fit the standardizer.
 
-    A draw fails when its theta lies outside the model's limits (it is
-    not simulated), its rollout diverged, or it ran fewer than 2 steps.
-    Aborts when more than 1% of draws fail."""
+    A draw fails (is not ``_completed``) when its theta lies outside the
+    model's limits (it is not simulated), its rollout diverged, or it ran
+    fewer than 2 steps. Aborts when more than 1% of draws fail."""
     model = get_model(config.benchmark)
     controller = builtin_controller(config.controller_kind, config.controller_seed)
-    rng = np.random.default_rng(seed)
+    rng = random_stream(config, "dataset", repeat)
     thetas = config.proposal_spec.sample(rng, config.num_train)
-
     batch = rollout(model, thetas, controller, horizon=config.horizon,
-                    seed=seed * 100003 + np.arange(config.num_train))
-    simulated = batch.in_limits & ~batch.diverged
-    short = simulated & (batch.lengths < 2)
-    kept = simulated & ~short
+                    seed=rng.integers(2 ** 63, size=config.num_train))
+    kept = _completed(batch)
+    short = batch.in_limits & ~batch.diverged & ~kept
     failed = config.num_train - int(kept.sum())
     if failed > 0.01 * config.num_train:
         raise ConfigurationError(
@@ -413,7 +426,7 @@ def train_model(
     config: ExperimentConfig,
     dataset: Dataset,
     feature_type: str,
-    seed: int,
+    repeat: int = 0,
     shuffle_pairs: bool = False,
 ):
     """Lengthscale selection (RFF) followed by full training. Returns
@@ -422,8 +435,7 @@ def train_model(
     x = dataset.x_standardized
     thetas = dataset.thetas
     if shuffle_pairs:
-        perm = np.random.default_rng(seed + 999).permutation(x.shape[0])
-        x = x[perm]
+        x = x[random_stream(config, "shuffle", repeat).permutation(x.shape[0])]
 
     offset = thetas.mean(axis=0)
     scale = np.maximum(thetas.std(axis=0), 1e-8)
@@ -442,16 +454,15 @@ def train_model(
         fmap = mdn.select_lengthscale(
             [build_rff(KernelConfig(config.kernel_family, s, config.num_features), input_dim)
              for s in cands],
-            x, theta_std, config.trainer(seed, epochs=config.cv_epochs))
+            x, theta_std, config.trainer(repeat, epochs=config.cv_epochs))
         selected = fmap.kernel.lengthscale
     elif feature_type == "nn":
-        fmap = init_neural_map(input_dim, config.hidden_units,
-                               config.num_features,
-                               np.random.default_rng(seed + 1))
+        fmap = init_neural_map(input_dim, config.hidden_units, config.num_features,
+                               random_stream(config, "nn_init", repeat))
     else:
         raise ConfigurationError(f"unknown feature type {feature_type!r}")
 
-    head, fmap, report = train(config.trainer(seed), x, theta_std, fmap)
+    head, fmap, report = train(config.trainer(repeat), x, theta_std, fmap)
     model = FittedModel(
         feature_map=fmap, head=head, param_offset=offset, param_scale=scale,
         schema=dataset.schema, config_hash=dataset.config_hash,
@@ -508,15 +519,15 @@ def load_model(path) -> FittedModel:
 # Inference
 
 def synth_real_observation(config: ExperimentConfig, schema: StatsSchema,
-                           seed: int) -> np.ndarray:
+                           repeat: int = 0) -> np.ndarray:
     """Synthesize the real observation by rolling out at the hidden true
     parameters and averaging the statistics."""
     model = get_model(config.benchmark)
     controller = builtin_controller(config.controller_kind, config.controller_seed)
     thetas = np.tile(np.asarray(config.theta_star, dtype=float),
                      (config.real_rollouts, 1))
-    batch = rollout(model, thetas, controller, horizon=config.horizon,
-                    seed=seed * 7919 + np.arange(config.real_rollouts))
+    seeds = random_stream(config, "real", repeat).integers(2 ** 63, size=config.real_rollouts)
+    batch = rollout(model, thetas, controller, horizon=config.horizon, seed=seeds)
     batch.check()
     return real_observation(batch, schema)
 
@@ -602,16 +613,18 @@ class MetricsRow:
 
 
 def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
-                             x_r: np.ndarray, seed: int) -> float:
+                             x_r: np.ndarray, repeat: int = 0) -> float:
     model = get_model(config.benchmark)
     controller = builtin_controller(config.controller_kind, config.controller_seed)
-    schema = dataset.schema
 
     def simulate_stats(thetas, seeds):
+        # A draw whose rollout did not complete lies infinitely far away.
         batch = rollout(model, thetas, controller, horizon=config.horizon,
                         seed=seeds)
-        batch.check()
-        return schema.standardize(compute_stats(batch))
+        kept = _completed(batch)
+        x = np.full((len(thetas), dataset.schema.stat_dim), np.inf)
+        x[kept] = dataset.schema.standardize(compute_stats(batch.select(kept)))
+        return x
 
     n_sims = config.abc_max_simulations or config.num_train
     if config.abc_epsilon is not None:
@@ -622,8 +635,8 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
         # simulation budget.
         dists = np.linalg.norm(dataset.x_standardized - x_r, axis=1)
         eps = epsilon_for_acceptance(dists, config.abc_accept_rate)
-    result = rejection_abc(simulate_stats, config.proposal_spec, x_r,
-                           AbcConfig(epsilon=eps, max_simulations=n_sims), seed)
+    result = rejection_abc(simulate_stats, config.proposal_spec, x_r, AbcConfig(eps, n_sims),
+                           random_stream(config, "abc", repeat))
     if result.accepted.shape[0] < 10:
         # Fall back to the accepted-quantile radius on this run's draws.
         eps = epsilon_for_acceptance(result.distances,
@@ -643,22 +656,18 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
     reasons: dict[str, str] = {m: "" for m in config.methods}
 
     for r in range(config.repeats):
-        data_seed = config.seed + 1000 * r
-        dataset = generate_dataset(config, data_seed)
-        x_r = synth_real_observation(config, dataset.schema,
-                                     seed=config.seed + 500 + r)
+        dataset = generate_dataset(config, r)
+        x_r = synth_real_observation(config, dataset.schema, r)
         for method in config.methods:
             if progress:
                 progress(f"repeat {r + 1}/{config.repeats}: {method}")
             try:
                 if method == "rejection_abc":
-                    lp = _abc_log_prob_for_repeat(config, dataset, x_r,
-                                                  seed=data_seed + 17)
+                    lp = _abc_log_prob_for_repeat(config, dataset, x_r, r)
                 else:
                     ftype = "nn" if method == "mdn_nn" else "rff"
                     shuffled = method == "control_shuffled"
-                    model, _ = train_model(config, dataset, ftype,
-                                           seed=data_seed + 29,
+                    model, _ = train_model(config, dataset, ftype, r,
                                            shuffle_pairs=shuffled)
                     post = infer_posterior(config, model, x_r)
                     lp = log_prob_target(post, theta_star)

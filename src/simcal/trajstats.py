@@ -76,7 +76,8 @@ def compute_stats(rollouts: Rollouts) -> np.ndarray:
     mean = tau.sum(axis=1) / t
     dev = np.where(steps, tau - mean[:, None, :], 0.0)
     var = (dev * dev).sum(axis=1) / t      # population variance
-    return np.concatenate([cross.reshape(len(lengths), -1), mean, var], axis=1)
+    cross = cross.reshape(len(lengths), cross.shape[1] * cross.shape[2])  # -1 fails on 0 rows
+    return np.concatenate([cross, mean, var], axis=1)
 
 
 def fit_standardizer(raw_stats, state_dim: int, action_dim: int) -> StatsSchema:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from simcal import cli, features, harness
+from simcal.abc_rejection import rejection_abc
 from simcal.errors import ConfigurationError, TrainingDivergenceError
 from simcal.harness import (
     ExperimentConfig,
@@ -35,6 +36,8 @@ from simcal.harness import (
     train_model,
 )
 from simcal.posterior import sample
+from simcal.simulators import builtin_controller, get_model, rollout
+from simcal.trajstats import compute_stats
 
 
 def small_config(**over):
@@ -159,8 +162,8 @@ def test_load_config_yaml_roundtrip(tmp_path):
 
 def test_generate_dataset_shapes_and_determinism():
     cfg = small_config()
-    d1 = generate_dataset(cfg, seed=3)
-    d2 = generate_dataset(cfg, seed=3)
+    d1 = generate_dataset(cfg)
+    d2 = generate_dataset(cfg)
     assert d1.thetas.shape == (100, 1)
     assert d1.raw_stats.shape[0] == 100
     np.testing.assert_array_equal(d1.thetas, d2.thetas)
@@ -171,7 +174,7 @@ def test_generate_dataset_shapes_and_determinism():
 
 def test_dataset_roundtrip_byte_identical(tmp_path):
     cfg = small_config()
-    d = generate_dataset(cfg, seed=3)
+    d = generate_dataset(cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     save_dataset(d, p1)
     loaded = load_dataset(p1)
@@ -194,8 +197,8 @@ def test_load_dataset_rejects_foreign_file(tmp_path):
 @pytest.fixture(scope="module")
 def fitted():
     cfg = small_config()
-    dataset = generate_dataset(cfg, seed=3)
-    model, report = train_model(cfg, dataset, "rff", seed=21)
+    dataset = generate_dataset(cfg)
+    model, report = train_model(cfg, dataset, "rff")
     return cfg, dataset, model, report
 
 
@@ -214,8 +217,8 @@ def test_model_roundtrip_byte_identical(fitted, tmp_path, feature_type):
     _, dataset, model, _ = fitted
     if feature_type == "nn":
         cfg = small_config(feature_type="nn", epochs=20)
-        dataset = generate_dataset(cfg, seed=4)
-        model, _ = train_model(cfg, dataset, "nn", seed=5)
+        dataset = generate_dataset(cfg)
+        model, _ = train_model(cfg, dataset, "nn")
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     save_model(model, p1)
     loaded = load_model(p1)
@@ -239,7 +242,7 @@ def test_load_model_rejects_foreign_file(tmp_path):
 
 def test_posterior_roundtrip_and_grid(fitted, tmp_path):
     cfg, dataset, model, _ = fitted
-    x_r = synth_real_observation(cfg, dataset.schema, seed=cfg.seed + 500)
+    x_r = synth_real_observation(cfg, dataset.schema)
     post = infer_posterior(cfg, model, x_r)
     p1, p2 = tmp_path / "p1.json", tmp_path / "p2.json"
     save_posterior(post, p1, model.config_hash)
@@ -408,7 +411,7 @@ def test_cli_unparseable_input_exit_2(tmp_path, capsys, case):
 
 def _gaussian_cartpole(**over):
     # N(1, 0.35^2) per parameter puts a few draws below cart-pole's 0.01
-    # limit; seed 9 draws 2 of them (1%, kept), seed 0 draws 3 (aborts)
+    # limit; seed 8 draws 2 of them (1%, kept), seed 14 draws 3 (aborts)
     base = dict(benchmark="cartpole", controller_kind="bang_bang_energy",
                 num_train=200, num_components=3, proposal="gaussian",
                 proposal_mean=(1.0, 1.0),
@@ -418,22 +421,73 @@ def _gaussian_cartpole(**over):
 
 
 def test_generate_dataset_keeps_exactly_the_in_limit_draws():
-    cfg = _gaussian_cartpole()
-    drawn = cfg.proposal_spec.sample(np.random.default_rng(9), cfg.num_train)
+    cfg = _gaussian_cartpole(seed=8)
+    drawn = cfg.proposal_spec.sample(harness.random_stream(cfg, "dataset"), cfg.num_train)
     in_limits = np.all((drawn >= 0.01) & (drawn <= 10.0), axis=1)
     assert (~in_limits).sum() == 2
-    d = generate_dataset(cfg, seed=9)
+    d = generate_dataset(cfg)
     np.testing.assert_array_equal(d.thetas, drawn[in_limits])
     assert d.raw_stats.shape[0] == 198
 
 
 def test_generate_dataset_aborts_above_one_percent_failed():
     with pytest.raises(ConfigurationError) as info:
-        generate_dataset(_gaussian_cartpole(), seed=0)
+        generate_dataset(_gaussian_cartpole(seed=14))
     message = str(info.value)
     assert "3/200 draws failed" in message
     assert "3 outside the parameter limits" in message
     assert "0 diverged" in message
+
+
+def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
+    """At seed 11 each repeat's ABC draws 1-2 thetas outside cart-pole's
+    limits: they get distance inf and the other draws the statistics
+    of a batch without them, so no repeat fails."""
+    cfg = _gaussian_cartpole(seed=11, methods=("rejection_abc",), repeats=3)
+    calls = []
+
+    def spy(simulate_stats, proposal, x_r, abc, seed):
+        def recorded(thetas, seeds):
+            calls.append((thetas, seeds, simulate_stats(thetas, seeds)))
+            return calls[-1][2]
+        return rejection_abc(recorded, proposal, x_r, abc, seed)
+
+    monkeypatch.setattr(harness, "rejection_abc", spy)
+    (row,) = evaluate(cfg)
+    assert not row.failed and row.repeats == 3
+    model = get_model("cartpole")
+    controller = builtin_controller(cfg.controller_kind, cfg.controller_seed)
+    for r, (thetas, seeds, x) in enumerate(calls):
+        ok = model.in_limits(thetas)
+        assert (~ok).sum() == (2, 2, 1)[r]
+        assert np.all(np.isinf(x[~ok]))
+        batch = rollout(model, thetas[ok], controller, horizon=cfg.horizon, seed=seeds[ok])
+        batch.check()
+        schema = generate_dataset(cfg, r).schema
+        np.testing.assert_array_equal(x[ok], schema.standardize(compute_stats(batch)))
+
+
+# -- seed plan -------------------------------------------------------------
+
+def test_seed_streams_are_disjoint(monkeypatch):
+    """Dataset and real-observation episodes get disjoint seeds (the old
+    seed*100003+i and (seed+500)*7919+i shared 8 here), and no two
+    streams of 100 repeats share a spawn key."""
+    seen = []
+
+    def recording_rollout(*args, seed, **kwargs):
+        seen.append(set(np.asarray(seed).tolist()))
+        return rollout(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "rollout", recording_rollout)
+    cfg = small_config(seed=43, real_rollouts=120)
+    synth_real_observation(cfg, generate_dataset(cfg).schema)
+    dataset_seeds, real_seeds = seen
+    assert len(dataset_seeds) == cfg.num_train and len(real_seeds) == 120
+    assert not dataset_seeds & real_seeds
+    keys = [harness.random_stream(cfg, name, r).bit_generator.seed_seq.spawn_key
+            for name in harness.SEED_STREAMS for r in range(100)]
+    assert len(set(keys)) == len(keys) == 600
 
 
 # -- corrupt dataset files -------------------------------------------------
@@ -476,7 +530,6 @@ def test_benchmark_tracer_hooks_run_and_restore():
     from pathlib import Path
 
     from simcal import harness
-    from simcal.simulators import builtin_controller, get_model, rollout
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -484,27 +537,28 @@ def test_benchmark_tracer_hooks_run_and_restore():
     spec.loader.exec_module(spans)
 
     cfg = ExperimentConfig(benchmark="cartpole", num_train=60,
-                           num_components=3, horizon=80)
+                           num_components=3, horizon=80, seed=4)
     originals = [getattr(importlib.import_module(m), a)
                  for m, a, _, _ in spans.HOOKS]
     tracer = spans.Tracer()
     saved = spans.instrument(tracer)
     try:
-        traced = harness.generate_dataset(cfg, seed=4)
+        traced = harness.generate_dataset(cfg)
     finally:
         restored = spans.uninstrument(saved)
     assert restored
     assert [getattr(importlib.import_module(m), a)
             for m, a, _, _ in spans.HOOKS] == originals
 
-    plain = generate_dataset(cfg, seed=4)
+    plain = generate_dataset(cfg)
     np.testing.assert_array_equal(traced.thetas, plain.thetas)
     np.testing.assert_array_equal(traced.raw_stats, plain.raw_stats)
 
-    thetas = cfg.proposal_spec.sample(np.random.default_rng(4), 60)
+    rng = harness.random_stream(cfg, "dataset")
+    thetas = cfg.proposal_spec.sample(rng, 60)
     batch = rollout(get_model("cartpole"), thetas,
                     builtin_controller(cfg.controller_kind, cfg.controller_seed),
-                    horizon=80, seed=4 * 100003 + np.arange(60))
+                    horizon=80, seed=rng.integers(2 ** 63, size=60))
     assert tracer.counts["rollouts"] == 1
     assert tracer.counts["steps"] == batch.lengths.sum()
     assert tracer.counts["terminated_early"] == batch.terminated.sum()
@@ -611,6 +665,14 @@ def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
     assert err.startswith("configuration error:") and "seed" in err
 
 
+def test_cli_generate_huge_seed_exit_0(cli_artifacts, tmp_path, capsys):
+    cfg_path, _ = cli_artifacts
+    assert cli.main(["generate", "--config", str(cfg_path), "--seed", "100000000000000000",
+                     "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert load_dataset(tmp_path / "dataset.csv").thetas.shape == (100, 2)
+
+
 def _json_paths(node, path=()):
     """The path of every value nested in a parsed JSON document."""
     yield path
@@ -686,16 +748,22 @@ def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch, tmp_p
         evaluate(cfg)
 
 
-@pytest.mark.parametrize("flag", ["--config", "--dataset", "--model", "--posterior"])
+@pytest.mark.parametrize("flag", ["--config", "--dataset", "--model", "--posterior", "--out"])
 def test_cli_directory_as_path_exit_2(cli_artifacts, tmp_path, capsys, flag):
+    """A directory where a file belongs, or a file where the output
+    directory belongs."""
     cfg_path, _ = cli_artifacts
     argv = {
         "--config": ["generate", "--config", str(tmp_path)],
         "--dataset": ["train", "--config", str(cfg_path), "--dataset", str(tmp_path)],
         "--model": ["infer", "--config", str(cfg_path), "--model", str(tmp_path)],
         "--posterior": ["sample", "--posterior", str(tmp_path), "--count", "3"],
+        "--out": ["generate", "--config", str(cfg_path)],
     }[flag]
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    if flag == "--out":
+        out.write_text("")
+    assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err

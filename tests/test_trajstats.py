@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simcal.errors import ContractError
@@ -186,8 +186,9 @@ def test_real_observation_separates_far_parameters():
     assert between > 3 * within
 
 
-@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(2, 12),
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.integers(2, 12),
        st.integers(1, 3), st.integers(1, 2))
+@example(seed=0, n=0, t=2, ds=2, da=1)  # an empty batch gives (0, stat_dim)
 def test_ragged_batch_equals_trimmed_rows(seed, n, t, ds, da):
     rng = np.random.default_rng(seed)
     lengths = rng.integers(2, t + 1, size=n)
