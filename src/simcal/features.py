@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, ContractError
 
@@ -146,6 +145,10 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     convergence for the heavy tail than a single inverse-CDF column).
     The final Halton column maps affinely to the bias in [-pi, pi].
     """
+    # Imported here, not at module level: scipy doubles the CLI's start-up
+    # and only RFF maps need it.
+    from scipy.special import ndtri
+
     if input_dim < 1:
         raise ContractError("input_dim must be >= 1")
     n_freq = kernel.num_features // 2

@@ -639,9 +639,17 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
                            random_stream(config, "abc", repeat))
     if result.accepted.shape[0] < 10:
         # Fall back to the accepted-quantile radius on this run's draws.
-        eps = epsilon_for_acceptance(result.distances,
-                                     max(config.abc_accept_rate, 10.5 / n_sims))
-        accepted = result.thetas[result.distances < eps]
+        completed = np.isfinite(result.distances)
+        n_done = int(completed.sum())
+        if n_done < 10:
+            raise ContractError(
+                f"rejection ABC needs at least 10 completed simulations, "
+                f"only {n_done} of {n_sims} completed")
+        with np.errstate(invalid="ignore"):
+            # NaN (inf - inf) when the quantile falls between failed draws
+            eps = epsilon_for_acceptance(result.distances,
+                                         max(config.abc_accept_rate, 10.5 / n_sims))
+        accepted = result.thetas[completed if np.isnan(eps) else result.distances < eps]
     else:
         accepted = result.accepted
     return abc_log_prob(accepted, np.asarray(config.theta_star))

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import json
 import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from simcal import cli, features, harness
-from simcal.abc_rejection import rejection_abc
-from simcal.errors import ConfigurationError, TrainingDivergenceError
+from simcal.abc_rejection import abc_log_prob, rejection_abc
+from simcal.errors import ConfigurationError, ContractError, TrainingDivergenceError
 from simcal.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -465,6 +466,51 @@ def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
         batch.check()
         schema = generate_dataset(cfg, r).schema
         np.testing.assert_array_equal(x[ok], schema.standardize(compute_stats(batch)))
+
+
+@pytest.mark.parametrize("completed", [5, 9, 10, 11, 40])
+def test_abc_when_most_draws_fail(monkeypatch, completed):
+    """Only the first `completed` of 100 ABC draws complete. Below 10 the
+    repeat fails and says so, with no numpy warning. From 10 on, the
+    fallback keeps the draws inside its quantile radius (infinite at 11,
+    finite at 40); at 10 that radius is NaN (inf - inf), and every
+    completed draw is kept."""
+    cfg = small_config(seed=5, methods=("rejection_abc",))
+    dataset = generate_dataset(cfg)
+    x_r = synth_real_observation(cfg, dataset.schema)
+    results = []
+
+    def failing_rollout(*args, **kwargs):
+        batch = rollout(*args, **kwargs)
+        failed = np.arange(len(batch.lengths)) >= completed
+        return dataclasses.replace(batch, diverged=batch.diverged | failed)
+
+    def spy(*args):
+        results.append(rejection_abc(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "rollout", failing_rollout)
+    monkeypatch.setattr(harness, "rejection_abc", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if completed < 10:
+            with pytest.raises(ContractError,
+                               match=f"only {completed} of 100 completed"):
+                harness._abc_log_prob_for_repeat(cfg, dataset, x_r)
+        else:
+            lp = harness._abc_log_prob_for_repeat(cfg, dataset, x_r)
+    assert not [w for w in caught if "encountered" in str(w.message)]
+    if completed < 10:
+        return
+    (result,) = results
+    assert np.isfinite(result.distances).sum() == completed
+    assert result.accepted.shape[0] < 10
+    if completed == 10:
+        kept = result.thetas[:completed]
+    else:
+        eps = np.quantile(result.distances, 0.105)
+        kept = result.thetas[result.distances < eps]
+    assert lp == abc_log_prob(kept, np.asarray(cfg.theta_star))
 
 
 # -- seed plan -------------------------------------------------------------

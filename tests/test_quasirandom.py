@@ -119,11 +119,45 @@ def test_student_t_kurtosis_matches_analytic():
     assert abs(kurt - 9.0) / 9.0 < 0.15
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs more start-up time and memory than the whole CLI
+def _run_python(code, cwd=None):
     src = str(Path(simcal.__file__).resolve().parents[1])
-    code = ("import sys, simcal.cli; "
-            "sys.exit(int('scipy.stats' in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code],
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing scipy costs more start-up time than the rest of the CLI
+    proc = _run_python("import sys, simcal.cli; "
+                       "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+CHAIN = """\
+import sys
+from simcal.cli import main
+
+for name in ("nn", "rff"):
+    with open(name + ".yaml", "w") as f:
+        f.write("benchmark: pendulum\\nnum_train: 40\\nnum_features: 20\\n"
+                "num_components: 2\\nepochs: 3\\nlengthscale: 1.0\\n"
+                "real_rollouts: 2\\nseed: 3\\nfeature_type: " + name + "\\n")
+    assert main(["generate", "--config", name + ".yaml", "--out", name]) == 0
+assert main(["train", "--config", "nn.yaml", "--dataset", "nn/dataset.csv",
+             "--out", "nn"]) == 0
+assert main(["infer", "--config", "nn.yaml", "--model", "nn/model.json",
+             "--out", "nn"]) == 0
+assert main(["sample", "--posterior", "nn/posterior.json", "--count", "100",
+             "--out", "nn"]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+assert main(["train", "--config", "rff.yaml", "--dataset", "rff/dataset.csv",
+             "--out", "rff"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_cli_chain_loads_scipy_only_for_rff(tmp_path):
+    """generate, an nn train, infer and sample never import scipy; an rff
+    train imports scipy.special at its first build_rff."""
+    proc = _run_python(CHAIN, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
