@@ -9,6 +9,7 @@ evaluation and ancestral sampling (domain-randomization draws).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,15 +25,19 @@ from .mdn import GaussianMixture, log_density_batch
 from .priors import GAUSSIAN, UNIFORM_BOX, PriorSpec
 
 NEG_INF = float("-inf")
-MASS_CHECK_SAMPLES = 10000  # draws behind truncate's in-box mass estimate
+MASS_FLOOR = 1e-6  # in-box mass below which a truncated posterior is degenerate
+CHUNK_ROWS = (256, 65_536)  # the fewest and most draws of one sampling chunk
 
 
 @dataclass
 class PosteriorEstimate:
     """Gaussian mixture, optionally truncated to a box support.
 
-    Densities of truncated posteriors are reported unnormalized (exact up
-    to the box constant); sampling is exact via rejection.
+    Densities of truncated posteriors are reported unnormalized: the
+    mixture density inside the box and -inf outside it, not divided by the
+    in-box mass that :func:`truncate` records in the provenance as
+    ``in_box_mass``. :func:`sample` draws exactly from the truncated
+    distribution, by rejection against the box.
     """
 
     mixture: GaussianMixture
@@ -106,6 +111,33 @@ def _logdet(mat: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
+    """Exact mixture mass inside ``box``: sum_k alpha_k prod_j
+    (Phi(b_kj) - Phi(a_kj)), with a_kj, b_kj the box edges standardized by
+    component k's mean and standard deviation along axis j.
+
+    Defined for diagonal covariances; returns None when any covariance
+    has a nonzero off-diagonal entry.
+    """
+    var = np.diagonal(mixture.covariances, axis1=1, axis2=2)
+    if not np.array_equal(mixture.covariances, var[:, :, None] * np.eye(mixture.dim)):
+        return None
+    sd = np.sqrt(var)
+    lows = ((box.low - mixture.means) / sd).tolist()
+    highs = ((box.high - mixture.means) / sd).tolist()
+    return math.fsum(w * math.prod(map(_normal_interval, lo, hi))
+                     for w, lo, hi in zip(mixture.weights.tolist(), lows, highs))
+
+
+def _normal_interval(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a < b, with Phi(x) = erfc(-x / sqrt 2) / 2. An
+    interval above zero is mirrored below it, so that upper tails keep
+    their precision."""
+    if a > 0:
+        a, b = -b, -a
+    return 0.5 * (math.erfc(-b / math.sqrt(2)) - math.erfc(-a / math.sqrt(2)))
+
+
 def truncate(
     mixture: GaussianMixture,
     box: PriorSpec,
@@ -113,16 +145,17 @@ def truncate(
 ) -> PosteriorEstimate:
     """Restrict a mixture to a box support.
 
-    Emits a degenerate-posterior warning when the estimated mixture mass
-    inside the box falls below 1e-6.
+    Records the exact in-box mass of :func:`box_mass` (None for full
+    covariances) in the provenance as ``in_box_mass``, and warns that the
+    posterior is degenerate when that mass is below ``MASS_FLOOR``.
     """
     est = PosteriorEstimate(mixture=mixture, support=box,
-                            provenance=provenance or {})
-    draws = _sample_mixture(mixture, MASS_CHECK_SAMPLES, np.random.default_rng(0))
-    frac = _inside(box, draws).mean()
-    if frac < 1e-6:
+                            provenance=dict(provenance or {}))
+    mass = box_mass(mixture, box)
+    est.provenance["in_box_mass"] = mass
+    if mass is not None and mass < MASS_FLOOR:
         warnings.warn(
-            f"mixture mass inside support box ~{frac:.1e}; posterior is degenerate",
+            f"mixture mass inside support box {mass:.1e}; posterior is degenerate",
             RuntimeWarning,
         )
     return est
@@ -152,47 +185,73 @@ def recover_posterior(
     return truncate(mixture, prior, provenance=prov)
 
 
-def _sample_mixture(
-    mixture: GaussianMixture, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    comps = rng.choice(mixture.num_components, size=count, p=mixture.weights)
-    out = np.empty((count, mixture.dim))
-    for j in range(mixture.num_components):
-        mask = comps == j
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        chol = np.linalg.cholesky(mixture.covariances[j])
-        out[mask] = mixture.means[j] + rng.standard_normal((n, mixture.dim)) @ chol.T
-    return out
-
-
 def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
-    """Ancestral sampling (categorical over weights, then the chosen
-    Gaussian) with rejection against the support box; deterministic for a
-    given seed."""
+    """Draw ``count`` rows (count, d) from the posterior, truncated to its
+    support box; deterministic for a given seed.
+
+    Ancestral sampling with rejection, in chunks of d x m draws: one
+    uniform per column picks the component (zero-weight components are
+    never picked), the column of standard normals goes through that
+    component's mean and Cholesky factor, and the columns inside the box
+    are kept. A chunk holds need / mass * 1.02 columns, clamped to
+    ``CHUNK_ROWS``, with the exact in-box mass of :func:`box_mass`, or for
+    full covariances the acceptance seen so far. Memory is the output
+    plus one chunk.
+
+    Raises DegeneratePosteriorError before any draw when the in-box mass
+    is below ``MASS_FLOOR``. Full covariances have no exact mass; they
+    raise after one million consecutive rejected draws instead.
+    """
     for name, value in (("count", count), ("seed", seed)):
         if value < 0:
             raise ContractError(f"{name} must be >= 0, got {value}")
+    mixture, box = p.mixture, p.support
+    mass = 1.0 if box is None else box_mass(mixture, box)
+    if mass is not None and mass < MASS_FLOOR:
+        raise DegeneratePosteriorError(
+            f"mixture mass inside support box {mass:.1e} is below {MASS_FLOOR:g}")
+    d = mixture.dim
+    cum = np.cumsum(mixture.weights)
+    cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
+    means = mixture.means.T.copy()
+    chol = np.linalg.cholesky(mixture.covariances)
+    scales = chol[:, range(d), range(d)].T.copy()
+    factors = [[(i, chol[:, j, i].copy()) for i in range(j) if chol[:, j, i].any()]
+               for j in range(d)]
     rng = np.random.default_rng(seed)
-    out = np.empty((count, p.mixture.dim))
-    filled = 0
-    consecutive_rejects = 0
+    out = np.empty((count, d))
+    filled = drawn = accepted = rejected_run = 0
     while filled < count:
-        batch = max(count - filled, 256)
-        draws = _sample_mixture(p.mixture, batch, rng)
-        accepted = draws if p.support is None else draws[_inside(p.support, draws)]
-        if accepted.shape[0] == 0:
-            consecutive_rejects += batch
-            if consecutive_rejects >= 1_000_000:
+        need = count - filled
+        rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
+        m = (min(max(math.ceil(need / rate * 1.02), CHUNK_ROWS[0]), CHUNK_ROWS[1])
+             if rate else CHUNK_ROWS[1])
+        u = rng.random(m)
+        labels = np.zeros(m, np.intp)
+        for c in cum:
+            labels += u >= c
+        z = rng.standard_normal((d, m))
+        keep = None if box is None else np.ones(m, bool)
+        for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
+            row = z[j]
+            row *= np.take(scales[j], labels)
+            for i, f in factors[j]:
+                row += np.take(f, labels) * z[i]
+            row += np.take(means[j], labels)
+            if keep is not None:
+                keep &= row >= box.low[j]
+                keep &= row <= box.high[j]
+        kept = z if keep is None else np.compress(keep, z, axis=1)
+        n = min(kept.shape[1], need)
+        out[filled:filled + n] = kept[:, :n].T
+        filled += n
+        drawn += m
+        accepted += kept.shape[1]
+        if mass is None:
+            rejected_run = 0 if kept.shape[1] else rejected_run + m
+            if rejected_run >= 1_000_000:
                 raise DegeneratePosteriorError(
-                    "one million consecutive rejections against the support box"
-                )
-            continue
-        consecutive_rejects = 0
-        take = min(accepted.shape[0], count - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
+                    "one million consecutive rejections against the support box")
     return out
 
 

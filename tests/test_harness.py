@@ -36,7 +36,9 @@ from simcal.harness import (
     synth_real_observation,
     train_model,
 )
-from simcal.posterior import sample
+from simcal.mdn import GaussianMixture
+from simcal.posterior import PosteriorEstimate, sample
+from simcal.priors import uniform_box
 from simcal.simulators import builtin_controller, get_model, rollout
 from simcal.trajstats import compute_stats
 
@@ -259,10 +261,6 @@ def test_posterior_roundtrip_and_grid(fitted, tmp_path):
 
 
 def test_density_grid_dimensions():
-    from simcal.mdn import GaussianMixture
-    from simcal.posterior import PosteriorEstimate
-    from simcal.priors import uniform_box
-
     m2 = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     grid, _ = density_grid(PosteriorEstimate(m2), uniform_box([-1, -1], [1, 1]))
     assert grid.shape == (128 * 128, 2)
@@ -709,6 +707,19 @@ def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
     assert cli.main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "seed" in err
+
+
+def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
+    m = GaussianMixture([1.0], [[100.0]], [[0.01]])
+    save_posterior(PosteriorEstimate(m, uniform_box([-1.0], [1.0])),
+                   tmp_path / "posterior.json", "")
+    capsys.readouterr()
+    assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
+                     "--count", "5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "mass" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_cli_generate_huge_seed_exit_0(cli_artifacts, tmp_path, capsys):

@@ -1,15 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from simcal.errors import (
     ComponentWiderThanProposalError,
     ConfigurationError,
     ContractError,
+    DegeneratePosteriorError,
 )
 from simcal.mdn import GaussianMixture, log_density_batch
 from simcal.posterior import (
+    CHUNK_ROWS,
+    MASS_FLOOR,
     NEG_INF,
     PosteriorEstimate,
+    box_mass,
     divide_by_gaussian,
     log_prob_target,
     recover_posterior,
@@ -115,6 +122,52 @@ def test_truncate_degenerate_mass_warns():
         truncate(m, uniform_box([-1.0], [1.0]))
 
 
+def test_truncate_records_exact_mass_in_provenance():
+    rng = np.random.default_rng(7)
+    m = random_narrow_mixture(rng)
+    box = uniform_box([-1.0, -0.5], [0.5, 1.0])
+    given = {"model": "m.json"}
+    p = truncate(m, box, provenance=given)
+    assert p.provenance == {"model": "m.json", "in_box_mass": box_mass(m, box)}
+    assert given == {"model": "m.json"}  # the caller's mapping is not edited
+    assert truncate(m, box).provenance == {"in_box_mass": box_mass(m, box)}
+
+
+# -- box_mass ---------------------------------------------------------------
+
+def _ndtr_mass(m, box):
+    """sum_k alpha_k prod_j P(a <= N(mu, sd^2) <= b) from scipy's ndtr,
+    taken on the tail side so that a box far from the mean keeps its digits."""
+    sd = np.sqrt(np.diagonal(m.covariances, axis1=1, axis2=2))
+    a = (box.low - m.means) / sd
+    b = (box.high - m.means) / sd
+    z = np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    return float(m.weights @ np.prod(z, axis=1))
+
+
+def test_box_mass_matches_ndtr():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        m = random_narrow_mixture(rng, k=4, d=3)
+        low = rng.uniform(-2.0, 0.5, 3)
+        box = uniform_box(low, low + rng.uniform(0.1, 2.0, 3))
+        assert box_mass(m, box) == pytest.approx(_ndtr_mass(m, box), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("low,high", [(8.0, 9.0), (-9.0, -8.0), (20.0, 21.0)])
+def test_box_mass_far_tail_keeps_relative_precision(low, high):
+    m = GaussianMixture([0.25, 0.75], [[0.0], [0.0]], [[1.0], [1.0]])
+    box = uniform_box([low], [high])
+    exact = _ndtr_mass(m, box)
+    assert 0.0 < exact < 1e-14
+    assert box_mass(m, box) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_box_mass_is_none_for_full_covariances():
+    m = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.3], [0.3, 1.0]]])
+    assert box_mass(m, uniform_box([-1.0, -1.0], [1.0, 1.0])) is None
+
+
 # -- sample -----------------------------------------------------------------
 
 def test_sample_near_delta():
@@ -144,6 +197,91 @@ def test_sample_deterministic_and_respects_box():
     b = sample(p, 500, seed=5)
     np.testing.assert_array_equal(a, b)
     assert np.all((a >= -0.5) & (a <= 0.5))
+
+
+def test_sample_degenerate_posterior_raises_before_any_draw(monkeypatch):
+    m = GaussianMixture([1.0], [[100.0]], [[0.01]])
+    p = PosteriorEstimate(m, uniform_box([-1.0], [1.0]))
+    assert box_mass(m, p.support) < MASS_FLOOR
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sample drew before checking the in-box mass")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DegeneratePosteriorError, match="mass"):
+        sample(p, 10, seed=0)
+
+
+def test_sample_truncated_component_occupancy():
+    # component 0 sits on the box edge, so half of it is cut: its share of
+    # the draws is alpha_0 Z_0 / sum_k alpha_k Z_k = 0.5 * 0.5 / 0.75
+    m = GaussianMixture([0.5, 0.5], [[0.0], [8.0]], [[1.0], [0.09]])
+    box = uniform_box([0.0], [10.0])
+    sd = np.sqrt(m.covariances[:, 0, 0])
+    z = ndtr((10.0 - m.means[:, 0]) / sd) - ndtr((0.0 - m.means[:, 0]) / sd)
+    share = m.weights[0] * z[0] / (m.weights @ z)
+    n = 100_000
+    draws = sample(truncate(m, box), n, seed=9)[:, 0]
+    assert np.all((draws >= 0.0) & (draws <= 10.0))
+    got = np.mean(draws < 5.0)
+    assert abs(got - share) < 3 * np.sqrt(share * (1 - share) / n)
+
+
+def test_sample_full_covariance_from_division():
+    q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
+                        [[0.2, 0.1], [0.15, 0.25]])
+    proposal = gaussian_prior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]])
+    m = divide_by_gaussian(q, proposal)
+    assert np.all(np.abs(m.covariances[:, 0, 1]) > 1e-3)  # correlated components
+    mean = m.weights @ m.means
+    second = np.einsum("k,kij->ij", m.weights,
+                       m.covariances + m.means[:, :, None] * m.means[:, None, :])
+    cov = second - np.outer(mean, mean)
+
+    # A box 8 sd around the mixture: moments are the untruncated ones.
+    half = 8 * np.sqrt(np.diag(cov))
+    wide = uniform_box(mean - half, mean + half)
+    assert box_mass(m, wide) is None
+    n = 200_000
+    draws = sample(truncate(m, wide), n, seed=10)
+    centered = draws - draws.mean(axis=0)
+    products = centered[:, :, None] * centered[:, None, :]
+    assert np.all(np.abs(draws.mean(axis=0) - mean)
+                  < 3 * draws.std(axis=0) / np.sqrt(n))
+    assert np.all(np.abs(products.mean(axis=0) - cov)
+                  < 3 * products.std(axis=0) / np.sqrt(n))
+
+    # A box that cuts the mixture: every draw lies in it.
+    cut = uniform_box([-0.5, -0.5], [0.5, 0.5])
+    draws = sample(truncate(m, cut), 20_000, seed=11)
+    assert draws.shape == (20_000, 2)
+    assert np.all((draws >= cut.low) & (draws <= cut.high))
+
+
+@pytest.mark.parametrize("boxed", [True, False])
+@pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS[1] - 1, CHUNK_ROWS[1], CHUNK_ROWS[1] + 1])
+def test_sample_chunk_edges(count, boxed):
+    m = GaussianMixture([0.3, 0.7], [[0.2, 1.0], [1.2, 0.5]], [[0.1, 0.2], [0.3, 0.05]])
+    box = uniform_box([0.0, 0.0], [1.5, 1.5])
+    p = truncate(m, box) if boxed else PosteriorEstimate(m)
+    draws = sample(p, count, seed=12)
+    assert draws.shape == (count, 2) and draws.flags.c_contiguous
+    if boxed:
+        assert np.all((draws >= box.low) & (draws <= box.high))
+    np.testing.assert_array_equal(draws, sample(p, count, seed=12))
+
+
+def test_sample_memory_is_output_plus_one_chunk():
+    m = GaussianMixture([0.3, 0.7], [[0.2, 1.0], [1.2, 0.5]], [[0.1, 0.2], [0.3, 0.05]])
+    p = truncate(m, uniform_box([0.0, 0.0], [1.5, 1.5]))
+    tracemalloc.start()
+    try:
+        draws = sample(p, 1_000_000, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 2 * CHUNK_ROWS[1] * 8
+    assert peak - draws.nbytes < 6 * chunk_bytes  # a chunk and its temporaries
 
 
 def test_sample_count_zero():
