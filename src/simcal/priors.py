@@ -30,8 +30,10 @@ class PriorSpec:
         if self.kind == UNIFORM_BOX:
             low = np.asarray(self.low, dtype=float)
             high = np.asarray(self.high, dtype=float)
-            if low.shape != high.shape or np.any(low >= high):
-                raise ConfigurationError("uniform box requires low < high per dimension")
+            if (low.shape != high.shape or not np.all(np.isfinite(low) & np.isfinite(high))
+                    or np.any(low >= high)):
+                raise ConfigurationError("uniform box requires finite low < high "
+                                         "per dimension")
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
         elif self.kind == GAUSSIAN:
@@ -40,6 +42,8 @@ class PriorSpec:
             if cov.shape != (mean.size, mean.size):
                 raise ConfigurationError(f"Gaussian prior covariance {cov.shape} does not "
                                          f"match its {mean.size}-dimensional mean")
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise ConfigurationError("Gaussian prior mean and covariance must be finite")
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:

@@ -168,6 +168,21 @@ def test_box_mass_is_none_for_full_covariances():
     assert box_mass(m, uniform_box([-1.0, -1.0], [1.0, 1.0])) is None
 
 
+@pytest.mark.parametrize("low,high", [([0.1, np.nan], [2.0, 2.0]),
+                                      ([0.1, 0.1], [2.0, np.inf]),
+                                      ([-np.inf, 0.1], [2.0, 2.0])])
+def test_box_with_non_finite_edge_is_refused(low, high):
+    """A NaN edge would make the in-box mass NaN, which no mass floor
+    catches; an infinite edge has no uniform density."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        uniform_box(low, high)
+
+
+def test_gaussian_prior_with_non_finite_entries_is_refused():
+    with pytest.raises(ConfigurationError, match="finite"):
+        gaussian_prior([np.nan], [[1.0]])
+
+
 # -- sample -----------------------------------------------------------------
 
 def test_sample_near_delta():
