@@ -15,6 +15,7 @@ import numpy as np
 
 from . import harness
 from .errors import ConfigurationError, ContractError, NumericError
+from .posterior import log_prob_target
 from .posterior import sample as sample_posterior
 
 EXIT_OK = 0
@@ -104,10 +105,14 @@ def run(argv=None) -> int:
         post = harness.infer_posterior(config, model, x_r,
                                        model_ref=Path(args.model).name)
         harness.save_posterior(post, out / "posterior.json", model.config_hash)
+        theta_star = np.asarray(config.theta_star)
+        print(f"wrote {out / 'posterior.json'}; log p(theta*) = "
+              f"{log_prob_target(post, theta_star):.3f} at theta* = {theta_star.tolist()}")
         grid = harness.density_grid(post, config.prior)
         if grid is not None:
             harness.save_grid(*grid, out / "density_grid.csv")
-        print(f"wrote {out / 'posterior.json'}")
+            print(f"wrote {out / 'density_grid.csv'}; density peak at "
+                  f"{grid[0][int(np.argmax(grid[1]))].tolist()}")
 
     elif args.command == "evaluate":
         config = _load_config(args)

@@ -31,7 +31,7 @@ from .priors import PriorSpec, gaussian_prior, uniform_box
 from .simulators import builtin_controller, get_model, rollout
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # An artifact's tag: a JSON document's "format", or the first word of a
 # CSV table's header line.
 ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
@@ -370,7 +370,9 @@ def load_dataset(path) -> Dataset:
 class FittedModel:
     """Trained conditional density plus everything inference needs:
     feature map, head weights, the parameter-space affine normalization
-    and the statistics standardizer."""
+    and the statistics standardizer. ``provenance`` holds the training
+    decisions: the lengthscale CV rungs, the selected lengthscale and the
+    final fit's best epoch."""
 
     feature_map: object  # a map of features.FEATURE_MAPS
     head: mdn.MixtureHeadWeights
@@ -380,9 +382,11 @@ class FittedModel:
     config_hash: str
     benchmark: str
     param_names: list
-    selected_lengthscale: float | None = None
+    provenance: dict
 
     def __post_init__(self):
+        if not isinstance(self.provenance, dict):
+            raise ContractError("provenance must be a mapping")
         self.param_offset = np.asarray(self.param_offset, dtype=float)
         self.param_scale = np.asarray(self.param_scale, dtype=float)
         fmap, head, d = self.feature_map, self.head, self.head.theta_dim
@@ -430,8 +434,10 @@ def train_model(
     shuffle_pairs: bool = False,
 ):
     """Lengthscale selection (RFF) followed by full training. Returns
-    (FittedModel, TrainingReport). ``shuffle_pairs`` trains on broken
-    (theta, x) pairings; the control method in the evaluation table."""
+    (FittedModel, TrainingReport); the model's provenance records the CV
+    rungs, the selected lengthscale and the best epoch. ``shuffle_pairs``
+    trains on broken (theta, x) pairings; the control method in the
+    evaluation table."""
     x = dataset.x_standardized
     thetas = dataset.thetas
     if shuffle_pairs:
@@ -442,7 +448,7 @@ def train_model(
     theta_std = (thetas - offset) / scale
 
     input_dim = x.shape[1]
-    selected = None
+    selected, rungs = None, []
     if feature_type == "rff":
         if config.lengthscale is not None:
             cands = [float(config.lengthscale)]
@@ -451,7 +457,7 @@ def train_model(
         else:
             med = median_heuristic_lengthscale(x)
             cands = [med * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        fmap = mdn.select_lengthscale(
+        fmap, rungs = mdn.select_lengthscale(
             [build_rff(KernelConfig(config.kernel_family, s, config.num_features), input_dim)
              for s in cands],
             x, theta_std, config.trainer(repeat, epochs=config.cv_epochs))
@@ -467,7 +473,8 @@ def train_model(
         feature_map=fmap, head=head, param_offset=offset, param_scale=scale,
         schema=dataset.schema, config_hash=dataset.config_hash,
         benchmark=dataset.benchmark, param_names=dataset.param_names,
-        selected_lengthscale=selected,
+        provenance={"cv_rungs": rungs, "selected_lengthscale": selected,
+                    "best_epoch": report.best_epoch},
     )
     return model, report
 
@@ -477,7 +484,7 @@ def save_model(model: FittedModel, path) -> None:
         "config_hash": model.config_hash,
         "benchmark": model.benchmark,
         "param_names": model.param_names,
-        "selected_lengthscale": model.selected_lengthscale,
+        "provenance": model.provenance,
         "feature": model.feature_map.to_doc(),
         "head": {
             "weight": model.head.weight.tolist(),
@@ -506,8 +513,7 @@ def _model_from(doc: dict, rows) -> FittedModel:
         param_offset=doc["param_offset"], param_scale=doc["param_scale"],
         schema=StatsSchema(sd["state_dim"], sd["action_dim"], sd["mean"], sd["std"]),
         config_hash=doc["config_hash"], benchmark=doc["benchmark"],
-        param_names=doc["param_names"],
-        selected_lengthscale=doc["selected_lengthscale"],
+        param_names=doc["param_names"], provenance=doc["provenance"],
     )
 
 

@@ -487,34 +487,58 @@ CV_FOLDS = 3
 
 def select_lengthscale(feature_maps, x_train: np.ndarray, theta_train: np.ndarray,
                        config: TrainerConfig):
-    """Lengthscale choice by cross-validation over CV_FOLDS folds.
+    """Lengthscale choice by successive halving over CV_FOLDS folds.
 
-    ``feature_maps`` are the candidate RFF maps; each fold trains one
-    head per map in one lockstep stack. Returns the map maximizing mean
-    held-out log-density; exact ties break toward the larger
-    lengthscale. A single candidate is returned without CV.
+    ``feature_maps`` are the candidate RFF maps; the rungs of
+    :func:`_halving_rungs` score them fold by fold and keep the better
+    half after each fold but the last. Returns (map, rungs): the
+    survivor maximizing mean held-out log-density, exact ties breaking
+    toward the larger lengthscale, and one record per rung of the fold,
+    the candidates' lengthscales and their running totals. A single
+    candidate is returned without CV and with no rungs.
+
+    A head's fit does not depend on the other heads of its stack, so a
+    survivor's total is bitwise its total under the flat
+    candidates x folds grid. The pick is the flat grid's whenever its
+    winner ranks in the top two on fold 0. It differs in one way: a
+    candidate pruned after fold 0 never trains on the later folds, so
+    its divergence there raises nothing, while a divergence on fold 0
+    still raises TrainingDivergenceError.
     """
     if not feature_maps:
         raise ConfigurationError("need at least one lengthscale candidate")
     if len(feature_maps) == 1:
-        return feature_maps[0]
+        return feature_maps[0], []
     x = np.atleast_2d(np.asarray(x_train, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
     idx = np.random.default_rng(config.seed).permutation(x.shape[0])
-    scores = _cv_scores(feature_maps, x, theta, np.array_split(idx, CV_FOLDS), config)
+    rungs = _halving_rungs(feature_maps, x, theta, np.array_split(idx, CV_FOLDS), config)
+    maps, totals = rungs[-1][1:]
+    scores = [total / x.shape[0] for total in totals]
     best_score = max(scores)
-    return max((m for m, sc in zip(feature_maps, scores) if sc == best_score),
+    best = max((m for m, sc in zip(maps, scores) if sc == best_score),
                key=lambda m: m.kernel.lengthscale)
+    return best, [{"fold": f, "lengthscales": [m.kernel.lengthscale for m in ms],
+                   "totals": ts} for f, ms, ts in rungs]
 
 
-def _cv_scores(feature_maps, x, theta, fold_ids, config) -> list:
-    """Mean held-out log-likelihood per feature map, each fold scored by
-    heads trained in lockstep on the other folds."""
-    totals = [0.0] * len(feature_maps)
+def _halving_rungs(feature_maps, x, theta, fold_ids, config) -> list:
+    """Successive halving with fold f as rung f. Each rung trains the
+    surviving maps in one lockstep stack on the other folds and adds each
+    survivor's held-out log-likelihood sum on fold f to its running
+    total; after every rung but the last, the best max(2, survivors // 2)
+    by total go on, ties toward the larger lengthscale. Returns one
+    (fold, maps, totals) triple per rung, maps in candidate order."""
+    maps, totals, rungs = list(feature_maps), [0.0] * len(feature_maps), []
     for f, te in enumerate(fold_ids):
+        if rungs and len(maps) > 2:
+            ranked = sorted(range(len(maps)), reverse=True,
+                            key=lambda c: (totals[c], maps[c].kernel.lengthscale))
+            keep = sorted(ranked[:max(2, len(maps) // 2)])
+            maps, totals = [maps[c] for c in keep], [totals[c] for c in keep]
         tr = np.concatenate([g for j, g in enumerate(fold_ids) if j != f])
-        fits = _train_stack(config, x[tr], theta[tr], feature_maps)
-        for c, (head, fmap, _) in enumerate(fits):
-            totals[c] += float(np.sum(
-                _row_log_likelihoods(head, fmap, x[te], theta[te])))
-    return [total / x.shape[0] for total in totals]
+        fits = _train_stack(config, x[tr], theta[tr], maps)
+        totals = [total + float(np.sum(_row_log_likelihoods(head, fmap, x[te], theta[te])))
+                  for total, (head, fmap, _) in zip(totals, fits)]
+        rungs.append((f, maps, totals))
+    return rungs

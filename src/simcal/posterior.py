@@ -112,9 +112,9 @@ def _logdet(mat: np.ndarray) -> float:
 
 
 def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
-    """Exact mixture mass inside ``box``: sum_k alpha_k prod_j
-    (Phi(b_kj) - Phi(a_kj)), with a_kj, b_kj the box edges standardized by
-    component k's mean and standard deviation along axis j.
+    """Exact mixture mass inside ``box``: sum_k alpha_k prod_j P_kj, P_kj
+    being the mass of the box's interval along axis j under marginal j of
+    component k.
 
     Defined for diagonal covariances; returns None when any covariance
     has a nonzero off-diagonal entry.
@@ -122,11 +122,25 @@ def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
     var = np.diagonal(mixture.covariances, axis1=1, axis2=2)
     if not np.array_equal(mixture.covariances, var[:, :, None] * np.eye(mixture.dim)):
         return None
-    sd = np.sqrt(var)
+    return math.fsum(w * math.prod(p) for w, p in _marginal_masses(mixture, box))
+
+
+def box_mass_bound(mixture: GaussianMixture, box: PriorSpec) -> float:
+    """An upper bound on the mixture mass inside ``box`` for any
+    covariance: sum_k alpha_k min_j P_kj, since the box lies inside each
+    of its axis slabs."""
+    return math.fsum(w * min(p) for w, p in _marginal_masses(mixture, box))
+
+
+def _marginal_masses(mixture: GaussianMixture, box: PriorSpec):
+    """(alpha_k, [P_k1 ... P_kd]) per component: P_kj = Phi(b_kj) -
+    Phi(a_kj), with a_kj, b_kj the box edges along axis j standardized by
+    component k's mean and marginal standard deviation."""
+    sd = np.sqrt(np.diagonal(mixture.covariances, axis1=1, axis2=2))
     lows = ((box.low - mixture.means) / sd).tolist()
     highs = ((box.high - mixture.means) / sd).tolist()
-    return math.fsum(w * math.prod(map(_normal_interval, lo, hi))
-                     for w, lo, hi in zip(mixture.weights.tolist(), lows, highs))
+    return [(w, list(map(_normal_interval, lo, hi)))
+            for w, lo, hi in zip(mixture.weights.tolist(), lows, highs)]
 
 
 def _normal_interval(a: float, b: float) -> float:
@@ -146,16 +160,20 @@ def truncate(
     """Restrict a mixture to a box support.
 
     Records the exact in-box mass of :func:`box_mass` (None for full
-    covariances) in the provenance as ``in_box_mass``, and warns that the
-    posterior is degenerate when that mass is below ``MASS_FLOOR``.
+    covariances) in the provenance as ``in_box_mass``; for full
+    covariances it also records :func:`box_mass_bound` as
+    ``in_box_mass_bound``. Warns that the posterior is degenerate when the
+    mass, or the bound, is below ``MASS_FLOOR``.
     """
     est = PosteriorEstimate(mixture=mixture, support=box,
                             provenance=dict(provenance or {}))
     mass = box_mass(mixture, box)
     est.provenance["in_box_mass"] = mass
-    if mass is not None and mass < MASS_FLOOR:
+    if mass is None:
+        mass = est.provenance["in_box_mass_bound"] = box_mass_bound(mixture, box)
+    if mass < MASS_FLOOR:
         warnings.warn(
-            f"mixture mass inside support box {mass:.1e}; posterior is degenerate",
+            f"mixture mass inside support box is at most {mass:.1e}; posterior is degenerate",
             RuntimeWarning,
         )
     return est
@@ -198,18 +216,20 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     full covariances the acceptance seen so far. Memory is the output
     plus one chunk.
 
-    Raises DegeneratePosteriorError before any draw when the in-box mass
-    is below ``MASS_FLOOR``. Full covariances have no exact mass; they
-    raise after one million consecutive rejected draws instead.
+    Raises DegeneratePosteriorError before any draw when the in-box mass,
+    or for full covariances its bound :func:`box_mass_bound`, is below
+    ``MASS_FLOOR``. A full covariance whose bound passes but whose mass
+    does not raises after one million consecutive rejected draws.
     """
     for name, value in (("count", count), ("seed", seed)):
         if value < 0:
             raise ContractError(f"{name} must be >= 0, got {value}")
     mixture, box = p.mixture, p.support
     mass = 1.0 if box is None else box_mass(mixture, box)
-    if mass is not None and mass < MASS_FLOOR:
+    upper = box_mass_bound(mixture, box) if mass is None else mass
+    if upper < MASS_FLOOR:
         raise DegeneratePosteriorError(
-            f"mixture mass inside support box {mass:.1e} is below {MASS_FLOOR:g}")
+            f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
     d = mixture.dim
     cum = np.cumsum(mixture.weights)
     cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])

@@ -37,8 +37,14 @@ from simcal.harness import (
     train_model,
 )
 from simcal.mdn import GaussianMixture
-from simcal.posterior import PosteriorEstimate, sample
-from simcal.priors import uniform_box
+from simcal.posterior import (
+    PosteriorEstimate,
+    divide_by_gaussian,
+    log_prob_target,
+    sample,
+    truncate,
+)
+from simcal.priors import gaussian_prior, uniform_box
 from simcal.simulators import builtin_controller, get_model, rollout
 from simcal.trajstats import compute_stats
 
@@ -345,6 +351,32 @@ def test_cli_pipeline_and_determinism(tmp_path):
     post = load_posterior(out1 / "posterior.json")
     draws = sample(post, 50, seed=3)
     assert np.all((draws >= 0.01) & (draws <= 0.3))
+
+
+def test_cli_train_records_cv_decisions_and_infer_reports_target(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(CFG_YAML.replace("lengthscale: 1.0",
+                                         "lengthscale_candidates: [0.5, 1.0, 2.0]"))
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert cli.main(["train", "--config", str(cfg_path), "--dataset",
+                     str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 0
+    prov = json.loads((tmp_path / "model.json").read_text())["provenance"]
+    rungs = prov["cv_rungs"]
+    assert [r["fold"] for r in rungs] == [0, 1, 2]
+    assert rungs[0]["lengthscales"] == [0.5, 1.0, 2.0]
+    assert len(rungs[1]["lengthscales"]) == len(rungs[2]["lengthscales"]) == 2
+    assert all(len(r["totals"]) == len(r["lengthscales"]) for r in rungs)
+    assert prov["selected_lengthscale"] in rungs[2]["lengthscales"]
+    assert f"(best epoch {prov['best_epoch']})" in capsys.readouterr().out
+
+    assert cli.main(["infer", "--config", str(cfg_path), "--model",
+                     str(tmp_path / "model.json"), "--out", str(tmp_path)]) == 0
+    post = load_posterior(tmp_path / "posterior.json")
+    cfg = load_config(cfg_path)
+    out = capsys.readouterr().out
+    assert f"log p(theta*) = {log_prob_target(post, np.asarray(cfg.theta_star)):.3f}" in out
+    grid, logdens = density_grid(post, cfg.prior)
+    assert f"density peak at {grid[int(np.argmax(logdens))].tolist()}" in out
 
 
 def test_cli_config_hash_mismatch_exit_2(tmp_path):
@@ -664,6 +696,10 @@ CORRUPTIONS = {
         p, lambda d: d.update(param_offset="abc"))),
     "model_num_components_fraction": ("model.json", lambda p: _edit_json(
         p, lambda d: d["head"].update(num_components=1.5))),
+    "model_provenance_list": ("model.json",
+                              lambda p: _edit_json(p, lambda d: d.update(provenance=[1]))),
+    "model_without_provenance": ("model.json",
+                                 lambda p: _edit_json(p, lambda d: d.pop("provenance"))),
     "posterior_weights_half": ("posterior.json", lambda p: _edit_json(
         p, lambda d: d.update(weights=[w / 2 for w in d["weights"]]))),
     "posterior_weight_negative": ("posterior.json",
@@ -694,7 +730,7 @@ def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsy
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     if case == "model_version_1":
-        assert "version 1" in err and "version 2" in err
+        assert "version 1" in err and f"version {harness.FORMAT_VERSION}" in err
 
 
 @pytest.mark.parametrize("command", ["generate", "sample"])
@@ -713,6 +749,21 @@ def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
     save_posterior(PosteriorEstimate(m, uniform_box([-1.0], [1.0])),
                    tmp_path / "posterior.json", "")
+    capsys.readouterr()
+    assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
+                     "--count", "5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "mass" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_cli_sample_full_covariance_below_mass_bound_exit_3(tmp_path, capsys):
+    q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
+    m = divide_by_gaussian(q, gaussian_prior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        post = truncate(m, uniform_box([-1.0, -1.0], [1.0, 1.0]))
+    save_posterior(post, tmp_path / "posterior.json", "")
     capsys.readouterr()
     assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
                      "--count", "5", "--out", str(tmp_path)]) == 3

@@ -249,13 +249,14 @@ def test_loss_values_match_log_density_oracle(kind, monkeypatch):
     assert (np.mean(mdn._row_log_likelihoods(head, fmap, x, th))
             == pytest.approx(oracle, abs=1e-12))
 
-    # CV score with every fold's fit replaced by ``head``: the folds
+    # CV total with every fold's fit replaced by ``head``: the folds
     # partition the rows, so it is the same mean.
     monkeypatch.setattr(mdn, "_train_stack",
                         lambda cfg, xs, ths, maps: [(head, f, None) for f in maps])
     folds = np.array_split(rng.permutation(30), 3)
-    (score,) = mdn._cv_scores([fmap], x, th, folds, TrainerConfig(num_components=3))
-    assert score == pytest.approx(oracle, abs=1e-12)
+    rungs = mdn._halving_rungs([fmap], x, th, folds, TrainerConfig(num_components=3))
+    (total,) = rungs[-1][2]
+    assert total / 30 == pytest.approx(oracle, abs=1e-12)
 
 
 def test_empty_batch_rejected():
@@ -329,15 +330,15 @@ def test_validation_loss_trend():
 def test_select_lengthscale_singleton():
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=10, seed=0)
-    got = select_lengthscale([build_rff(KernelConfig("rbf", 0.7, 20), 1)], x, th, cfg)
-    assert got.kernel.lengthscale == 0.7
+    got, rungs = select_lengthscale([build_rff(KernelConfig("rbf", 0.7, 20), 1)], x, th, cfg)
+    assert got.kernel.lengthscale == 0.7 and rungs == []
 
 
 def test_select_lengthscale_prefers_data_scale():
     x, th = _synthetic_data(900, seed=4)
     cfg = TrainerConfig(num_components=2, epochs=60, seed=4)
     sigma0 = 0.3
-    got = select_lengthscale(
+    got, _ = select_lengthscale(
         [build_rff(KernelConfig("rbf", s, 60), 1) for s in (sigma0 * 1e-3, sigma0, sigma0 * 1e3)],
         x, th, cfg,
     )
@@ -348,10 +349,63 @@ def test_select_lengthscale_tie_breaks_large():
     # identical scores forced by a single fold candidate list duplicate
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=5, seed=0)
-    got = select_lengthscale(
+    got, _ = select_lengthscale(
         [build_rff(KernelConfig("rbf", s, 20), 1) for s in (0.5, 0.5)], x, th, cfg,
     )
     assert got.kernel.lengthscale == 0.5
+
+
+def _forced_cv(monkeypatch, fold_scores):
+    """Run select_lengthscale on candidates whose held-out
+    log-likelihood sum on fold f is ``fold_scores[lengthscale][f]``, with
+    no training. Returns (winner's lengthscale, rungs, stack sizes)."""
+    sizes = []
+
+    def stack(cfg, xs, ths, maps):
+        sizes.append(len(maps))
+        return [(None, m, None) for m in maps]
+
+    def log_likelihoods(head, fmap, xs, ths):
+        return np.array([fold_scores[fmap.kernel.lengthscale][len(sizes) - 1]])
+
+    monkeypatch.setattr(mdn, "_train_stack", stack)
+    monkeypatch.setattr(mdn, "_row_log_likelihoods", log_likelihoods)
+    x, th = _synthetic_data(90)
+    got, rungs = select_lengthscale([build_rff(KernelConfig("rbf", s, 8), 1)
+                                     for s in fold_scores], x, th, TrainerConfig())
+    return got.kernel.lengthscale, rungs, sizes
+
+
+@pytest.mark.parametrize("count,sizes", [(5, [5, 2, 2]), (3, [3, 2, 2]), (2, [2, 2, 2])])
+def test_halving_stack_sizes(monkeypatch, count, sizes):
+    scores = {float(s): [float(s), 0.0, 0.0] for s in range(1, count + 1)}
+    _, rungs, got = _forced_cv(monkeypatch, scores)
+    assert got == sizes
+    assert [r["fold"] for r in rungs] == [0, 1, 2]
+    assert [len(r["lengthscales"]) for r in rungs] == sizes
+
+
+def test_halving_returns_best_survivor_not_flat_winner(monkeypatch):
+    # 3.0 wins the flat grid (8 + 100 + 100) but ranks third on fold 0, so
+    # it is pruned; of the survivors 1.0 and 2.0, 1.0 has the larger total.
+    scores = {1.0: [10.0, 0.0, 0.0], 2.0: [9.0, 0.0, 0.0], 3.0: [8.0, 100.0, 100.0],
+              4.0: [0.0, 0.0, 0.0], 5.0: [0.0, 0.0, 0.0]}
+    flat = max(scores, key=lambda s: sum(scores[s]))
+    got, rungs, _ = _forced_cv(monkeypatch, scores)
+    assert flat == 3.0 and got == 1.0
+    assert rungs[0] == {"fold": 0, "lengthscales": [1.0, 2.0, 3.0, 4.0, 5.0],
+                        "totals": [10.0, 9.0, 8.0, 0.0, 0.0]}
+    assert rungs[2] == {"fold": 2, "lengthscales": [1.0, 2.0], "totals": [10.0, 9.0]}
+
+
+def test_halving_ties_keep_and_pick_the_larger_lengthscale(monkeypatch):
+    # 0.5, 1.0 and 2.0 tie on fold 0 for two places: 1.0 and 2.0 go on,
+    # tie again on every fold, and 2.0 wins.
+    scores = {0.5: [1.0, 0.0, 0.0], 1.0: [1.0, 0.0, 0.0], 2.0: [1.0, 0.0, 0.0],
+              4.0: [0.0, 0.0, 0.0], 8.0: [-1.0, 0.0, 0.0]}
+    got, rungs, _ = _forced_cv(monkeypatch, scores)
+    assert rungs[1]["lengthscales"] == rungs[2]["lengthscales"] == [1.0, 2.0]
+    assert got == 2.0
 
 
 # -- lockstep training ------------------------------------------------------
@@ -422,19 +476,27 @@ def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
         stops.add(len(report.val_loss))
     assert len(stops) > 1 and max(stops) < cfg.epochs  # heads leave at different epochs
 
+    # The flat candidates x folds grid, one head at a time: every rung's
+    # running totals must equal its running sums bitwise.
     folds = np.array_split(np.random.default_rng(cfg.seed).permutation(len(x)), 3)
-    scores = []
+    flat = {}
     for fmap in maps:
-        total = 0.0
+        total, running = 0.0, []
         for f, te in enumerate(folds):
             tr = np.concatenate([g for j, g in enumerate(folds) if j != f])
             (weight, bias), _ = _reference_train(cfg, x[tr], th[tr], fmap)
             head = MixtureHeadWeights(weight, bias, cfg.num_components)
             total += float(np.sum(mdn._row_log_likelihoods(head, fmap, x[te], th[te])))
-        scores.append(total / len(x))
-    assert mdn._cv_scores(maps, x, th, folds, cfg) == scores
-    best = max(c for c, sc in zip(CANDIDATES, scores) if sc == max(scores))
-    assert select_lengthscale(maps, x, th, cfg).kernel.lengthscale == best
+            running.append(total)
+        flat[fmap.kernel.lengthscale] = running
+    got, rungs = select_lengthscale(maps, x, th, cfg)
+    assert rungs[0]["lengthscales"] == CANDIDATES
+    for rung in rungs:
+        assert rung["totals"] == [flat[s][rung["fold"]] for s in rung["lengthscales"]]
+    survivors = rungs[-1]["lengthscales"]
+    scores = [flat[s][-1] / len(x) for s in survivors]
+    best = max(s for s, sc in zip(survivors, scores) if sc == max(scores))
+    assert got.kernel.lengthscale == best
 
 
 def test_stopped_head_stays_frozen(monkeypatch):

@@ -17,6 +17,7 @@ from simcal.posterior import (
     NEG_INF,
     PosteriorEstimate,
     box_mass,
+    box_mass_bound,
     divide_by_gaussian,
     log_prob_target,
     recover_posterior,
@@ -166,6 +167,51 @@ def test_box_mass_far_tail_keeps_relative_precision(low, high):
 def test_box_mass_is_none_for_full_covariances():
     m = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.3], [0.3, 1.0]]])
     assert box_mass(m, uniform_box([-1.0, -1.0], [1.0, 1.0])) is None
+
+
+def test_box_mass_bound_is_an_upper_bound():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        m = random_narrow_mixture(rng, k=4, d=3)
+        low = rng.uniform(-2.0, 0.5, 3)
+        box = uniform_box(low, low + rng.uniform(0.1, 2.0, 3))
+        assert box_mass(m, box) <= box_mass_bound(m, box)
+    m = random_narrow_mixture(rng, d=1)  # one axis: the bound is the mass
+    box = uniform_box([-0.5], [0.7])
+    assert box_mass_bound(m, box) == box_mass(m, box)
+
+    # A correlated mixture: the bound is above the Monte Carlo mass.
+    q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
+                        [[0.2, 0.1], [0.15, 0.25]])
+    m = divide_by_gaussian(q, gaussian_prior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]]))
+    box = uniform_box([-0.5, -0.5], [0.5, 0.5])
+    draws = sample(PosteriorEstimate(m), 100_000, seed=14)
+    assert np.mean(np.all((draws >= box.low) & (draws <= box.high), axis=1)) \
+        < box_mass_bound(m, box)
+
+
+def _far_correlated_posterior():
+    """N((5, 5), 0.1 I) divided by a correlated proposal: a full
+    covariance with almost no mass in [-1, 1]^2."""
+    q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
+    m = divide_by_gaussian(q, gaussian_prior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    assert m.covariances[0, 0, 1] != 0
+    return m, uniform_box([-1.0, -1.0], [1.0, 1.0])
+
+
+def test_truncate_warns_on_full_covariance_below_mass_floor(monkeypatch):
+    m, box = _far_correlated_posterior()
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        p = truncate(m, box)
+    assert p.provenance["in_box_mass"] is None
+    assert p.provenance["in_box_mass_bound"] == box_mass_bound(m, box) < MASS_FLOOR
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sample drew before checking the in-box mass bound")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DegeneratePosteriorError, match="mass"):
+        sample(p, 10, seed=0)
 
 
 @pytest.mark.parametrize("low,high", [([0.1, np.nan], [2.0, 2.0]),
