@@ -492,8 +492,8 @@ def select_lengthscale(feature_maps, x_train: np.ndarray, theta_train: np.ndarra
     ``feature_maps`` are the candidate RFF maps; the rungs of
     :func:`_halving_rungs` score them fold by fold and keep the better
     half after each fold but the last. Returns (map, rungs): the
-    survivor maximizing mean held-out log-density, exact ties breaking
-    toward the larger lengthscale, and one record per rung of the fold,
+    survivor with the highest held-out log-likelihood total, exact ties
+    breaking toward the larger lengthscale, and one record per rung of the fold,
     the candidates' lengthscales and their running totals. A single
     candidate is returned without CV and with no rungs.
 
@@ -513,13 +513,17 @@ def select_lengthscale(feature_maps, x_train: np.ndarray, theta_train: np.ndarra
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
     idx = np.random.default_rng(config.seed).permutation(x.shape[0])
     rungs = _halving_rungs(feature_maps, x, theta, np.array_split(idx, CV_FOLDS), config)
-    maps, totals = rungs[-1][1:]
-    scores = [total / x.shape[0] for total in totals]
-    best_score = max(scores)
-    best = max((m for m, sc in zip(maps, scores) if sc == best_score),
-               key=lambda m: m.kernel.lengthscale)
+    _, maps, totals = rungs[-1]
+    best = max(zip(totals, maps), key=_rank)[1]
     return best, [{"fold": f, "lengthscales": [m.kernel.lengthscale for m in ms],
                    "totals": ts} for f, ms, ts in rungs]
+
+
+def _rank(scored) -> tuple:
+    """Order of a (total, map) pair in pruning and in the final pick:
+    higher held-out total first, exact ties toward the larger lengthscale."""
+    total, fmap = scored
+    return total, fmap.kernel.lengthscale
 
 
 def _halving_rungs(feature_maps, x, theta, fold_ids, config) -> list:
@@ -531,9 +535,9 @@ def _halving_rungs(feature_maps, x, theta, fold_ids, config) -> list:
     (fold, maps, totals) triple per rung, maps in candidate order."""
     maps, totals, rungs = list(feature_maps), [0.0] * len(feature_maps), []
     for f, te in enumerate(fold_ids):
-        if rungs and len(maps) > 2:
+        if rungs and len(maps) > 2:  # two or fewer: nothing to prune
             ranked = sorted(range(len(maps)), reverse=True,
-                            key=lambda c: (totals[c], maps[c].kernel.lengthscale))
+                            key=lambda c: _rank((totals[c], maps[c])))
             keep = sorted(ranked[:max(2, len(maps) // 2)])
             maps, totals = [maps[c] for c in keep], [totals[c] for c in keep]
         tr = np.concatenate([g for j, g in enumerate(fold_ids) if j != f])
