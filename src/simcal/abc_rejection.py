@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .mdn import _logsumexp
+from .mdn import GaussianMixture, log_density_batch
 from .priors import PriorSpec
 
 
@@ -81,10 +81,11 @@ BANDWIDTH_FLOOR = 1e-8
 
 def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray) -> float:
     """Gaussian kernel-density estimate over the accepted set, evaluated
-    in log at the target.
+    in log at the target: the density of the equal-weight mixture with
+    one component N(sample, diag h^2) per accepted sample.
 
-    Bandwidths follow the deviation-based (Silverman) rule per dimension,
-    floored so a point-mass set still yields a finite density.
+    Bandwidths h follow the deviation-based (Silverman) rule per
+    dimension, floored so a point-mass set still yields a finite density.
     """
     samples = np.atleast_2d(np.asarray(accepted, dtype=float))
     n, d = samples.shape
@@ -96,7 +97,5 @@ def abc_log_prob(accepted: np.ndarray, theta_star: np.ndarray) -> float:
     std = samples.std(axis=0, ddof=1)
     h = np.maximum(std * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0)),
                    BANDWIDTH_FLOOR)
-    z = (theta_star - samples) / h
-    log_kernels = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(h)) \
-        - 0.5 * d * np.log(2.0 * np.pi)
-    return float(_logsumexp(log_kernels[:, None])[0] - np.log(n))
+    kde = GaussianMixture(np.full(n, 1.0 / n), samples, np.tile(h * h, (n, 1)))
+    return float(log_density_batch(kde, theta_star)[0])

@@ -108,7 +108,7 @@ def run(argv=None) -> int:
         theta_star = np.asarray(config.theta_star)
         print(f"wrote {out / 'posterior.json'}; log p(theta*) = "
               f"{log_prob_target(post, theta_star):.3f} at theta* = {theta_star.tolist()}")
-        grid = harness.density_grid(post, config.prior)
+        grid = harness.density_grid(post)
         if grid is not None:
             harness.save_grid(*grid, out / "density_grid.csv")
             print(f"wrote {out / 'density_grid.csv'}; density peak at "

@@ -60,7 +60,7 @@ _FIELD_RANGES = dict.fromkeys(
      "cv_epochs", "batch_size", "repeats", "real_rollouts"), (1, math.inf))
 _FIELD_RANGES.update(dict.fromkeys(
     ("abc_max_simulations", "seed", "controller_seed", "patience"), (0, math.inf)),
-    learning_rate=_POSITIVE, lengthscale=_POSITIVE, lengthscale_candidates=_POSITIVE,
+    learning_rate=_POSITIVE, lengthscale_candidates=_POSITIVE,
     abc_accept_rate=(0, 1), abc_epsilon=(0, math.inf))
 # The values a field, or each value of a list field, may take.
 _FIELD_CHOICES = {"benchmark": tuple(BENCHMARK_PRIORS), "proposal": ("prior", "gaussian"),
@@ -90,8 +90,7 @@ class ExperimentConfig:
     feature_type: str = "rff"        # "rff" | "nn"
     kernel_family: str = "rbf"
     num_features: int = 200
-    lengthscale: float | None = None
-    lengthscale_candidates: tuple = ()
+    lengthscale_candidates: tuple = ()  # () -> median heuristic x 0.25 ... 4
     hidden_units: int = 24
     num_components: int = 5
     epochs: int = 500
@@ -450,9 +449,7 @@ def train_model(
     input_dim = x.shape[1]
     selected, rungs = None, []
     if feature_type == "rff":
-        if config.lengthscale is not None:
-            cands = [float(config.lengthscale)]
-        elif config.lengthscale_candidates:
+        if config.lengthscale_candidates:
             cands = list(config.lengthscale_candidates)
         else:
             med = median_heuristic_lengthscale(x)
@@ -552,20 +549,18 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
         "weights": p.mixture.weights.tolist(),
         "means": p.mixture.means.tolist(),
         "covariances": p.mixture.covariances.tolist(),
-        "support_low": None if p.support is None else p.support.low.tolist(),
-        "support_high": None if p.support is None else p.support.high.tolist(),
+        "support_low": p.support.low.tolist(),
+        "support_high": p.support.high.tolist(),
         "provenance": p.provenance,
     }
     _write_doc(path, "posterior", doc)
 
 
 def _posterior_from(doc: dict, rows) -> PosteriorEstimate:
-    support = None
-    if doc["support_low"] is not None:
-        support = uniform_box(doc["support_low"], doc["support_high"])
     return PosteriorEstimate(
         mixture=GaussianMixture(doc["weights"], doc["means"], doc["covariances"]),
-        support=support, provenance=doc["provenance"])
+        support=uniform_box(doc["support_low"], doc["support_high"]),
+        provenance=doc["provenance"])
 
 
 def load_posterior(path) -> PosteriorEstimate:
@@ -575,10 +570,11 @@ def load_posterior(path) -> PosteriorEstimate:
 GRID_POINTS_1D, GRID_POINTS_2D = 512, 128  # per axis
 
 
-def density_grid(p: PosteriorEstimate, box: PriorSpec):
-    """Grid-evaluated log density for plotting. Returns (grid, logdens)
-    for 1-D/2-D posteriors, None for higher dimensions."""
-    d = p.mixture.dim
+def density_grid(p: PosteriorEstimate):
+    """Log density on a grid spanning the posterior's support box, for
+    plotting. Returns (grid, logdens) for 1-D/2-D posteriors, None for
+    higher dimensions."""
+    d, box = p.mixture.dim, p.support
     if d == 1:
         xs = np.linspace(box.low[0], box.high[0], GRID_POINTS_1D)
         grid = xs[:, None]

@@ -27,20 +27,23 @@ class GaussianMixture:
     """Finite Gaussian mixture with full (or diagonal-as-full) covariances.
 
     weights: (K,) on the simplex; means: (K, d); covariances: (K, d, d)
-    symmetric positive definite.
+    symmetric positive definite, or (K, d) diagonals. ``chol`` holds the
+    lower Cholesky factors of the covariances, (K, d, d), computed once
+    by the positive-definiteness check.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.covariances = np.asarray(self.covariances, dtype=float)
-        if self.covariances.ndim == 2:  # stack of diagonals
-            self.covariances = np.stack([np.diag(v) for v in self.covariances])
         k, d = self.means.shape
+        if self.covariances.ndim == 2:  # stack of diagonals
+            self.covariances = self.covariances[:, :, None] * np.eye(d)
         if self.weights.shape != (k,) or self.covariances.shape != (k, d, d):
             raise ContractError("inconsistent mixture shapes")
         # The weights as Generator.choice accepts them: >= 0, summing to 1.
@@ -50,7 +53,7 @@ class GaussianMixture:
             raise ContractError(f"mixture weights {self.weights.tolist()} must be >= 0 "
                                 "and sum to 1, and means and covariances be finite")
         try:
-            np.linalg.cholesky(self.covariances)
+            self.chol = np.linalg.cholesky(self.covariances)
         except np.linalg.LinAlgError:
             raise ContractError("mixture covariances must be positive definite") from None
 
@@ -65,18 +68,17 @@ class GaussianMixture:
 
 def log_density_batch(mixture: GaussianMixture, thetas: np.ndarray) -> np.ndarray:
     """log sum_k alpha_k N(theta | mu_k, Sigma_k) at each row of
-    ``thetas`` (n, d), via log-sum-exp."""
+    ``thetas`` (n, d), via log-sum-exp, every component at once from the
+    mixture's Cholesky factors."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    k, d = mixture.means.shape
+    d = mixture.dim
     if thetas.shape[1] != d:
         raise ContractError("theta dimension does not match mixture")
-    comp = np.empty((k, thetas.shape[0]))
-    for j in range(k):
-        chol = np.linalg.cholesky(mixture.covariances[j])
-        diff = thetas - mixture.means[j]
-        y = np.linalg.solve(chol, diff.T).T
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        comp[j] = -0.5 * (d * LOG_2PI + logdet + np.sum(y * y, axis=1))
+    chol = mixture.chol
+    diff = (thetas - mixture.means[:, None, :]).swapaxes(1, 2)  # (K, d, n)
+    y = np.linalg.solve(chol, diff)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    comp = -0.5 * ((d * LOG_2PI + logdet)[:, None] + np.sum(y * y, axis=1))
     return _logsumexp(comp + np.log(mixture.weights + 1e-300)[:, None])
 
 
@@ -257,8 +259,7 @@ def loss_and_gradient(
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """MDN training hyperparameters (conventional defaults, recorded in
-    every training report)."""
+    """MDN training hyperparameters (conventional defaults)."""
 
     num_components: int = 5
     learning_rate: float = 1e-3
@@ -274,7 +275,6 @@ class TrainingReport:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_epoch: int = 0
-    config: TrainerConfig | None = None
 
 
 class _Adam:
@@ -434,7 +434,7 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
         feats_tr = np.stack([m.apply(x_tr) for m in feature_maps])
         feats_val = np.stack([m.apply(x_val) for m in feature_maps])
 
-    reports = [TrainingReport(config=config) for _ in feature_maps]
+    reports = [TrainingReport() for _ in feature_maps]
     best, best_loss = params.copy(), np.full(len(feature_maps), np.inf)
     best_epoch = np.zeros(len(feature_maps), dtype=int)
     stopped = np.zeros(len(feature_maps), dtype=bool)

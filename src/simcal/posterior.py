@@ -31,33 +31,31 @@ CHUNK_ROWS = (256, 65_536)  # the fewest and most draws of one sampling chunk
 
 @dataclass
 class PosteriorEstimate:
-    """Gaussian mixture, optionally truncated to a box support.
+    """Gaussian mixture truncated to a box support.
 
-    Densities of truncated posteriors are reported unnormalized: the
-    mixture density inside the box and -inf outside it, not divided by the
-    in-box mass that :func:`truncate` records in the provenance as
-    ``in_box_mass``. :func:`sample` draws exactly from the truncated
-    distribution, by rejection against the box.
+    Densities are reported unnormalized: the mixture density inside the
+    box and -inf outside it, not divided by the in-box mass that
+    :func:`truncate` records in the provenance as ``in_box_mass``.
+    :func:`sample` draws exactly from the truncated distribution, by
+    rejection against the box.
     """
 
     mixture: GaussianMixture
-    support: PriorSpec | None = None
+    support: PriorSpec
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.support is not None and self.support.kind != UNIFORM_BOX:
+        if not isinstance(self.support, PriorSpec) or self.support.kind != UNIFORM_BOX:
             raise ConfigurationError("support must be a uniform box")
-        if self.support is not None and self.support.dim != self.mixture.dim:
+        if self.support.dim != self.mixture.dim:
             raise ContractError("box dimension does not match mixture")
         if not isinstance(self.provenance, dict):
             raise ContractError("provenance must be a mapping")
 
     def log_density_batch(self, thetas) -> np.ndarray:
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = log_density_batch(self.mixture, thetas)
-        if self.support is not None:
-            inside = _inside(self.support, np.atleast_2d(np.asarray(thetas, float)))
-            out = np.where(inside, out, NEG_INF)
-        return out
+        return np.where(_inside(self.support, thetas), out, NEG_INF)
 
 
 def _inside(box: PriorSpec, t: np.ndarray) -> np.ndarray:
@@ -71,29 +69,32 @@ def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixtu
     Every component must be strictly narrower than the proposal, i.e.
     Sigma_k^-1 - Sigma_0^-1 positive definite; otherwise the ratio has no
     normalizable Gaussian form and we raise naming the component.
-    Log-weights are combined in log space to dodge determinant overflow.
+    Log-weights are combined in log space to dodge determinant overflow;
+    the log-determinants come from the Cholesky factors of Sigma_k,
+    Sigma_0 and Sigma_k^-1 - Sigma_0^-1.
     """
     if proposal.kind != GAUSSIAN:
         raise ConfigurationError("divide_by_gaussian needs a Gaussian proposal")
-    mu0, cov0 = proposal.mean, proposal.cov
-    prec0 = np.linalg.inv(cov0)
-    k, d = q.means.shape
+    mu0 = proposal.mean
+    prec0 = np.linalg.inv(proposal.cov)
+    # log diag of the factors of Sigma_k and Sigma_0; log det = 2 sum log diag
+    log_diag = np.log(np.diagonal(q.chol, axis1=1, axis2=2)) - np.log(np.diag(proposal.chol))
+    k = q.num_components
     new_means = np.empty_like(q.means)
     new_covs = np.empty_like(q.covariances)
     log_unnorm = np.empty(k)
-    logdet0 = _logdet(cov0)
-    for j in range(k):
-        prec_k = np.linalg.inv(q.covariances[j])
+    for j, prec_k in enumerate(np.linalg.inv(q.covariances)):
         prec_new = prec_k - prec0
         try:
-            np.linalg.cholesky(prec_new)
+            chol_new = np.linalg.cholesky(prec_new)
         except np.linalg.LinAlgError:
             raise ComponentWiderThanProposalError(j)
         cov_new = np.linalg.inv(prec_new)
         cov_new = 0.5 * (cov_new + cov_new.T)
         mu_new = cov_new @ (prec_k @ q.means[j] - prec0 @ mu0)
+        # log det Sigma_new = -log det (Sigma_k^-1 - Sigma_0^-1)
         lam = (
-            _logdet(q.covariances[j]) - logdet0 - _logdet(cov_new)
+            2.0 * np.sum(log_diag[j] + np.log(np.diag(chol_new)))
             + q.means[j] @ prec_k @ q.means[j]
             - mu0 @ prec0 @ mu0
             - mu_new @ prec_new @ mu_new
@@ -104,11 +105,6 @@ def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixtu
     mx = log_unnorm.max()
     w = np.exp(log_unnorm - mx)
     return GaussianMixture(w / w.sum(), new_means, new_covs)
-
-
-def _logdet(mat: np.ndarray) -> float:
-    chol = np.linalg.cholesky(mat)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
@@ -225,7 +221,7 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
         if value < 0:
             raise ContractError(f"{name} must be >= 0, got {value}")
     mixture, box = p.mixture, p.support
-    mass = 1.0 if box is None else box_mass(mixture, box)
+    mass = box_mass(mixture, box)
     upper = box_mass_bound(mixture, box) if mass is None else mass
     if upper < MASS_FLOOR:
         raise DegeneratePosteriorError(
@@ -234,7 +230,7 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     cum = np.cumsum(mixture.weights)
     cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
     means = mixture.means.T.copy()
-    chol = np.linalg.cholesky(mixture.covariances)
+    chol = mixture.chol
     scales = chol[:, range(d), range(d)].T.copy()
     factors = [[(i, chol[:, j, i].copy()) for i in range(j) if chol[:, j, i].any()]
                for j in range(d)]
@@ -251,17 +247,16 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
         for c in cum:
             labels += u >= c
         z = rng.standard_normal((d, m))
-        keep = None if box is None else np.ones(m, bool)
+        keep = np.ones(m, bool)
         for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
             row = z[j]
             row *= np.take(scales[j], labels)
             for i, f in factors[j]:
                 row += np.take(f, labels) * z[i]
             row += np.take(means[j], labels)
-            if keep is not None:
-                keep &= row >= box.low[j]
-                keep &= row <= box.high[j]
-        kept = z if keep is None else np.compress(keep, z, axis=1)
+            keep &= row >= box.low[j]
+            keep &= row <= box.high[j]
+        kept = np.compress(keep, z, axis=1)
         n = min(kept.shape[1], need)
         out[filled:filled + n] = kept[:, :n].T
         filled += n
@@ -276,11 +271,12 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
 
 
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:
-    """Untruncated mixture log-density at the target parameter; -inf with
-    a warning when the target sits outside the support box."""
+    """Mixture log-density at the target parameter, not divided by the
+    in-box mass; -inf with a warning when the target sits outside the
+    support box."""
     theta = np.asarray(theta_star, dtype=float).reshape(1, -1)
-    if p.support is not None and not _inside(p.support, theta)[0]:
+    lp = float(p.log_density_batch(theta)[0])
+    if not _inside(p.support, theta)[0]:
         warnings.warn("target parameter lies outside the posterior support",
                       RuntimeWarning)
-        return NEG_INF
-    return float(log_density_batch(p.mixture, theta)[0])
+    return lp

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,8 @@ class PriorSpec:
     """Uniform box or Gaussian prior.
 
     Uniform boxes carry per-dimension [low, high]; Gaussians carry mean
-    and a symmetric positive-definite covariance.
+    and a symmetric positive-definite covariance, and ``chol``, its lower
+    Cholesky factor from the positive-definiteness check.
     """
 
     kind: str
@@ -25,6 +26,7 @@ class PriorSpec:
     high: np.ndarray | None = None
     mean: np.ndarray | None = None
     cov: np.ndarray | None = None
+    chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == UNIFORM_BOX:
@@ -45,11 +47,12 @@ class PriorSpec:
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
                 raise ConfigurationError("Gaussian prior mean and covariance must be finite")
             try:
-                np.linalg.cholesky(cov)
+                chol = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise ConfigurationError("Gaussian prior covariance must be SPD") from exc
             object.__setattr__(self, "mean", mean)
             object.__setattr__(self, "cov", cov)
+            object.__setattr__(self, "chol", chol)
         else:
             raise ConfigurationError(f"unknown prior kind {self.kind!r}")
 
@@ -62,9 +65,8 @@ class PriorSpec:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == UNIFORM_BOX:
             return rng.uniform(self.low, self.high, size=(count, self.dim))
-        chol = np.linalg.cholesky(self.cov)
         z = rng.standard_normal((count, self.dim))
-        return self.mean + z @ chol.T
+        return self.mean + z @ self.chol.T
 
 
 def uniform_box(low, high) -> PriorSpec:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simcal.abc_rejection import (
+    BANDWIDTH_FLOOR,
     AbcConfig,
     abc_log_prob,
     epsilon_for_acceptance,
@@ -102,6 +103,36 @@ def test_kde_far_target():
     samples = rng.normal(0, 0.1, (500, 1))
     # ~10 bandwidths translates to a few sigma here; push much further
     assert abc_log_prob(samples, [50.0]) < -40.0
+
+
+def _kde_oracle(samples, theta_star):
+    """The KDE written out: log (1/n) sum_i prod_j N(t_j | s_ij, h_j^2),
+    with Silverman bandwidths h floored at BANDWIDTH_FLOOR."""
+    n, d = samples.shape
+    h = np.maximum(samples.std(axis=0, ddof=1) * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0)),
+                   BANDWIDTH_FLOOR)
+    z = (theta_star - samples) / h
+    log_kernels = (-0.5 * np.sum(z * z, axis=1) - np.sum(np.log(h))
+                   - 0.5 * d * np.log(2.0 * np.pi))
+    mx = log_kernels.max()
+    return mx + np.log(np.sum(np.exp(log_kernels - mx))) - np.log(n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("n", [10, 11, 200, 10000])
+def test_kde_matches_oracle(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    samples = rng.normal(0.0, rng.uniform(0.1, 2.0, d), (n, d))
+    for theta_star in (np.zeros(d), rng.normal(0.0, 1.0, d), np.full(d, 3.0)):
+        assert abc_log_prob(samples, theta_star) == pytest.approx(
+            _kde_oracle(samples, theta_star), rel=1e-12)
+
+
+def test_kde_point_mass_matches_oracle_at_bandwidth_floor():
+    samples = np.full((20, 2), 0.5)
+    for theta_star in ([0.5, 0.5], [0.5 + 1e-8, 0.5 - 2e-8]):
+        assert abc_log_prob(samples, theta_star) == pytest.approx(
+            _kde_oracle(samples, np.asarray(theta_star)), rel=1e-12)
 
 
 def test_kde_requires_ten_samples():

@@ -114,6 +114,7 @@ def test_criterion_3_gaussian_division_oracle():
             assert np.ptp(ratio) < 1e-6 * max(1.0, abs(float(ratio.mean())))
 
 
+@pytest.mark.slow
 def test_criterion_4_pendulum_ordering():
     with _Budget(4, "pendulum dt ordering", 600):
         config = ExperimentConfig(
@@ -131,6 +132,7 @@ def test_criterion_4_pendulum_ordering():
         assert abc > control
 
 
+@pytest.mark.slow
 def test_criterion_5_cartpole_joint_posterior():
     with _Budget(5, "cartpole joint posterior", 900):
         config = ExperimentConfig(
@@ -147,7 +149,7 @@ def test_criterion_5_cartpole_joint_posterior():
             model, _ = train_model(config, dataset, "rff", r)
             post = infer_posterior(config, model, x_r)
             margins.append(log_prob_target(post, theta_star) - log_uniform)
-            grid, logdens = density_grid(post, config.prior)
+            grid, logdens = density_grid(post)
             top = grid[int(np.argmax(logdens))]
             dist = float(np.linalg.norm(top - theta_star))
             hits += dist <= 0.3

@@ -52,7 +52,7 @@ from simcal.trajstats import compute_stats
 def small_config(**over):
     base = dict(
         benchmark="pendulum", num_train=100, num_features=40,
-        num_components=3, epochs=40, cv_epochs=20, lengthscale=1.0,
+        num_components=3, epochs=40, cv_epochs=20, lengthscale_candidates=(1.0,),
         repeats=1, real_rollouts=3, seed=11,
     )
     base.update(over)
@@ -77,6 +77,9 @@ def test_config_validation_errors():
         config_from_dict({"benchmark": "pendulum", "unknown_key": 1})
     with pytest.raises(ConfigurationError):
         ExperimentConfig(benchmark="pendulum", methods=("gibbs",))
+    # a fixed lengthscale is a one-element lengthscale_candidates
+    with pytest.raises(ConfigurationError, match="lengthscale"):
+        config_from_dict({"benchmark": "pendulum", "lengthscale": 1.0})
     # each value must have the type of its field's default
     for key, value in (("seed", True), ("seed", None), ("learning_rate", "fast"),
                        ("prior_low", 0.1), ("proposal_cov", [0.01]),
@@ -98,7 +101,7 @@ def test_config_validation_errors():
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "pendulum", key: value})
     # null and the smallest rejection-ABC budgets still load
-    for key, value in (("lengthscale", None), ("abc_epsilon", None), ("abc_epsilon", 0.0),
+    for key, value in (("abc_epsilon", None), ("abc_epsilon", 0.0),
                        ("abc_max_simulations", 0), ("abc_max_simulations", 11)):
         assert getattr(config_from_dict({"benchmark": "pendulum", key: value}), key) == value
 
@@ -106,8 +109,8 @@ def test_config_validation_errors():
 # Values that only a later stage would trip on; each exits 2 at load.
 REFUSED_AT_LOAD = {
     "kernel_family": ("kernel_family", "matern"),
-    "lengthscale_negative": ("lengthscale", -1.0),
-    "lengthscale_nan": ("lengthscale", float("nan")),
+    "lengthscale_negative": ("lengthscale_candidates", [-1.0]),
+    "lengthscale_nan": ("lengthscale_candidates", [float("nan")]),
     "lengthscale_candidates_negative": ("lengthscale_candidates", [-1.0, 1.0]),
     "abc_epsilon_negative": ("abc_epsilon", -1.0),
     "abc_epsilon_nan": ("abc_epsilon", float("nan")),
@@ -156,11 +159,11 @@ def test_config_hash_stable_and_sensitive():
 def test_load_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n"
-                    "learning_rate: 1\nlengthscale: null\nproposal_cov: [[0.01]]\n")
+                    "learning_rate: 1\nabc_epsilon: null\nproposal_cov: [[0.01]]\n")
     cfg = load_config(path)
     assert cfg.num_train == 120
     assert cfg.theta_star == (0.1,)
-    assert cfg.learning_rate == 1 and cfg.lengthscale is None
+    assert cfg.learning_rate == 1 and cfg.abc_epsilon is None
     assert cfg.proposal_cov == ([0.01],)
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
@@ -258,7 +261,7 @@ def test_posterior_roundtrip_and_grid(fitted, tmp_path):
     loaded = load_posterior(p1)
     save_posterior(loaded, p2, model.config_hash)
     assert p1.read_bytes() == p2.read_bytes()
-    grid, logdens = density_grid(post, cfg.prior)
+    grid, logdens = density_grid(post)
     assert grid.shape == (512, 1)
     assert logdens.shape == (512,)
     # outside-the-box entries cannot appear: the grid spans the prior box
@@ -268,11 +271,10 @@ def test_posterior_roundtrip_and_grid(fitted, tmp_path):
 
 def test_density_grid_dimensions():
     m2 = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    grid, _ = density_grid(PosteriorEstimate(m2), uniform_box([-1, -1], [1, 1]))
+    grid, _ = density_grid(PosteriorEstimate(m2, uniform_box([-1, -1], [1, 1])))
     assert grid.shape == (128 * 128, 2)
     m3 = GaussianMixture([1.0], [np.zeros(3)], [np.ones(3)])
-    assert density_grid(PosteriorEstimate(m3),
-                        uniform_box([-1] * 3, [1] * 3)) is None
+    assert density_grid(PosteriorEstimate(m3, uniform_box([-1] * 3, [1] * 3))) is None
 
 
 def test_save_samples_header(tmp_path):
@@ -322,7 +324,7 @@ num_features: 40
 num_components: 3
 epochs: 30
 cv_epochs: 15
-lengthscale: 1.0
+lengthscale_candidates: [1.0]
 repeats: 1
 real_rollouts: 3
 seed: 11
@@ -355,7 +357,7 @@ def test_cli_pipeline_and_determinism(tmp_path):
 
 def test_cli_train_records_cv_decisions_and_infer_reports_target(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(CFG_YAML.replace("lengthscale: 1.0",
+    cfg_path.write_text(CFG_YAML.replace("lengthscale_candidates: [1.0]",
                                          "lengthscale_candidates: [0.5, 1.0, 2.0]"))
     assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert cli.main(["train", "--config", str(cfg_path), "--dataset",
@@ -375,7 +377,7 @@ def test_cli_train_records_cv_decisions_and_infer_reports_target(tmp_path, capsy
     cfg = load_config(cfg_path)
     out = capsys.readouterr().out
     assert f"log p(theta*) = {log_prob_target(post, np.asarray(cfg.theta_star)):.3f}" in out
-    grid, logdens = density_grid(post, cfg.prior)
+    grid, logdens = density_grid(post)
     assert f"density peak at {grid[int(np.argmax(logdens))].tolist()}" in out
 
 
@@ -410,7 +412,7 @@ UNPARSEABLE = {
     "horizon_text": ("--config", b"horizon: abc\n"),
     "prior_low_text": ("--config", b"prior_low: [a, b]\n"),
     "num_train_fraction": ("--config", b"num_train: 60.5\n"),
-    "lengthscale_text": ("--config", b"lengthscale: abc\n"),
+    "lengthscale_text": ("--config", b"lengthscale_candidates: abc\n"),
     "methods_scalar": ("--config", b"methods: mdn_rff\n"),
     "proposal_cov_ragged": ("--config", b"proposal: gaussian\nproposal_mean: [0.1, 0.1]\n"
                             b"proposal_cov: [[0.01, 0.0], [0.0]]\n"),
@@ -710,6 +712,8 @@ CORRUPTIONS = {
                                   lambda p: _edit_json(p, lambda d: d.update(provenance=[1]))),
     "posterior_support_3d": ("posterior.json", lambda p: _edit_json(
         p, lambda d: [d[k].append(d[k][0]) for k in ("support_low", "support_high")])),
+    "posterior_support_null": ("posterior.json", lambda p: _edit_json(
+        p, lambda d: d.update(support_low=None, support_high=None))),
 }
 
 
@@ -879,7 +883,7 @@ def test_cli_directory_as_path_exit_2(cli_artifacts, tmp_path, capsys, flag):
 
 def test_cli_train_with_diverging_candidate_exit_3(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(CFG_YAML.replace("lengthscale: 1.0",
+    cfg_path.write_text(CFG_YAML.replace("lengthscale_candidates: [1.0]",
                                          "lengthscale_candidates: [0.5, 1.0, 2.0]"))
     assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 

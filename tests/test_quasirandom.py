@@ -139,7 +139,7 @@ from simcal.cli import main
 for name in ("nn", "rff"):
     with open(name + ".yaml", "w") as f:
         f.write("benchmark: pendulum\\nnum_train: 40\\nnum_features: 20\\n"
-                "num_components: 2\\nepochs: 3\\nlengthscale: 1.0\\n"
+                "num_components: 2\\nepochs: 3\\nlengthscale_candidates: [1.0]\\n"
                 "real_rollouts: 2\\nseed: 3\\nfeature_type: " + name + "\\n")
     assert main(["generate", "--config", name + ".yaml", "--out", name]) == 0
 assert main(["train", "--config", "nn.yaml", "--dataset", "nn/dataset.csv",
