@@ -27,8 +27,9 @@ from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, in
 from .features import apply_nn, apply_rff  # noqa: F401
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
 from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
-from .priors import PriorSpec, gaussian_prior, uniform_box
-from .simulators import builtin_controller, get_model, rollout
+from .priors import gaussian_prior, uniform_box
+from .simulators import (CONTROLLER_KINDS, MAX_HORIZON, MODELS, Rollouts, builtin_controller,
+                         get_model, rollout)
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
 
 FORMAT_VERSION = 3
@@ -36,18 +37,6 @@ FORMAT_VERSION = 3
 # CSV table's header line.
 ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
                  "model": "simcal-model", "posterior": "simcal-posterior"}
-
-# Benchmark prior boxes over the mutable parameters.
-BENCHMARK_PRIORS = {
-    "cartpole": ([0.1, 0.1], [2.0, 2.0]),
-    "pendulum": ([0.01], [0.3]),
-    "lotka_volterra": ([0.01] * 4, [1.0] * 4),
-}
-DEFAULT_THETA_STAR = {
-    "cartpole": [1.2, 0.6],
-    "pendulum": [0.12],
-    "lotka_volterra": [0.6, 0.25, 0.5, 0.3],
-}
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
 
@@ -61,9 +50,9 @@ _FIELD_RANGES = dict.fromkeys(
 _FIELD_RANGES.update(dict.fromkeys(
     ("abc_max_simulations", "seed", "controller_seed", "patience"), (0, math.inf)),
     learning_rate=_POSITIVE, lengthscale_candidates=_POSITIVE,
-    abc_accept_rate=(0, 1), abc_epsilon=(0, math.inf))
+    abc_accept_rate=(0, 1), abc_epsilon=(0, math.inf), horizon=(1, MAX_HORIZON))
 # The values a field, or each value of a list field, may take.
-_FIELD_CHOICES = {"benchmark": tuple(BENCHMARK_PRIORS), "proposal": ("prior", "gaussian"),
+_FIELD_CHOICES = {"benchmark": tuple(MODELS), "controller_kind": CONTROLLER_KINDS,
                   "feature_type": ("rff", "nn"), "kernel_family": KERNEL_FAMILIES,
                   "methods": METHODS}
 # Rejection ABC's fallback radius accepts 10.5 simulations; it needs 11.
@@ -76,11 +65,14 @@ def _values(v) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An empty ``theta_star``, ``prior_low`` or ``prior_high`` takes the
+    benchmark model's value. Loading builds ``prior``, the uniform box, and
+    ``proposal_spec``: N(proposal_mean, proposal_cov) if given, else the prior."""
+
     benchmark: str = "cartpole"
     theta_star: tuple = ()
     prior_low: tuple = ()
     prior_high: tuple = ()
-    proposal: str = "prior"          # "prior" or "gaussian"
     proposal_mean: tuple = ()
     proposal_cov: tuple = ()
     controller_kind: str = "random_uniform"
@@ -122,27 +114,30 @@ class ExperimentConfig:
                 f"config field 'abc_max_simulations' must give rejection ABC at least "
                 f"{ABC_MIN_SIMULATIONS} simulations (0 means num_train, {self.num_train}), "
                 f"got {self.abc_max_simulations!r}")
-        low, high = BENCHMARK_PRIORS[self.benchmark]
-        if not self.prior_low:
-            object.__setattr__(self, "prior_low", tuple(low))
-            object.__setattr__(self, "prior_high", tuple(high))
-        if not self.theta_star:
-            object.__setattr__(self, "theta_star",
-                               tuple(DEFAULT_THETA_STAR[self.benchmark]))
-        if len(self.theta_star) != len(self.prior_low):
-            raise ConfigurationError("theta_star dimension does not match prior box")
         if self.num_train < 10 * self.num_components:
             raise ConfigurationError("num_train must be at least 10 * num_components")
-
-    @property
-    def prior(self) -> PriorSpec:
-        return uniform_box(self.prior_low, self.prior_high)
-
-    @property
-    def proposal_spec(self) -> PriorSpec:
-        if self.proposal == "prior":
-            return self.prior
-        return gaussian_prior(self.proposal_mean, self.proposal_cov)
+        params = MODELS[self.benchmark].mutable_params
+        for name, default in (("theta_star", [p.true for p in params]),
+                              ("prior_low", [p.prior[0] for p in params]),
+                              ("prior_high", [p.prior[1] for p in params]),
+                              ("proposal_mean", [])):
+            value = getattr(self, name) or tuple(default)
+            if len(value) not in (0, len(params)):
+                raise ConfigurationError(f"config field {name!r} must hold one value per "
+                                         f"{self.benchmark} parameter, got {value!r}")
+            object.__setattr__(self, name, value)
+        if bool(self.proposal_mean) != bool(self.proposal_cov):
+            raise ConfigurationError("config fields 'proposal_mean' and 'proposal_cov' "
+                                     "give a Gaussian proposal together, not alone")
+        try:
+            prior = uniform_box(self.prior_low, self.prior_high)
+            proposal = (gaussian_prior(self.proposal_mean, self.proposal_cov)
+                        if self.proposal_mean else prior)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config fields 'prior_low', 'prior_high', "
+                                     f"'proposal_mean' and 'proposal_cov': {exc}") from exc
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "proposal_spec", proposal)
 
     def trainer(self, repeat: int, epochs: int | None = None) -> TrainerConfig:
         """The trainer of a repeat: its CV folds and head init share the seed."""
@@ -245,24 +240,25 @@ class Dataset:
         return self.schema.standardize(self.raw_stats)
 
 
-def _completed(batch) -> np.ndarray:
-    return batch.in_limits & ~batch.diverged & (batch.lengths >= 2)
+def _simulate(config: ExperimentConfig, thetas, seeds) -> Rollouts:
+    """One lockstep batch of the config's benchmark under its controller
+    and horizon: an episode per row of ``thetas`` and value of ``seeds``."""
+    return rollout(get_model(config.benchmark), thetas,
+                   builtin_controller(config.controller_kind, config.controller_seed),
+                   horizon=config.horizon, seed=seeds)
 
 
 def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
     """Sample parameters from the proposal, roll all of them out in one
     lockstep batch, compute statistics and fit the standardizer.
 
-    A draw fails (is not ``_completed``) when its theta lies outside the
-    model's limits (it is not simulated), its rollout diverged, or it ran
-    fewer than 2 steps. Aborts when more than 1% of draws fail."""
-    model = get_model(config.benchmark)
-    controller = builtin_controller(config.controller_kind, config.controller_seed)
+    A draw fails (is not ``Rollouts.completed``) when its theta lies outside
+    the model's limits (it is not simulated), its rollout diverged, or it
+    ran fewer than 2 steps. Aborts when more than 1% of draws fail."""
     rng = random_stream(config, "dataset", repeat)
     thetas = config.proposal_spec.sample(rng, config.num_train)
-    batch = rollout(model, thetas, controller, horizon=config.horizon,
-                    seed=rng.integers(2 ** 63, size=config.num_train))
-    kept = _completed(batch)
+    batch = _simulate(config, thetas, rng.integers(2 ** 63, size=config.num_train))
+    kept = batch.completed
     short = batch.in_limits & ~batch.diverged & ~kept
     failed = config.num_train - int(kept.sum())
     if failed > 0.01 * config.num_train:
@@ -274,6 +270,7 @@ def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
             f"offending parameters: {thetas[~kept][:20].tolist()}"
         )
     raw = compute_stats(batch.select(kept))
+    model = get_model(config.benchmark)
     schema = fit_standardizer(raw, model.state_dim, model.action_dim)
     return Dataset(
         thetas=thetas[kept], raw_stats=raw, schema=schema,
@@ -525,12 +522,10 @@ def synth_real_observation(config: ExperimentConfig, schema: StatsSchema,
                            repeat: int = 0) -> np.ndarray:
     """Synthesize the real observation by rolling out at the hidden true
     parameters and averaging the statistics."""
-    model = get_model(config.benchmark)
-    controller = builtin_controller(config.controller_kind, config.controller_seed)
     thetas = np.tile(np.asarray(config.theta_star, dtype=float),
                      (config.real_rollouts, 1))
     seeds = random_stream(config, "real", repeat).integers(2 ** 63, size=config.real_rollouts)
-    batch = rollout(model, thetas, controller, horizon=config.horizon, seed=seeds)
+    batch = _simulate(config, thetas, seeds)
     batch.check()
     return real_observation(batch, schema)
 
@@ -567,7 +562,7 @@ def load_posterior(path) -> PosteriorEstimate:
     return _read_doc(path, "posterior", _posterior_from)
 
 
-GRID_POINTS_1D, GRID_POINTS_2D = 512, 128  # per axis
+GRID_POINTS = (512, 128)  # per axis of a 1-D and of a 2-D posterior
 
 
 def density_grid(p: PosteriorEstimate):
@@ -575,16 +570,10 @@ def density_grid(p: PosteriorEstimate):
     plotting. Returns (grid, logdens) for 1-D/2-D posteriors, None for
     higher dimensions."""
     d, box = p.mixture.dim, p.support
-    if d == 1:
-        xs = np.linspace(box.low[0], box.high[0], GRID_POINTS_1D)
-        grid = xs[:, None]
-    elif d == 2:
-        xs = np.linspace(box.low[0], box.high[0], GRID_POINTS_2D)
-        ys = np.linspace(box.low[1], box.high[1], GRID_POINTS_2D)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        grid = np.column_stack([gx.ravel(), gy.ravel()])
-    else:
+    if d > len(GRID_POINTS):
         return None
+    axes = [np.linspace(lo, hi, GRID_POINTS[d - 1]) for lo, hi in zip(box.low, box.high)]
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     return grid, p.log_density_batch(grid)
 
 
@@ -616,14 +605,10 @@ class MetricsRow:
 
 def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
                              x_r: np.ndarray, repeat: int = 0) -> float:
-    model = get_model(config.benchmark)
-    controller = builtin_controller(config.controller_kind, config.controller_seed)
-
     def simulate_stats(thetas, seeds):
         # A draw whose rollout did not complete lies infinitely far away.
-        batch = rollout(model, thetas, controller, horizon=config.horizon,
-                        seed=seeds)
-        kept = _completed(batch)
+        batch = _simulate(config, thetas, seeds)
+        kept = batch.completed
         x = np.full((len(thetas), dataset.schema.stat_dim), np.inf)
         x[kept] = dataset.schema.standardize(compute_stats(batch.select(kept)))
         return x

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -265,7 +266,7 @@ class TrainerConfig:
     learning_rate: float = 1e-3
     batch_size: int = 100
     epochs: int = 500
-    validation_fraction: float = 0.1
+    validation_fraction: ClassVar[float] = 0.1
     patience: int = 50
     seed: int = 0
 

@@ -21,6 +21,7 @@ from .errors import ContractError, DivergedTrajectoryError
 
 GRAVITY = 9.8
 STATE_LIMIT = 1e8  # beyond this we call the trajectory diverged
+MAX_HORIZON = 200  # steps per episode
 
 
 @dataclass
@@ -51,6 +52,11 @@ class Rollouts:
         """Rows that the termination predicate ended."""
         return int(self.terminated.sum())
 
+    @property
+    def completed(self) -> np.ndarray:
+        """Rows that statistics can use: in limits, not diverged, >= 2 steps."""
+        return self.in_limits & ~self.diverged & (self.lengths >= 2)
+
     def select(self, rows) -> "Rollouts":
         return Rollouts(*(getattr(self, f.name)[rows] for f in fields(self)))
 
@@ -67,9 +73,13 @@ class Rollouts:
 
 @dataclass(frozen=True)
 class ParamField:
+    """A mutable parameter: its limits, default prior interval and true value."""
+
     name: str
     low: float
     high: float
+    prior: tuple
+    true: float
 
 
 class GenerativeModel:
@@ -108,6 +118,11 @@ class GenerativeModel:
     def terminated(self, state: np.ndarray) -> np.ndarray:
         return np.zeros(state.shape[:-1], dtype=bool)
 
+    def push(self, states: np.ndarray, t: int) -> np.ndarray:
+        """(N,) sign of the ``bang_bang_energy`` action at step ``t``; a
+        zero pushes +1. This default is a square wave of period 50."""
+        return np.full(states.shape[0], 1.0 if t % 50 < 25 else -1.0)
+
 
 # ---------------------------------------------------------------------------
 # CartPole
@@ -142,8 +157,8 @@ class CartPole(GenerativeModel):
     state_dim = 4
     action_dim = 1
     mutable_params = (
-        ParamField("length", 0.01, 10.0),
-        ParamField("masspole", 0.01, 10.0),
+        ParamField("length", 0.01, 10.0, prior=(0.1, 2.0), true=1.2),
+        ParamField("masspole", 0.01, 10.0, prior=(0.1, 2.0), true=0.6),
     )
     force_mag = 10.0
     dt = 0.02
@@ -162,6 +177,9 @@ class CartPole(GenerativeModel):
         return ((np.abs(state[..., 0]) > self.x_threshold)
                 | (np.abs(state[..., 2]) > self.theta_threshold))
 
+    def push(self, states, t):  # toward the lean
+        return np.sign(states[:, 2] + 0.5 * states[:, 3])
+
 
 # ---------------------------------------------------------------------------
 # Pendulum
@@ -175,7 +193,7 @@ class Pendulum(GenerativeModel):
     name = "pendulum"
     state_dim = 3
     action_dim = 1
-    mutable_params = (ParamField("dt", 0.001, 0.5),)
+    mutable_params = (ParamField("dt", 0.001, 0.5, prior=(0.01, 0.3), true=0.12),)
     max_speed = 8.0
     max_torque = 2.0
     mass = 1.0
@@ -197,6 +215,9 @@ class Pendulum(GenerativeModel):
         angle = angle + dt * speed
         return np.stack([np.cos(angle), np.sin(angle), speed], axis=-1)
 
+    def push(self, states, t):  # pump energy with the swing
+        return np.sign(states[:, 2])
+
 
 # ---------------------------------------------------------------------------
 # Lotka-Volterra
@@ -211,10 +232,10 @@ class LotkaVolterra(GenerativeModel):
     state_dim = 2
     action_dim = 1
     mutable_params = (
-        ParamField("prey_growth", 0.0, 2.0),
-        ParamField("predation", 0.0, 2.0),
-        ParamField("predator_death", 0.0, 2.0),
-        ParamField("predator_growth", 0.0, 2.0),
+        ParamField("prey_growth", 0.0, 2.0, prior=(0.01, 1.0), true=0.6),
+        ParamField("predation", 0.0, 2.0, prior=(0.01, 1.0), true=0.25),
+        ParamField("predator_death", 0.0, 2.0, prior=(0.01, 1.0), true=0.5),
+        ParamField("predator_growth", 0.0, 2.0, prior=(0.01, 1.0), true=0.3),
     )
     dt = 0.01
     init_prey = 1.0
@@ -279,19 +300,11 @@ class ScriptedController:
         """(N, D_a) actions at step ``t`` for the (N, D_s) ``states``."""
         if self.kind == "random_uniform":
             return plan[:, t]
-        n = states.shape[0]
         if self.kind == "sinusoid":
-            u = np.full(n, np.sin(2.0 * np.pi * t / 25.0))
-        # bang_bang_energy: feedback keyed on the model's state layout;
-        # a zero sign pushes +1
-        elif model.state_dim == 4:    # cart-pole: push toward the lean
-            u = np.sign(states[:, 2] + 0.5 * states[:, 3])
+            u = np.full(states.shape[0], np.sin(2.0 * np.pi * t / 25.0))
+        else:  # bang_bang_energy
+            u = model.push(states, t)
             u[u == 0] = 1.0
-        elif model.state_dim == 3:    # pendulum: pump energy with the swing
-            u = np.sign(states[:, 2])
-            u[u == 0] = 1.0
-        else:
-            u = np.full(n, 1.0 if t % 50 < 25 else -1.0)
         return np.repeat((self.amplitude * u)[:, None], model.action_dim, axis=1)
 
 
@@ -308,7 +321,7 @@ def rollout(
     model: GenerativeModel,
     thetas,
     controller: ScriptedController,
-    horizon: int = 200,
+    horizon: int = MAX_HORIZON,
     *,
     seed,
     initial_state: np.ndarray | None = None,
@@ -319,11 +332,11 @@ def rollout(
 
     Failed rows are flagged in the returned Rollouts and do not stop the
     others; ``Rollouts.check`` raises for them. Each row stops at
-    ``horizon`` (at most 200 steps) or the model's termination
+    ``horizon`` (at most MAX_HORIZON steps) or the model's termination
     predicate, whichever comes first.
     """
-    if not 1 <= horizon <= 200:
-        raise ContractError("horizon must be in [1, 200]")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ContractError(f"horizon must be in [1, {MAX_HORIZON}]")
     thetas = np.asarray(thetas, dtype=float)
     seeds = np.asarray(seed)
     if thetas.ndim != 2 or seeds.shape != thetas.shape[:1]:

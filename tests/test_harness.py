@@ -62,10 +62,16 @@ def small_config(**over):
 # -- configs ---------------------------------------------------------------
 
 def test_config_defaults_fill_prior_and_theta_star():
-    cfg = ExperimentConfig(benchmark="cartpole")
-    assert cfg.prior_low == (0.1, 0.1)
-    assert cfg.prior_high == (2.0, 2.0)
-    assert cfg.theta_star == (1.2, 0.6)
+    """Each benchmark model's prior box and true parameters, as literals."""
+    for benchmark, low, high, theta_star in (
+            ("cartpole", (0.1, 0.1), (2.0, 2.0), (1.2, 0.6)),
+            ("pendulum", (0.01,), (0.3,), (0.12,)),
+            ("lotka_volterra", (0.01,) * 4, (1.0,) * 4, (0.6, 0.25, 0.5, 0.3))):
+        cfg = ExperimentConfig(benchmark=benchmark)
+        assert (cfg.prior_low, cfg.prior_high, cfg.theta_star) == (low, high, theta_star)
+        assert cfg.proposal_spec is cfg.prior
+        np.testing.assert_array_equal(cfg.prior.low, low)
+        np.testing.assert_array_equal(cfg.prior.high, high)
 
 
 def test_config_validation_errors():
@@ -100,6 +106,14 @@ def test_config_validation_errors():
                        *REFUSED_AT_LOAD.values()):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "pendulum", key: value})
+    # cart-pole has 2 parameters, so 3 values are refused, also all together
+    three = {"prior_low": [0.1] * 3, "prior_high": [2.0] * 3, "theta_star": [0.5] * 3}
+    with pytest.raises(ConfigurationError, match="theta_star"):
+        config_from_dict({"benchmark": "cartpole", **three})
+    for key, value in (*three.items(), ("proposal_mean", [1.0, 0.6, 0.1])):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({"benchmark": "cartpole", key: value,
+                              "proposal_cov": np.eye(3).tolist()})
     # null and the smallest rejection-ABC budgets still load
     for key, value in (("abc_epsilon", None), ("abc_epsilon", 0.0),
                        ("abc_max_simulations", 0), ("abc_max_simulations", 11)):
@@ -116,8 +130,14 @@ REFUSED_AT_LOAD = {
     "abc_epsilon_nan": ("abc_epsilon", float("nan")),
     "abc_max_simulations_5": ("abc_max_simulations", 5),
     "abc_max_simulations_10": ("abc_max_simulations", 10),
-    "proposal": ("proposal", "uniform"),
+    "proposal": ("proposal", "gaussian"),
     "methods_empty": ("methods", []),
+    "horizon_500": ("horizon", 500),
+    "horizon_0": ("horizon", 0),
+    "controller_kind": ("controller_kind", "nope"),
+    "prior_low_count": ("prior_low", [0.01, 0.01]),
+    "prior_high_below_low": ("prior_high", [0.005]),
+    "proposal_cov_alone": ("proposal_cov", [[0.01]]),
 }
 
 
@@ -159,12 +179,14 @@ def test_config_hash_stable_and_sensitive():
 def test_load_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n"
-                    "learning_rate: 1\nabc_epsilon: null\nproposal_cov: [[0.01]]\n")
+                    "learning_rate: 1\nabc_epsilon: null\nproposal_mean: [0.1]\n"
+                    "proposal_cov: [[0.01]]\n")
     cfg = load_config(path)
     assert cfg.num_train == 120
     assert cfg.theta_star == (0.1,)
     assert cfg.learning_rate == 1 and cfg.abc_epsilon is None
-    assert cfg.proposal_cov == ([0.01],)
+    assert cfg.proposal_mean == (0.1,) and cfg.proposal_cov == ([0.01],)
+    assert cfg.proposal_spec.kind == "gaussian"
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
@@ -414,9 +436,9 @@ UNPARSEABLE = {
     "num_train_fraction": ("--config", b"num_train: 60.5\n"),
     "lengthscale_text": ("--config", b"lengthscale_candidates: abc\n"),
     "methods_scalar": ("--config", b"methods: mdn_rff\n"),
-    "proposal_cov_ragged": ("--config", b"proposal: gaussian\nproposal_mean: [0.1, 0.1]\n"
+    "proposal_cov_ragged": ("--config", b"proposal_mean: [0.1, 0.1]\n"
                             b"proposal_cov: [[0.01, 0.0], [0.0]]\n"),
-    "proposal_cov_not_dxd": ("--config", b"proposal: gaussian\nproposal_mean: [0.1, 0.1]\n"
+    "proposal_cov_not_dxd": ("--config", b"proposal_mean: [0.1, 0.1]\n"
                              b"proposal_cov: [[0.01]]\n"),
     "dataset_not_utf8": ("--dataset", b"#SIMCAL-DATASET \xff\xfe\n1.0,2.0\n"),
 }
@@ -440,14 +462,46 @@ def test_cli_unparseable_input_exit_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_cli_chain_with_a_gaussian_proposal(tmp_path, capsys):
+    """A config with proposal_mean and proposal_cov runs the whole chain.
+    A component forced wider than the proposal fails infer with exit 3."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(CFG_YAML.replace("benchmark: pendulum", "benchmark: cartpole")
+                        .replace("num_train: 100", "num_train: 60")
+                        + "proposal_mean: [1.0, 0.6]\n"
+                        + "proposal_cov: [[0.0001, 0.0], [0.0, 0.0001]]\n")
+    assert load_config(cfg_path).proposal_spec.kind == "gaussian"
+    for cmd, extra in (("generate", []),
+                       ("train", ["--dataset", str(tmp_path / "dataset.csv")]),
+                       ("infer", ["--model", str(tmp_path / "model.json")])):
+        assert cli.main([cmd, "--config", str(cfg_path), "--out", str(tmp_path)]
+                        + extra) == 0
+    assert load_dataset(tmp_path / "dataset.csv").thetas.shape == (60, 2)
+    assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
+                     "--count", "20", "--out", str(tmp_path)]) == 0
+
+    (tmp_path / "posterior.json").unlink()
+    doc = json.loads((tmp_path / "model.json").read_text())
+    k, d = doc["head"]["num_components"], 2
+    last = k + k * d + (k - 1) * d    # the variance rows of the last component
+    doc["head"]["bias"][last:last + d] = [1e6] * d
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["infer", "--config", str(cfg_path), "--model",
+                     str(tmp_path / "model.json"), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and f"component {k - 1} " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "posterior.json").exists()
+
+
 # -- failure accounting ----------------------------------------------------
 
 def _gaussian_cartpole(**over):
     # N(1, 0.35^2) per parameter puts a few draws below cart-pole's 0.01
     # limit; seed 8 draws 2 of them (1%, kept), seed 14 draws 3 (aborts)
     base = dict(benchmark="cartpole", controller_kind="bang_bang_energy",
-                num_train=200, num_components=3, proposal="gaussian",
-                proposal_mean=(1.0, 1.0),
+                num_train=200, num_components=3, proposal_mean=(1.0, 1.0),
                 proposal_cov=((0.35 ** 2, 0.0), (0.0, 0.35 ** 2)))
     base.update(over)
     return ExperimentConfig(**base)

@@ -7,7 +7,9 @@ from scipy.stats import ttest_ind
 from simcal.errors import ContractError, DivergedTrajectoryError
 from simcal.simulators import (
     CartPole,
+    GenerativeModel,
     LotkaVolterra,
+    ParamField,
     Pendulum,
     builtin_controller,
     cartpole_step,
@@ -163,6 +165,29 @@ def test_bang_bang_zero_sign_pushes_positive():
     np.testing.assert_array_equal(
         ctrl.act(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -2.0]]), 0, Pendulum()),
         [[0.5], [-0.5]])
+
+
+def test_bang_bang_defaults_to_a_square_wave():
+    """A model without its own push gets the square wave of period 50,
+    whatever its state width; 3 wide is not read as the pendulum."""
+
+    class Drift(GenerativeModel):
+        name, state_dim, action_dim = "drift", 3, 1
+        mutable_params = (ParamField("rate", 0.0, 1.0, prior=(0.1, 0.9), true=0.5),)
+
+        def initial_state(self, rng):
+            return np.zeros(3)
+
+        def step(self, state, action, theta):
+            return state + theta[..., :1] * action
+
+    ctrl = builtin_controller("bang_bang_energy", seed=0, amplitude=0.5)
+    states = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 3.0]])
+    for t, u in ((0, 0.5), (24, 0.5), (25, -0.5), (49, -0.5), (50, 0.5)):
+        np.testing.assert_array_equal(ctrl.act(states, t, Drift()), [[u], [u]])
+    batch = rollout(Drift(), [[0.5]], ctrl, horizon=60, seed=[0])
+    np.testing.assert_array_equal(batch.actions[0, :, 0],
+                                  np.where(np.arange(60) % 50 < 25, 0.5, -0.5))
 
 
 def test_unknown_controller_rejected():
