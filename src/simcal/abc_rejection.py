@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .mdn import GaussianMixture, log_density_batch
-from .priors import PriorSpec
+from .priors import GaussianPrior, UniformBox
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class AbcResult:
 
 def rejection_abc(
     simulate_stats,
-    proposal: PriorSpec,
+    proposal: UniformBox | GaussianPrior,
     x_r: np.ndarray,
     cfg: AbcConfig,
     seed,

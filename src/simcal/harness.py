@@ -27,7 +27,7 @@ from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, in
 from .features import apply_nn, apply_rff  # noqa: F401
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
 from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
-from .priors import gaussian_prior, uniform_box
+from .priors import GaussianPrior, UniformBox
 from .simulators import (CONTROLLER_KINDS, MAX_HORIZON, MODELS, Rollouts, builtin_controller,
                          get_model, rollout)
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
@@ -66,7 +66,8 @@ def _values(v) -> tuple:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An empty ``theta_star``, ``prior_low`` or ``prior_high`` takes the
-    benchmark model's value. Loading builds ``prior``, the uniform box, and
+    benchmark model's value. Loading builds ``prior``, the uniform box, which
+    must lie inside the model's limits and hold ``theta_star``, and
     ``proposal_spec``: N(proposal_mean, proposal_cov) if given, else the prior."""
 
     benchmark: str = "cartpole"
@@ -130,12 +131,20 @@ class ExperimentConfig:
             raise ConfigurationError("config fields 'proposal_mean' and 'proposal_cov' "
                                      "give a Gaussian proposal together, not alone")
         try:
-            prior = uniform_box(self.prior_low, self.prior_high)
-            proposal = (gaussian_prior(self.proposal_mean, self.proposal_cov)
+            prior = UniformBox(self.prior_low, self.prior_high)
+            proposal = (GaussianPrior(self.proposal_mean, self.proposal_cov)
                         if self.proposal_mean else prior)
         except ConfigurationError as exc:
             raise ConfigurationError(f"config fields 'prior_low', 'prior_high', "
                                      f"'proposal_mean' and 'proposal_cov': {exc}") from exc
+        limits = get_model(self.benchmark).limits
+        if not limits.contains([prior.low, prior.high]).all():
+            raise ConfigurationError(
+                f"config fields 'prior_low' and 'prior_high' must lie inside the {self.benchmark} "
+                f"limits, {limits.low.tolist()} to {limits.high.tolist()}")
+        if not prior.contains(self.theta_star):
+            raise ConfigurationError(f"config field 'theta_star' must lie inside the prior box, "
+                                     f"got {list(self.theta_star)}")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "proposal_spec", proposal)
 
@@ -554,7 +563,7 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
 def _posterior_from(doc: dict, rows) -> PosteriorEstimate:
     return PosteriorEstimate(
         mixture=GaussianMixture(doc["weights"], doc["means"], doc["covariances"]),
-        support=uniform_box(doc["support_low"], doc["support_high"]),
+        support=UniformBox(doc["support_low"], doc["support_high"]),
         provenance=doc["provenance"])
 
 

@@ -22,7 +22,7 @@ from .errors import (
     DegeneratePosteriorError,
 )
 from .mdn import GaussianMixture, log_density_batch
-from .priors import GAUSSIAN, UNIFORM_BOX, PriorSpec
+from .priors import GaussianPrior, UniformBox
 
 NEG_INF = float("-inf")
 MASS_FLOOR = 1e-6  # in-box mass below which a truncated posterior is degenerate
@@ -41,11 +41,11 @@ class PosteriorEstimate:
     """
 
     mixture: GaussianMixture
-    support: PriorSpec
+    support: UniformBox
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.support, PriorSpec) or self.support.kind != UNIFORM_BOX:
+        if not isinstance(self.support, UniformBox):
             raise ConfigurationError("support must be a uniform box")
         if self.support.dim != self.mixture.dim:
             raise ContractError("box dimension does not match mixture")
@@ -55,15 +55,10 @@ class PosteriorEstimate:
     def log_density_batch(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = log_density_batch(self.mixture, thetas)
-        return np.where(_inside(self.support, thetas), out, NEG_INF)
+        return np.where(self.support.contains(thetas), out, NEG_INF)
 
 
-def _inside(box: PriorSpec, t: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``t`` (n, d) that lie in the closed ``box``."""
-    return np.all((t >= box.low) & (t <= box.high), axis=1)
-
-
-def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixture:
+def divide_by_gaussian(q: GaussianMixture, proposal: GaussianPrior) -> GaussianMixture:
     """Analytic mixture / Gaussian division.
 
     Every component must be strictly narrower than the proposal, i.e.
@@ -73,7 +68,7 @@ def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixtu
     the log-determinants come from the Cholesky factors of Sigma_k,
     Sigma_0 and Sigma_k^-1 - Sigma_0^-1.
     """
-    if proposal.kind != GAUSSIAN:
+    if not isinstance(proposal, GaussianPrior):
         raise ConfigurationError("divide_by_gaussian needs a Gaussian proposal")
     mu0 = proposal.mean
     prec0 = np.linalg.inv(proposal.cov)
@@ -107,7 +102,7 @@ def divide_by_gaussian(q: GaussianMixture, proposal: PriorSpec) -> GaussianMixtu
     return GaussianMixture(w / w.sum(), new_means, new_covs)
 
 
-def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
+def box_mass(mixture: GaussianMixture, box: UniformBox) -> float | None:
     """Exact mixture mass inside ``box``: sum_k alpha_k prod_j P_kj, P_kj
     being the mass of the box's interval along axis j under marginal j of
     component k.
@@ -121,14 +116,14 @@ def box_mass(mixture: GaussianMixture, box: PriorSpec) -> float | None:
     return math.fsum(w * math.prod(p) for w, p in _marginal_masses(mixture, box))
 
 
-def box_mass_bound(mixture: GaussianMixture, box: PriorSpec) -> float:
+def box_mass_bound(mixture: GaussianMixture, box: UniformBox) -> float:
     """An upper bound on the mixture mass inside ``box`` for any
     covariance: sum_k alpha_k min_j P_kj, since the box lies inside each
     of its axis slabs."""
     return math.fsum(w * min(p) for w, p in _marginal_masses(mixture, box))
 
 
-def _marginal_masses(mixture: GaussianMixture, box: PriorSpec):
+def _marginal_masses(mixture: GaussianMixture, box: UniformBox):
     """(alpha_k, [P_k1 ... P_kd]) per component: P_kj = Phi(b_kj) -
     Phi(a_kj), with a_kj, b_kj the box edges along axis j standardized by
     component k's mean and marginal standard deviation."""
@@ -150,7 +145,7 @@ def _normal_interval(a: float, b: float) -> float:
 
 def truncate(
     mixture: GaussianMixture,
-    box: PriorSpec,
+    box: UniformBox,
     provenance: dict | None = None,
 ) -> PosteriorEstimate:
     """Restrict a mixture to a box support.
@@ -178,8 +173,8 @@ def truncate(
 def recover_posterior(
     model,
     x_r: np.ndarray,
-    prior: PriorSpec,
-    proposal: PriorSpec,
+    prior: UniformBox,
+    proposal: UniformBox | GaussianPrior,
     provenance: dict | None = None,
 ) -> PosteriorEstimate:
     """Turn the conditional density at the real observation into the
@@ -192,9 +187,9 @@ def recover_posterior(
     prov = dict(provenance or {})
     prov.setdefault("x_r", np.asarray(x_r, float).tolist())
 
-    if prior.kind != UNIFORM_BOX:
-        raise ConfigurationError(f"the prior must be a uniform box, got {prior.kind!r}")
-    if proposal.kind == GAUSSIAN:
+    if not isinstance(prior, UniformBox):
+        raise ConfigurationError(f"the prior must be a uniform box, got {type(prior).__name__}")
+    if isinstance(proposal, GaussianPrior):
         mixture = divide_by_gaussian(mixture, proposal)
     return truncate(mixture, prior, provenance=prov)
 
@@ -276,7 +271,7 @@ def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:
     support box."""
     theta = np.asarray(theta_star, dtype=float).reshape(1, -1)
     lp = float(p.log_density_batch(theta)[0])
-    if not _inside(p.support, theta)[0]:
+    if not p.support.contains(theta)[0]:
         warnings.warn("target parameter lies outside the posterior support",
                       RuntimeWarning)
     return lp

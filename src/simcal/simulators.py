@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError, DivergedTrajectoryError
+from .priors import UniformBox
 
 GRAVITY = 9.8
 STATE_LIMIT = 1e8  # beyond this we call the trajectory diverged
@@ -97,17 +98,11 @@ class GenerativeModel:
     def param_names(self):
         return [p.name for p in self.mutable_params]
 
-    def in_limits(self, thetas: np.ndarray) -> np.ndarray:
-        """(N,) mask of the rows of ``thetas`` inside every parameter's
-        [low, high]."""
-        if thetas.shape[-1] != len(self.mutable_params):
-            raise ContractError(
-                f"{self.name}: expected {len(self.mutable_params)} parameters, "
-                f"got {thetas.shape[-1]}"
-            )
-        low = np.array([p.low for p in self.mutable_params])
-        high = np.array([p.high for p in self.mutable_params])
-        return np.all((thetas >= low) & (thetas <= high), axis=-1)
+    @property
+    def limits(self) -> UniformBox:
+        """The box of every parameter's [low, high]."""
+        return UniformBox([p.low for p in self.mutable_params],
+                          [p.high for p in self.mutable_params])
 
     def initial_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -343,7 +338,7 @@ def rollout(
         raise ContractError(f"expected (N, d_theta) thetas and N seeds, got "
                             f"shapes {thetas.shape} and {seeds.shape}")
     n = thetas.shape[0]
-    in_limits = model.in_limits(thetas)
+    in_limits = model.limits.contains(thetas)
     if initial_state is None:
         salt = zlib.crc32(model.name.encode())
         state = np.array([

@@ -9,7 +9,7 @@ from simcal.abc_rejection import (
     rejection_abc,
 )
 from simcal.errors import ConfigurationError, ContractError
-from simcal.priors import uniform_box
+from simcal.priors import UniformBox
 
 
 def identity_sim(theta, seed):
@@ -26,7 +26,7 @@ def test_config_validation():
 
 
 def test_infinite_epsilon_accepts_everything():
-    prior = uniform_box([0.0, 0.0], [1.0, 2.0])
+    prior = UniformBox([0.0, 0.0], [1.0, 2.0])
     res = rejection_abc(identity_sim, prior, [0.5, 1.0],
                         AbcConfig(epsilon=1e9, max_simulations=5000), seed=0)
     assert res.acceptance_rate == 1.0
@@ -37,7 +37,7 @@ def test_infinite_epsilon_accepts_everything():
 
 
 def test_zero_epsilon_accepts_nothing():
-    prior = uniform_box([0.0], [1.0])
+    prior = UniformBox([0.0], [1.0])
     with pytest.warns(RuntimeWarning):
         res = rejection_abc(identity_sim, prior, [0.5],
                             AbcConfig(epsilon=0.0, max_simulations=200), seed=1)
@@ -47,7 +47,7 @@ def test_zero_epsilon_accepts_nothing():
 
 def test_toy_acceptance_interval():
     # x = theta, proposal U[0,1], x_r = 0.5, eps = 0.1 -> accept (0.4, 0.6)
-    prior = uniform_box([0.0], [1.0])
+    prior = UniformBox([0.0], [1.0])
     res = rejection_abc(identity_sim, prior, [0.5],
                         AbcConfig(epsilon=0.1, max_simulations=10000), seed=2)
     assert np.all(res.accepted > 0.4 - 1e-12)
@@ -56,7 +56,7 @@ def test_toy_acceptance_interval():
 
 
 def test_determinism():
-    prior = uniform_box([0.0], [1.0])
+    prior = UniformBox([0.0], [1.0])
     cfg = AbcConfig(epsilon=0.3, max_simulations=500)
     a = rejection_abc(identity_sim, prior, [0.5], cfg, seed=3)
     b = rejection_abc(identity_sim, prior, [0.5], cfg, seed=3)
@@ -64,7 +64,7 @@ def test_determinism():
 
 
 def test_shrinking_epsilon_tightens_accepted_distances():
-    prior = uniform_box([0.0], [1.0])
+    prior = UniformBox([0.0], [1.0])
     mean_dists = []
     for eps in (0.4, 0.2, 0.1):
         res = rejection_abc(identity_sim, prior, [0.5],
@@ -141,7 +141,7 @@ def test_kde_requires_ten_samples():
 
 
 def test_seeds_passed_to_simulate_stats_equal_sequential_draws():
-    prior = uniform_box([0.0, 0.0], [1.0, 2.0])
+    prior = UniformBox([0.0, 0.0], [1.0, 2.0])
     seen = []
 
     def recording_sim(thetas, seeds):

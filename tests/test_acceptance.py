@@ -24,7 +24,7 @@ from simcal.harness import (
 )
 from simcal.mdn import GaussianMixture
 from simcal.posterior import PosteriorEstimate, log_prob_target, sample, truncate
-from simcal.priors import uniform_box
+from simcal.priors import UniformBox
 
 
 class _Budget:
@@ -85,7 +85,7 @@ def test_criterion_2_gradient_oracle():
 def test_criterion_3_gaussian_division_oracle():
     from simcal.mdn import log_density_batch
     from simcal.posterior import divide_by_gaussian
-    from simcal.priors import gaussian_prior
+    from simcal.priors import GaussianPrior
 
     with _Budget(3, "Gaussian-division oracle", 30):
         rng = np.random.default_rng(1)
@@ -96,8 +96,8 @@ def test_criterion_3_gaussian_division_oracle():
             covs = np.stack([np.diag(rng.uniform(0.05, 0.3, d))
                              for _ in range(k)])
             q = GaussianMixture(w, means, covs)
-            proposal = gaussian_prior(rng.normal(0, 0.5, d),
-                                      np.eye(d) * rng.uniform(2.0, 5.0))
+            proposal = GaussianPrior(rng.normal(0, 0.5, d),
+                                     np.eye(d) * rng.uniform(2.0, 5.0))
             out = divide_by_gaussian(q, proposal)
             # grid over the 3-sigma region of every component
             pts = np.concatenate([
@@ -163,7 +163,7 @@ def test_criterion_6_sampling_consistency():
     with _Budget(6, "sampling consistency", 60):
         m = GaussianMixture([0.3, 0.7], [[-5.0, 0.0], [5.0, 1.0]],
                             [[0.25, 0.5], [0.25, 0.5]])
-        box = uniform_box([-10.0, -10.0], [10.0, 10.0])
+        box = UniformBox([-10.0, -10.0], [10.0, 10.0])
         p = truncate(m, box)
         draws = sample(p, 100000, seed=0)
         assert np.all((draws >= p.support.low) & (draws <= p.support.high))
@@ -180,7 +180,7 @@ def test_criterion_7_abc_baseline_sanity():
     with _Budget(7, "ABC baseline sanity", 60):
         res = rejection_abc(
             lambda theta, seed: np.asarray(theta, dtype=float),
-            uniform_box([0.0], [1.0]), [0.5],
+            UniformBox([0.0], [1.0]), [0.5],
             AbcConfig(epsilon=0.1, max_simulations=10000), seed=0,
         )
         assert np.all(res.accepted > 0.4 - 1e-12)

@@ -44,7 +44,7 @@ from simcal.posterior import (
     sample,
     truncate,
 )
-from simcal.priors import gaussian_prior, uniform_box
+from simcal.priors import GaussianPrior, UniformBox
 from simcal.simulators import builtin_controller, get_model, rollout
 from simcal.trajstats import compute_stats
 
@@ -138,6 +138,8 @@ REFUSED_AT_LOAD = {
     "prior_low_count": ("prior_low", [0.01, 0.01]),
     "prior_high_below_low": ("prior_high", [0.005]),
     "proposal_cov_alone": ("proposal_cov", [[0.01]]),
+    "theta_star_outside_prior": ("theta_star", [0.4]),
+    "prior_low_below_limit": ("prior_low", [0.0001]),
 }
 
 
@@ -186,7 +188,7 @@ def test_load_config_yaml_roundtrip(tmp_path):
     assert cfg.theta_star == (0.1,)
     assert cfg.learning_rate == 1 and cfg.abc_epsilon is None
     assert cfg.proposal_mean == (0.1,) and cfg.proposal_cov == ([0.01],)
-    assert cfg.proposal_spec.kind == "gaussian"
+    assert isinstance(cfg.proposal_spec, GaussianPrior)
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
@@ -293,10 +295,10 @@ def test_posterior_roundtrip_and_grid(fitted, tmp_path):
 
 def test_density_grid_dimensions():
     m2 = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    grid, _ = density_grid(PosteriorEstimate(m2, uniform_box([-1, -1], [1, 1])))
+    grid, _ = density_grid(PosteriorEstimate(m2, UniformBox([-1, -1], [1, 1])))
     assert grid.shape == (128 * 128, 2)
     m3 = GaussianMixture([1.0], [np.zeros(3)], [np.ones(3)])
-    assert density_grid(PosteriorEstimate(m3, uniform_box([-1] * 3, [1] * 3))) is None
+    assert density_grid(PosteriorEstimate(m3, UniformBox([-1] * 3, [1] * 3))) is None
 
 
 def test_save_samples_header(tmp_path):
@@ -470,7 +472,7 @@ def test_cli_chain_with_a_gaussian_proposal(tmp_path, capsys):
                         .replace("num_train: 100", "num_train: 60")
                         + "proposal_mean: [1.0, 0.6]\n"
                         + "proposal_cov: [[0.0001, 0.0], [0.0, 0.0001]]\n")
-    assert load_config(cfg_path).proposal_spec.kind == "gaussian"
+    assert isinstance(load_config(cfg_path).proposal_spec, GaussianPrior)
     for cmd, extra in (("generate", []),
                        ("train", ["--dataset", str(tmp_path / "dataset.csv")]),
                        ("infer", ["--model", str(tmp_path / "model.json")])):
@@ -545,7 +547,7 @@ def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
     model = get_model("cartpole")
     controller = builtin_controller(cfg.controller_kind, cfg.controller_seed)
     for r, (thetas, seeds, x) in enumerate(calls):
-        ok = model.in_limits(thetas)
+        ok = model.limits.contains(thetas)
         assert (~ok).sum() == (2, 2, 1)[r]
         assert np.all(np.isinf(x[~ok]))
         batch = rollout(model, thetas[ok], controller, horizon=cfg.horizon, seed=seeds[ok])
@@ -805,7 +807,7 @@ def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
 
 def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
-    save_posterior(PosteriorEstimate(m, uniform_box([-1.0], [1.0])),
+    save_posterior(PosteriorEstimate(m, UniformBox([-1.0], [1.0])),
                    tmp_path / "posterior.json", "")
     capsys.readouterr()
     assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
@@ -818,9 +820,9 @@ def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
 
 def test_cli_sample_full_covariance_below_mass_bound_exit_3(tmp_path, capsys):
     q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
-    m = divide_by_gaussian(q, gaussian_prior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    m = divide_by_gaussian(q, GaussianPrior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        post = truncate(m, uniform_box([-1.0, -1.0], [1.0, 1.0]))
+        post = truncate(m, UniformBox([-1.0, -1.0], [1.0, 1.0]))
     save_posterior(post, tmp_path / "posterior.json", "")
     capsys.readouterr()
     assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),

@@ -24,7 +24,7 @@ from simcal.posterior import (
     sample,
     truncate,
 )
-from simcal.priors import gaussian_prior, uniform_box
+from simcal.priors import GaussianPrior, UniformBox
 
 
 def random_narrow_mixture(rng, k=3, d=2):
@@ -38,7 +38,7 @@ def random_narrow_mixture(rng, k=3, d=2):
 
 def test_division_1d_known_result():
     q = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    out = divide_by_gaussian(q, gaussian_prior([0.0], [[2.0]]))
+    out = divide_by_gaussian(q, GaussianPrior([0.0], [[2.0]]))
     np.testing.assert_allclose(out.covariances, [[[2.0]]])
     np.testing.assert_allclose(out.means, [[0.0]])
     # grid check of the pointwise ratio
@@ -52,7 +52,7 @@ def test_division_1d_known_result():
 def test_division_by_very_wide_gaussian_is_identity():
     rng = np.random.default_rng(0)
     q = random_narrow_mixture(rng)
-    wide = gaussian_prior(np.zeros(2), np.eye(2) * 1e8)
+    wide = GaussianPrior(np.zeros(2), np.eye(2) * 1e8)
     out = divide_by_gaussian(q, wide)
     np.testing.assert_allclose(out.weights, q.weights, rtol=1e-6)
     np.testing.assert_allclose(out.means, q.means, rtol=1e-6, atol=1e-6)
@@ -65,7 +65,7 @@ def test_division_ratio_constancy_oracle():
         q = random_narrow_mixture(rng)
         mu0 = rng.normal(0, 0.5, 2)
         cov0 = np.eye(2) * rng.uniform(2.0, 5.0)
-        proposal = gaussian_prior(mu0, cov0)
+        proposal = GaussianPrior(mu0, cov0)
         out = divide_by_gaussian(q, proposal)
         pts = rng.normal(0, 1, (50, 2))
         diff = pts - mu0
@@ -78,7 +78,7 @@ def test_division_ratio_constancy_oracle():
 def test_division_weights_stay_on_simplex():
     rng = np.random.default_rng(2)
     q = random_narrow_mixture(rng, k=4)
-    out = divide_by_gaussian(q, gaussian_prior(np.zeros(2), np.eye(2) * 3.0))
+    out = divide_by_gaussian(q, GaussianPrior(np.zeros(2), np.eye(2) * 3.0))
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out.weights >= 0)
 
@@ -86,33 +86,33 @@ def test_division_weights_stay_on_simplex():
 def test_division_component_wider_than_proposal_errors():
     q = GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[0.5], [3.0]])
     with pytest.raises(ComponentWiderThanProposalError) as err:
-        divide_by_gaussian(q, gaussian_prior([0.0], [[1.0]]))
+        divide_by_gaussian(q, GaussianPrior([0.0], [[1.0]]))
     assert err.value.component == 1
 
 
 def test_division_requires_gaussian_proposal():
     q = GaussianMixture([1.0], [[0.0]], [[1.0]])
     with pytest.raises(ConfigurationError):
-        divide_by_gaussian(q, uniform_box([0.0], [1.0]))
+        divide_by_gaussian(q, UniformBox([0.0], [1.0]))
 
 
 # -- truncate ---------------------------------------------------------------
 
 def test_truncate_wide_box_high_acceptance():
     m = GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[0.2], [0.2]])
-    p = truncate(m, uniform_box([-10.0], [10.0]))  # > 10 sigma around modes
+    p = truncate(m, UniformBox([-10.0], [10.0]))  # > 10 sigma around modes
     draws = sample(p, 20000, seed=0)
     assert draws.shape == (20000, 1)
     # acceptance within the box is essentially total: the box holds as
     # many draws as a box ten times wider does
-    wider = sample(truncate(m, uniform_box([-100.0], [100.0])), 20000, seed=0)
+    wider = sample(truncate(m, UniformBox([-100.0], [100.0])), 20000, seed=0)
     frac_inside = np.mean((wider >= -10) & (wider <= 10))
     assert frac_inside > 0.999
 
 
 def test_truncate_density_outside_box():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    p = truncate(m, uniform_box([-1.0], [1.0]))
+    p = truncate(m, UniformBox([-1.0], [1.0]))
     assert p.log_density_batch([[2.0]])[0] == NEG_INF
     assert (p.log_density_batch([[0.5]])[0]
             == pytest.approx(log_density_batch(m, [[0.5]])[0]))
@@ -121,13 +121,13 @@ def test_truncate_density_outside_box():
 def test_truncate_degenerate_mass_warns():
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
     with pytest.warns(RuntimeWarning):
-        truncate(m, uniform_box([-1.0], [1.0]))
+        truncate(m, UniformBox([-1.0], [1.0]))
 
 
 def test_truncate_records_exact_mass_in_provenance():
     rng = np.random.default_rng(7)
     m = random_narrow_mixture(rng)
-    box = uniform_box([-1.0, -0.5], [0.5, 1.0])
+    box = UniformBox([-1.0, -0.5], [0.5, 1.0])
     given = {"model": "m.json"}
     p = truncate(m, box, provenance=given)
     assert p.provenance == {"model": "m.json", "in_box_mass": box_mass(m, box)}
@@ -152,14 +152,14 @@ def test_box_mass_matches_ndtr():
     for _ in range(20):
         m = random_narrow_mixture(rng, k=4, d=3)
         low = rng.uniform(-2.0, 0.5, 3)
-        box = uniform_box(low, low + rng.uniform(0.1, 2.0, 3))
+        box = UniformBox(low, low + rng.uniform(0.1, 2.0, 3))
         assert box_mass(m, box) == pytest.approx(_ndtr_mass(m, box), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("low,high", [(8.0, 9.0), (-9.0, -8.0), (20.0, 21.0)])
 def test_box_mass_far_tail_keeps_relative_precision(low, high):
     m = GaussianMixture([0.25, 0.75], [[0.0], [0.0]], [[1.0], [1.0]])
-    box = uniform_box([low], [high])
+    box = UniformBox([low], [high])
     exact = _ndtr_mass(m, box)
     assert 0.0 < exact < 1e-14
     assert box_mass(m, box) == pytest.approx(exact, rel=1e-12, abs=0)
@@ -167,7 +167,7 @@ def test_box_mass_far_tail_keeps_relative_precision(low, high):
 
 def test_box_mass_is_none_for_full_covariances():
     m = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.3], [0.3, 1.0]]])
-    assert box_mass(m, uniform_box([-1.0, -1.0], [1.0, 1.0])) is None
+    assert box_mass(m, UniformBox([-1.0, -1.0], [1.0, 1.0])) is None
 
 
 def test_box_mass_bound_is_an_upper_bound():
@@ -175,18 +175,18 @@ def test_box_mass_bound_is_an_upper_bound():
     for _ in range(20):
         m = random_narrow_mixture(rng, k=4, d=3)
         low = rng.uniform(-2.0, 0.5, 3)
-        box = uniform_box(low, low + rng.uniform(0.1, 2.0, 3))
+        box = UniformBox(low, low + rng.uniform(0.1, 2.0, 3))
         assert box_mass(m, box) <= box_mass_bound(m, box)
     m = random_narrow_mixture(rng, d=1)  # one axis: the bound is the mass
-    box = uniform_box([-0.5], [0.7])
+    box = UniformBox([-0.5], [0.7])
     assert box_mass_bound(m, box) == box_mass(m, box)
 
     # A correlated mixture: the bound is above the Monte Carlo mass.
     q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
                         [[0.2, 0.1], [0.15, 0.25]])
-    m = divide_by_gaussian(q, gaussian_prior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]]))
-    box = uniform_box([-0.5, -0.5], [0.5, 0.5])
-    draws = sample(PosteriorEstimate(m, uniform_box([-20.0, -20.0], [20.0, 20.0])),
+    m = divide_by_gaussian(q, GaussianPrior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]]))
+    box = UniformBox([-0.5, -0.5], [0.5, 0.5])
+    draws = sample(PosteriorEstimate(m, UniformBox([-20.0, -20.0], [20.0, 20.0])),
                    100_000, seed=14)
     assert np.mean(np.all((draws >= box.low) & (draws <= box.high), axis=1)) \
         < box_mass_bound(m, box)
@@ -196,9 +196,9 @@ def _far_correlated_posterior():
     """N((5, 5), 0.1 I) divided by a correlated proposal: a full
     covariance with almost no mass in [-1, 1]^2."""
     q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
-    m = divide_by_gaussian(q, gaussian_prior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    m = divide_by_gaussian(q, GaussianPrior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
     assert m.covariances[0, 0, 1] != 0
-    return m, uniform_box([-1.0, -1.0], [1.0, 1.0])
+    return m, UniformBox([-1.0, -1.0], [1.0, 1.0])
 
 
 def test_truncate_warns_on_full_covariance_below_mass_floor(monkeypatch):
@@ -223,39 +223,64 @@ def test_box_with_non_finite_edge_is_refused(low, high):
     """A NaN edge would make the in-box mass NaN, which no mass floor
     catches; an infinite edge has no uniform density."""
     with pytest.raises(ConfigurationError, match="finite"):
-        uniform_box(low, high)
+        UniformBox(low, high)
 
 
 def test_gaussian_prior_with_non_finite_entries_is_refused():
     with pytest.raises(ConfigurationError, match="finite"):
-        gaussian_prior([np.nan], [[1.0]])
+        GaussianPrior([np.nan], [[1.0]])
+
+
+def test_box_contains_its_edges_and_takes_a_point_or_rows():
+    box = UniformBox([0.0, -1.0], [1.0, 1.0])
+    rows = np.array([[0.0, -1.0], [1.0, 1.0], [0.5, 0.0], [1.0 + 1e-12, 0.0], [0.5, -1.5]])
+    np.testing.assert_array_equal(box.contains(rows), [True, True, True, False, False])
+    assert box.contains([0.0, 1.0]) and not box.contains([0.0, 2.0])
+    assert box.contains(rows.reshape(5, 1, 2)).shape == (5, 1)
+
+
+@pytest.mark.parametrize("thetas", [np.zeros((4, 3)), np.zeros(1), np.float64(0.0)])
+def test_box_contains_refuses_a_width_mismatch(thetas):
+    with pytest.raises(ContractError, match="expected 2 parameters"):
+        UniformBox([0.0, 0.0], [1.0, 1.0]).contains(thetas)
+
+
+def test_box_needs_one_dimensional_edges():
+    with pytest.raises(ConfigurationError, match="1-D"):
+        UniformBox(0.0, 1.0)
+
+
+def test_posterior_support_must_be_a_box():
+    m = GaussianMixture([1.0], [[0.0]], [[1.0]])
+    with pytest.raises(ConfigurationError, match="uniform box"):
+        PosteriorEstimate(m, GaussianPrior([0.0], [[1.0]]))
 
 
 # -- sample -----------------------------------------------------------------
 
 def test_sample_near_delta():
     m = GaussianMixture([1.0], [[3.0, -2.0]], [[1e-12, 1e-12]])
-    p = truncate(m, uniform_box([2.0, -3.0], [4.0, -1.0]))
+    p = truncate(m, UniformBox([2.0, -3.0], [4.0, -1.0]))
     draws = sample(p, 100, seed=1)
     assert np.max(np.abs(draws - np.array([3.0, -2.0]))) < 1e-5
 
 
 def test_sample_degenerate_categorical():
     m = GaussianMixture([1.0, 0.0], [[0.0], [50.0]], [[0.01], [0.01]])
-    draws = sample(truncate(m, uniform_box([-60.0], [60.0])), 5000, seed=2)
+    draws = sample(truncate(m, UniformBox([-60.0], [60.0])), 5000, seed=2)
     assert np.all(np.abs(draws) < 1.0)
 
 
 def test_sample_component_occupancy():
     m = GaussianMixture([0.3, 0.7], [[-5.0], [5.0]], [[0.25], [0.25]])
-    draws = sample(truncate(m, uniform_box([-10.0], [10.0])), 100000, seed=3)
+    draws = sample(truncate(m, UniformBox([-10.0], [10.0])), 100000, seed=3)
     occ = np.mean(draws[:, 0] > 0)
     assert abs(occ - 0.7) < 0.01
 
 
 def test_sample_deterministic_and_respects_box():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    p = truncate(m, uniform_box([-0.5], [0.5]))
+    p = truncate(m, UniformBox([-0.5], [0.5]))
     a = sample(p, 500, seed=5)
     b = sample(p, 500, seed=5)
     np.testing.assert_array_equal(a, b)
@@ -264,7 +289,7 @@ def test_sample_deterministic_and_respects_box():
 
 def test_sample_degenerate_posterior_raises_before_any_draw(monkeypatch):
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
-    p = PosteriorEstimate(m, uniform_box([-1.0], [1.0]))
+    p = PosteriorEstimate(m, UniformBox([-1.0], [1.0]))
     assert box_mass(m, p.support) < MASS_FLOOR
 
     def no_draws(*args, **kwargs):
@@ -279,7 +304,7 @@ def test_sample_truncated_component_occupancy():
     # component 0 sits on the box edge, so half of it is cut: its share of
     # the draws is alpha_0 Z_0 / sum_k alpha_k Z_k = 0.5 * 0.5 / 0.75
     m = GaussianMixture([0.5, 0.5], [[0.0], [8.0]], [[1.0], [0.09]])
-    box = uniform_box([0.0], [10.0])
+    box = UniformBox([0.0], [10.0])
     sd = np.sqrt(m.covariances[:, 0, 0])
     z = ndtr((10.0 - m.means[:, 0]) / sd) - ndtr((0.0 - m.means[:, 0]) / sd)
     share = m.weights[0] * z[0] / (m.weights @ z)
@@ -293,7 +318,7 @@ def test_sample_truncated_component_occupancy():
 def test_sample_full_covariance_from_division():
     q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
                         [[0.2, 0.1], [0.15, 0.25]])
-    proposal = gaussian_prior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]])
+    proposal = GaussianPrior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]])
     m = divide_by_gaussian(q, proposal)
     assert np.all(np.abs(m.covariances[:, 0, 1]) > 1e-3)  # correlated components
     mean = m.weights @ m.means
@@ -303,7 +328,7 @@ def test_sample_full_covariance_from_division():
 
     # A box 8 sd around the mixture: moments are the untruncated ones.
     half = 8 * np.sqrt(np.diag(cov))
-    wide = uniform_box(mean - half, mean + half)
+    wide = UniformBox(mean - half, mean + half)
     assert box_mass(m, wide) is None
     n = 200_000
     draws = sample(truncate(m, wide), n, seed=10)
@@ -315,7 +340,7 @@ def test_sample_full_covariance_from_division():
                   < 3 * products.std(axis=0) / np.sqrt(n))
 
     # A box that cuts the mixture: every draw lies in it.
-    cut = uniform_box([-0.5, -0.5], [0.5, 0.5])
+    cut = UniformBox([-0.5, -0.5], [0.5, 0.5])
     draws = sample(truncate(m, cut), 20_000, seed=11)
     assert draws.shape == (20_000, 2)
     assert np.all((draws >= cut.low) & (draws <= cut.high))
@@ -327,8 +352,8 @@ def test_sample_chunk_edges(count, boxed):
     """``boxed``: a box that cuts the mixture; otherwise one that holds
     every draw."""
     m = GaussianMixture([0.3, 0.7], [[0.2, 1.0], [1.2, 0.5]], [[0.1, 0.2], [0.3, 0.05]])
-    box = uniform_box([0.0, 0.0], [1.5, 1.5]) if boxed else uniform_box([-9.0, -9.0],
-                                                                         [9.0, 9.0])
+    box = UniformBox([0.0, 0.0], [1.5, 1.5]) if boxed else UniformBox([-9.0, -9.0],
+                                                                        [9.0, 9.0])
     p = truncate(m, box)
     draws = sample(p, count, seed=12)
     assert draws.shape == (count, 2) and draws.flags.c_contiguous
@@ -338,7 +363,7 @@ def test_sample_chunk_edges(count, boxed):
 
 def test_sample_memory_is_output_plus_one_chunk():
     m = GaussianMixture([0.3, 0.7], [[0.2, 1.0], [1.2, 0.5]], [[0.1, 0.2], [0.3, 0.05]])
-    p = truncate(m, uniform_box([0.0, 0.0], [1.5, 1.5]))
+    p = truncate(m, UniformBox([0.0, 0.0], [1.5, 1.5]))
     tracemalloc.start()
     try:
         draws = sample(p, 1_000_000, seed=13)
@@ -351,13 +376,13 @@ def test_sample_memory_is_output_plus_one_chunk():
 
 def test_sample_count_zero():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    assert sample(truncate(m, uniform_box([-1.0], [1.0])), 0, seed=0).shape == (0, 1)
+    assert sample(truncate(m, UniformBox([-1.0], [1.0])), 0, seed=0).shape == (0, 1)
 
 
 def test_sampling_density_consistency():
     # KDE of samples correlates with analytic density on a 1-D mixture
     m = GaussianMixture([0.4, 0.6], [[-1.5], [1.0]], [[0.3], [0.2]])
-    draws = sample(truncate(m, uniform_box([-10.0], [10.0])), 100000, seed=6)[:, 0]
+    draws = sample(truncate(m, UniformBox([-10.0], [10.0])), 100000, seed=6)[:, 0]
     grid = np.linspace(-4, 4, 200)
     h = 0.08
     kde = np.mean(
@@ -381,7 +406,7 @@ class _FakeModel:
 def test_recover_uniform_proposal_identity():
     rng = np.random.default_rng(4)
     m = random_narrow_mixture(rng)
-    box = uniform_box([-5, -5], [5, 5])
+    box = UniformBox([-5, -5], [5, 5])
     post = recover_posterior(_FakeModel(m), np.zeros(3), prior=box, proposal=box)
     np.testing.assert_array_equal(post.mixture.weights, m.weights)
     np.testing.assert_array_equal(post.mixture.means, m.means)
@@ -391,9 +416,9 @@ def test_recover_uniform_proposal_identity():
 def test_recover_gaussian_proposal_divides():
     rng = np.random.default_rng(5)
     m = random_narrow_mixture(rng)
-    proposal = gaussian_prior(np.zeros(2), np.eye(2) * 1e8)
+    proposal = GaussianPrior(np.zeros(2), np.eye(2) * 1e8)
     post = recover_posterior(_FakeModel(m), np.zeros(3),
-                             prior=uniform_box([-50, -50], [50, 50]),
+                             prior=UniformBox([-50, -50], [50, 50]),
                              proposal=proposal)
     # wide-proposal limit: division leaves means unchanged
     np.testing.assert_allclose(post.mixture.means, m.means, atol=1e-6)
@@ -401,14 +426,14 @@ def test_recover_gaussian_proposal_divides():
 
 def test_recover_rejects_unsupported_combination():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    g = gaussian_prior([0.0], [[1.0]])
+    g = GaussianPrior([0.0], [[1.0]])
     with pytest.raises(ConfigurationError):
         recover_posterior(_FakeModel(m), np.zeros(3), prior=g, proposal=g)
 
 
 def test_log_prob_target_values():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    p = truncate(m, uniform_box([-1.0], [1.0]))
+    p = truncate(m, UniformBox([-1.0], [1.0]))
     assert log_prob_target(p, [0.0]) == pytest.approx(-0.9189385, abs=1e-6)
     assert (log_prob_target(p, [0.5])
             == pytest.approx(log_density_batch(m, [[0.5]])[0]))

@@ -88,6 +88,8 @@ def test_rollout_bounds_checked():
         rollout_one(model, [0.5, 0.5], ctrl, horizon=500, seed=0)
     with pytest.raises(ContractError):  # one theta vector, not a batch
         rollout(model, [0.5, 0.5], ctrl, seed=[0])
+    with pytest.raises(ContractError, match="expected 2 parameters"):
+        rollout(model, np.full((3, 3), 0.5), ctrl, seed=[0, 1, 2])
 
 
 def test_cartpole_termination():
