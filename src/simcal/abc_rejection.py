@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .mdn import GaussianMixture, log_density_batch
-from .priors import GaussianPrior, UniformBox
+from .posterior import PosteriorEstimate
+from .priors import UniformBox
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class AbcResult:
 
 def rejection_abc(
     simulate_stats,
-    proposal: UniformBox | GaussianPrior,
+    proposal: UniformBox | PosteriorEstimate,
     x_r: np.ndarray,
     cfg: AbcConfig,
     seed,

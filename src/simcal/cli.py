@@ -7,6 +7,7 @@ Subcommands: generate, train, infer, evaluate, sample. Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -128,12 +129,17 @@ def run(argv=None) -> int:
                              post.provenance.get("config_hash", ""))
         print(f"wrote {out / 'samples.csv'} ({args.count} rows)")
 
+    sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
+    except BrokenPipeError as exc:  # aim stdout at devnull: the flush at exit must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigurationError, ContractError, FileExistsError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

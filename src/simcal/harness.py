@@ -20,13 +20,13 @@ import yaml
 
 from . import mdn
 from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
-from .errors import ConfigurationError, ContractError, SimcalError
+from .errors import ConfigurationError, ContractError, DegeneratePosteriorError, SimcalError
 from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, init_neural_map
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps
 # these names on this module.
 from .features import apply_nn, apply_rff  # noqa: F401
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
-from .posterior import PosteriorEstimate, log_prob_target, recover_posterior
+from .posterior import PosteriorEstimate, log_prob_target, recover_posterior, sample
 from .priors import GaussianPrior, UniformBox
 from .simulators import (CONTROLLER_KINDS, MAX_HORIZON, MODELS, Rollouts, builtin_controller,
                          get_model, rollout)
@@ -65,10 +65,11 @@ def _values(v) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An empty ``theta_star``, ``prior_low`` or ``prior_high`` takes the
-    benchmark model's value. Loading builds ``prior``, the uniform box, which
-    must lie inside the model's limits and hold ``theta_star``, and
-    ``proposal_spec``: N(proposal_mean, proposal_cov) if given, else the prior."""
+    """An empty ``theta_star``, ``prior_low`` or ``prior_high`` takes the benchmark model's
+    value. Loading builds ``prior``, the uniform box, which must lie inside the model's limits
+    and hold ``theta_star``; ``proposal_spec``, N(proposal_mean, proposal_cov) if given, else
+    the prior; and ``truncated_proposal``, which every theta is drawn from: the prior, or that
+    Gaussian truncated to the prior box, refused below ``posterior.MASS_FLOOR`` of mass there."""
 
     benchmark: str = "cartpole"
     theta_star: tuple = ()
@@ -132,9 +133,13 @@ class ExperimentConfig:
                                      "give a Gaussian proposal together, not alone")
         try:
             prior = UniformBox(self.prior_low, self.prior_high)
-            proposal = (GaussianPrior(self.proposal_mean, self.proposal_cov)
-                        if self.proposal_mean else prior)
-        except ConfigurationError as exc:
+            proposal = truncated = prior
+            if self.proposal_mean:
+                proposal = GaussianPrior(self.proposal_mean, self.proposal_cov)
+                truncated = PosteriorEstimate(
+                    GaussianMixture([1.0], [proposal.mean], [proposal.cov]), prior)
+                sample(truncated, 0, seed=0)  # refuses under MASS_FLOOR of mass in the box
+        except (ConfigurationError, DegeneratePosteriorError) as exc:
             raise ConfigurationError(f"config fields 'prior_low', 'prior_high', "
                                      f"'proposal_mean' and 'proposal_cov': {exc}") from exc
         limits = get_model(self.benchmark).limits
@@ -147,6 +152,7 @@ class ExperimentConfig:
                                      f"got {list(self.theta_star)}")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "proposal_spec", proposal)
+        object.__setattr__(self, "truncated_proposal", truncated)
 
     def trainer(self, repeat: int, epochs: int | None = None) -> TrainerConfig:
         """The trainer of a repeat: its CV folds and head init share the seed."""
@@ -258,24 +264,20 @@ def _simulate(config: ExperimentConfig, thetas, seeds) -> Rollouts:
 
 
 def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
-    """Sample parameters from the proposal, roll all of them out in one
-    lockstep batch, compute statistics and fit the standardizer.
+    """Sample parameters from the proposal truncated to the prior box, roll all of them
+    out in one lockstep batch, compute statistics and fit the standardizer.
 
-    A draw fails (is not ``Rollouts.completed``) when its theta lies outside
-    the model's limits (it is not simulated), its rollout diverged, or it
-    ran fewer than 2 steps. Aborts when more than 1% of draws fail."""
+    A draw fails (is not ``Rollouts.completed``) when its rollout diverged
+    or ran fewer than 2 steps. Aborts when more than 1% of draws fail."""
     rng = random_stream(config, "dataset", repeat)
-    thetas = config.proposal_spec.sample(rng, config.num_train)
+    thetas = config.truncated_proposal.sample(rng, config.num_train)
     batch = _simulate(config, thetas, rng.integers(2 ** 63, size=config.num_train))
     kept = batch.completed
-    short = batch.in_limits & ~batch.diverged & ~kept
     failed = config.num_train - int(kept.sum())
     if failed > 0.01 * config.num_train:
         raise ConfigurationError(
-            f"{failed}/{config.num_train} draws failed: "
-            f"{int((~batch.in_limits).sum())} outside the parameter limits, "
-            f"{int(batch.diverged.sum())} diverged, "
-            f"{int(short.sum())} shorter than 2 steps; "
+            f"{failed}/{config.num_train} draws failed: {int(batch.diverged.sum())} diverged, "
+            f"{int((~batch.diverged & ~kept).sum())} shorter than 2 steps; "
             f"offending parameters: {thetas[~kept][:20].tolist()}"
         )
     raw = compute_stats(batch.select(kept))
@@ -631,8 +633,8 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
         # simulation budget.
         dists = np.linalg.norm(dataset.x_standardized - x_r, axis=1)
         eps = epsilon_for_acceptance(dists, config.abc_accept_rate)
-    result = rejection_abc(simulate_stats, config.proposal_spec, x_r, AbcConfig(eps, n_sims),
-                           random_stream(config, "abc", repeat))
+    result = rejection_abc(simulate_stats, config.truncated_proposal, x_r,
+                           AbcConfig(eps, n_sims), random_stream(config, "abc", repeat))
     if result.accepted.shape[0] < 10:
         # Fall back to the accepted-quantile radius on this run's draws.
         completed = np.isfinite(result.distances)

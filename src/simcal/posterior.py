@@ -31,7 +31,7 @@ CHUNK_ROWS = (256, 65_536)  # the fewest and most draws of one sampling chunk
 
 @dataclass
 class PosteriorEstimate:
-    """Gaussian mixture truncated to a box support.
+    """Gaussian mixture truncated to a box support: a posterior, or a truncated proposal.
 
     Densities are reported unnormalized: the mixture density inside the
     box and -inf outside it, not divided by the in-box mass that
@@ -56,6 +56,9 @@ class PosteriorEstimate:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = log_density_batch(self.mixture, thetas)
         return np.where(self.support.contains(thetas), out, NEG_INF)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return sample(self, count, seed=int(rng.integers(2 ** 63)))
 
 
 def divide_by_gaussian(q: GaussianMixture, proposal: GaussianPrior) -> GaussianMixture:

@@ -66,11 +66,3 @@ class GaussianPrior:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "chol", chol)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        z = rng.standard_normal((count, self.dim))
-        return self.mean + z @ self.chol.T

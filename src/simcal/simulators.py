@@ -29,10 +29,8 @@ MAX_HORIZON = 200  # steps per episode
 class Rollouts:
     """N episodes stepped in lockstep.
 
-    Row i holds ``lengths[i]`` steps. Past its length a row is frozen:
-    its last state repeats and its actions are zero. A row whose theta
-    lies outside the model's limits is never stepped (length 0); a row
-    that diverges is frozen at its last finite state and flagged.
+    Row i holds ``lengths[i]`` steps. Past its length a row is frozen: its last state repeats
+    and its actions are zero. A row that diverges is frozen at its last finite state and flagged.
     """
 
     thetas: np.ndarray          # (N, d_theta)
@@ -41,7 +39,6 @@ class Rollouts:
     lengths: np.ndarray         # (N,) steps taken per row
     terminated: np.ndarray      # (N,) the termination predicate ended the row
     diverged: np.ndarray        # (N,) non-finite or beyond STATE_LIMIT
-    in_limits: np.ndarray       # (N,) theta inside the model's limits
 
     @property
     def length(self) -> int:
@@ -55,21 +52,18 @@ class Rollouts:
 
     @property
     def completed(self) -> np.ndarray:
-        """Rows that statistics can use: in limits, not diverged, >= 2 steps."""
-        return self.in_limits & ~self.diverged & (self.lengths >= 2)
+        """Rows that statistics can use: not diverged, >= 2 steps."""
+        return ~self.diverged & (self.lengths >= 2)
 
     def select(self, rows) -> "Rollouts":
         return Rollouts(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def check(self) -> None:
-        """Raise for the first failed row: ContractError for a theta
-        outside the limits, DivergedTrajectoryError for a divergence."""
-        for i in np.flatnonzero(~self.in_limits | self.diverged):
-            theta = self.thetas[i].tolist()
-            if not self.in_limits[i]:
-                raise ContractError(f"theta={theta} outside the parameter limits")
+        """Raise DivergedTrajectoryError for the first diverged row."""
+        if self.diverged.any():
+            i = int(np.argmax(self.diverged))
             raise DivergedTrajectoryError(
-                f"state diverged at step {self.lengths[i]} for theta={theta}")
+                f"state diverged at step {self.lengths[i]} for theta={self.thetas[i].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -325,10 +319,10 @@ def rollout(
     per row of the ``(N, d_theta)`` thetas and of the N ``seed`` values,
     every episode in lockstep.
 
-    Failed rows are flagged in the returned Rollouts and do not stop the
-    others; ``Rollouts.check`` raises for them. Each row stops at
-    ``horizon`` (at most MAX_HORIZON steps) or the model's termination
-    predicate, whichever comes first.
+    A theta outside ``model.limits`` raises ContractError. Diverged rows are
+    flagged in the returned Rollouts and do not stop the others; ``Rollouts.check``
+    raises for them. Each row stops at ``horizon`` (at most MAX_HORIZON steps)
+    or the model's termination predicate, whichever comes first.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise ContractError(f"horizon must be in [1, {MAX_HORIZON}]")
@@ -337,8 +331,10 @@ def rollout(
     if thetas.ndim != 2 or seeds.shape != thetas.shape[:1]:
         raise ContractError(f"expected (N, d_theta) thetas and N seeds, got "
                             f"shapes {thetas.shape} and {seeds.shape}")
+    inside = model.limits.contains(thetas)
+    if not inside.all():
+        raise ContractError(f"theta={thetas[~inside][0].tolist()} outside the {model.name} limits")
     n = thetas.shape[0]
-    in_limits = model.limits.contains(thetas)
     if initial_state is None:
         salt = zlib.crc32(model.name.encode())
         state = np.array([
@@ -356,10 +352,10 @@ def rollout(
     lengths = np.zeros(n, dtype=int)
     terminated = np.zeros(n, dtype=bool)
     diverged = np.zeros(n, dtype=bool)
-    alive = in_limits.copy()
+    alive = np.ones(n, dtype=bool)
     steps = 0
-    # Frozen and never-started rows are stepped too and their results
-    # discarded, so overflow in them is silenced.
+    # Frozen rows are stepped too and their results discarded, so
+    # overflow in them is silenced.
     with np.errstate(all="ignore"):
         for t in range(horizon):
             if not alive.any():
@@ -381,7 +377,6 @@ def rollout(
     return Rollouts(
         thetas=thetas, states=states[:, :steps + 1], actions=actions[:, :steps],
         lengths=lengths, terminated=terminated, diverged=diverged,
-        in_limits=in_limits,
     )
 
 

@@ -4,6 +4,9 @@ import functools
 import importlib.util
 import json
 import operator
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -192,6 +195,24 @@ def test_load_config_yaml_roundtrip(tmp_path):
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
+
+
+def test_config_refuses_a_proposal_with_too_little_mass_in_the_prior_box(tmp_path, capsys):
+    """N(0.45, 0.01^2) lies wholly above pendulum's prior box [0.01, 0.3]:
+    generate exits 2 and writes nothing. A full covariance is refused by
+    its mass bound; a Gaussian half inside the box loads."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("benchmark: pendulum\nnum_train: 100\n"
+                        "proposal_mean: [0.45]\nproposal_cov: [[0.0001]]\n")
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "'proposal_mean' and 'proposal_cov'" in err
+    assert "below 1e-06" in err and not (tmp_path / "dataset.csv").exists()
+    with pytest.raises(ConfigurationError, match="proposal_cov"):
+        ExperimentConfig(proposal_mean=(5.0, 5.0), proposal_cov=((0.01, 0.005), (0.005, 0.01)))
+    cfg = ExperimentConfig(benchmark="pendulum", proposal_mean=(0.3,), proposal_cov=((0.0001,),))
+    assert cfg.truncated_proposal.sample(np.random.default_rng(0), 50).max() <= 0.3
 
 
 # -- dataset ---------------------------------------------------------------
@@ -497,11 +518,47 @@ def test_cli_chain_with_a_gaussian_proposal(tmp_path, capsys):
     assert not (tmp_path / "posterior.json").exists()
 
 
+def _cli_round(root, cfg: dict, *seed) -> float:
+    """generate -> train -> infer of ``cfg`` through cli.main, each stage
+    exiting 0; returns log p(theta*) under the posterior."""
+    root.mkdir()
+    path = root / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    common = ["--config", str(path), "--out", str(root), *seed]
+    for argv in (["generate"], ["train", "--dataset", str(root / "dataset.csv")],
+                 ["infer", "--model", str(root / "model.json")]):
+        assert cli.main(argv + common) == 0, argv[0]
+    return log_prob_target(load_posterior(root / "posterior.json"),
+                           np.asarray(load_config(path).theta_star))
+
+
+def test_adaptive_round_through_the_cli(tmp_path):
+    """BayesSim's second round: the Gaussian moments of round 1's sample
+    draws are round 2's proposal_mean and proposal_cov. Unwidened, theta*
+    scores at least as high as in round 1 (it did on each of seeds 0-7 at
+    this size, 2.0 -> 8.7 nats at seed 2). With the covariance x4, every
+    stage exits 0: untruncated, that proposal put more than 1% of its
+    --seed 0 draws below cart-pole's 0.01 pole-length limit."""
+    base = dict(benchmark="cartpole", controller_kind="bang_bang_energy",
+                num_train=400, epochs=300, seed=2)
+    round1 = _cli_round(tmp_path / "round1", base)
+    assert cli.main(["sample", "--posterior", str(tmp_path / "round1" / "posterior.json"),
+                     "--count", "4000", "--seed", "0", "--out", str(tmp_path)]) == 0
+    draws = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+    mean, cov = draws.mean(axis=0).tolist(), np.cov(draws, rowvar=False)
+    round2 = _cli_round(tmp_path / "unwidened",
+                        dict(base, proposal_mean=mean, proposal_cov=cov.tolist()))
+    assert round2 >= round1
+    _cli_round(tmp_path / "widened",
+               dict(base, proposal_mean=mean, proposal_cov=(4 * cov).tolist()), "--seed", "0")
+
+
 # -- failure accounting ----------------------------------------------------
 
 def _gaussian_cartpole(**over):
-    # N(1, 0.35^2) per parameter puts a few draws below cart-pole's 0.01
-    # limit; seed 8 draws 2 of them (1%, kept), seed 14 draws 3 (aborts)
+    # N(1, 0.35^2) per parameter puts about 1.4% of its mass outside the
+    # prior box [0.1, 2]^2 and a few untruncated draws below cart-pole's
+    # 0.01 limit: 3 of 200 at seed 14
     base = dict(benchmark="cartpole", controller_kind="bang_bang_energy",
                 num_train=200, num_components=3, proposal_mean=(1.0, 1.0),
                 proposal_cov=((0.35 ** 2, 0.0), (0.0, 0.35 ** 2)))
@@ -509,30 +566,51 @@ def _gaussian_cartpole(**over):
     return ExperimentConfig(**base)
 
 
-def test_generate_dataset_keeps_exactly_the_in_limit_draws():
-    cfg = _gaussian_cartpole(seed=8)
-    drawn = cfg.proposal_spec.sample(harness.random_stream(cfg, "dataset"), cfg.num_train)
-    in_limits = np.all((drawn >= 0.01) & (drawn <= 10.0), axis=1)
-    assert (~in_limits).sum() == 2
+def test_generate_dataset_draws_a_gaussian_proposal_inside_the_prior_box():
+    """The draws are posterior.sample of the one-component mixture on the
+    prior box, seeded from the dataset stream, and every row is kept."""
+    cfg = _gaussian_cartpole(seed=14)
     d = generate_dataset(cfg)
-    np.testing.assert_array_equal(d.thetas, drawn[in_limits])
-    assert d.raw_stats.shape[0] == 198
+    truncated = PosteriorEstimate(
+        GaussianMixture([1.0], [[1.0, 1.0]], [[0.35 ** 2, 0.35 ** 2]]), cfg.prior)
+    seed = int(harness.random_stream(cfg, "dataset").integers(2 ** 63))
+    np.testing.assert_array_equal(d.thetas, sample(truncated, cfg.num_train, seed))
+    assert d.thetas.shape == (200, 2) and cfg.prior.contains(d.thetas).all()
+    assert (cfg.prior.low > 0.01).all()  # so no draw can leave the model's limits
 
 
-def test_generate_dataset_aborts_above_one_percent_failed():
+def _diverge_rows(monkeypatch, mask):
+    """Mark the ``mask`` rows diverged in every rollout batch of its length,
+    and leave the other batches as they are."""
+    def fail(*args, **kwargs):
+        batch = rollout(*args, **kwargs)
+        if len(batch.lengths) != len(mask):
+            return batch
+        return dataclasses.replace(batch, diverged=batch.diverged | mask)
+    monkeypatch.setattr(harness, "rollout", fail)
+
+
+def test_generate_dataset_aborts_above_one_percent_failed(monkeypatch):
+    """Of 200 draws, 2 diverged (1%) are dropped and 3 abort; 1-step
+    rollouts are too short."""
+    cfg = small_config(num_train=200)
+    _diverge_rows(monkeypatch, np.arange(200) < 2)
+    assert generate_dataset(cfg).thetas.shape == (198, 1)
+    _diverge_rows(monkeypatch, np.arange(200) < 3)
     with pytest.raises(ConfigurationError) as info:
-        generate_dataset(_gaussian_cartpole(seed=14))
-    message = str(info.value)
-    assert "3/200 draws failed" in message
-    assert "3 outside the parameter limits" in message
-    assert "0 diverged" in message
+        generate_dataset(cfg)
+    assert "3/200 draws failed: 3 diverged, 0 shorter than 2 steps" in str(info.value)
+    monkeypatch.undo()
+    with pytest.raises(ConfigurationError, match="0 diverged, 200 shorter than 2 steps"):
+        generate_dataset(small_config(num_train=200, horizon=1))
 
 
 def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
-    """At seed 11 each repeat's ABC draws 1-2 thetas outside cart-pole's
-    limits: they get distance inf and the other draws the statistics
-    of a batch without them, so no repeat fails."""
-    cfg = _gaussian_cartpole(seed=11, methods=("rejection_abc",), repeats=3)
+    """Every 40th of each repeat's 150 ABC draws diverges: it gets distance
+    inf and the other draws the statistics of a batch without it, so no
+    repeat fails. The dataset and real-observation batches are untouched."""
+    cfg = small_config(seed=11, methods=("rejection_abc",), repeats=3,
+                       abc_max_simulations=150)
     calls = []
 
     def spy(simulate_stats, proposal, x_r, abc, seed):
@@ -542,16 +620,15 @@ def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
         return rejection_abc(recorded, proposal, x_r, abc, seed)
 
     monkeypatch.setattr(harness, "rejection_abc", spy)
+    ok = np.arange(150) % 40 != 0
+    _diverge_rows(monkeypatch, ~ok)
     (row,) = evaluate(cfg)
     assert not row.failed and row.repeats == 3
-    model = get_model("cartpole")
+    model = get_model(cfg.benchmark)
     controller = builtin_controller(cfg.controller_kind, cfg.controller_seed)
     for r, (thetas, seeds, x) in enumerate(calls):
-        ok = model.limits.contains(thetas)
-        assert (~ok).sum() == (2, 2, 1)[r]
-        assert np.all(np.isinf(x[~ok]))
+        assert np.all(np.isinf(x[~ok])) and np.all(np.isfinite(x[ok]))
         batch = rollout(model, thetas[ok], controller, horizon=cfg.horizon, seed=seeds[ok])
-        batch.check()
         schema = generate_dataset(cfg, r).schema
         np.testing.assert_array_equal(x[ok], schema.standardize(compute_stats(batch)))
 
@@ -689,7 +766,7 @@ def test_benchmark_tracer_hooks_run_and_restore():
     np.testing.assert_array_equal(traced.raw_stats, plain.raw_stats)
 
     rng = harness.random_stream(cfg, "dataset")
-    thetas = cfg.proposal_spec.sample(rng, 60)
+    thetas = cfg.truncated_proposal.sample(rng, 60)
     batch = rollout(get_model("cartpole"), thetas,
                     builtin_controller(cfg.controller_kind, cfg.controller_seed),
                     horizon=80, seed=rng.integers(2 ** 63, size=60))
@@ -791,6 +868,29 @@ def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsy
     assert "Traceback" not in err
     if case == "model_version_1":
         assert "version 1" in err and f"version {harness.FORMAT_VERSION}" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_closed_stdout_exits_2_without_a_traceback(tmp_path, unbuffered):
+    """stdout is a pipe whose read end is closed, as in `simcal sample ... |
+    true`: exit 2 with one line on stderr, buffered or not."""
+    save_posterior(truncate(GaussianMixture([1.0], [[0.0]], [[1.0]]), UniformBox([-1.0], [1.0])),
+                   tmp_path / "posterior.json", "")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simcal.cli", "sample", "--posterior",
+             str(tmp_path / "posterior.json"), "--count", "5", "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err == "configuration error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "sample"])

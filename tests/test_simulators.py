@@ -302,7 +302,7 @@ def test_batch_matches_reference_loop(name, kind):
     seeds = 1000 + np.arange(24)
     batch = rollout(model, thetas, builtin_controller(kind, seed=5),
                     horizon=120, seed=seeds)
-    assert not batch.diverged.any() and batch.in_limits.all()
+    assert not batch.diverged.any()
     for i in range(24):
         states, actions, term = reference_rollout(model, thetas[i], kind, 5,
                                                   int(seeds[i]), 120)
@@ -337,34 +337,38 @@ def test_single_rollout_is_the_one_row_batch():
         np.testing.assert_array_equal(one.actions[0], batch.actions[i, :n])
 
 
-def test_out_of_limit_and_diverged_rows_do_not_stop_the_batch():
+def test_diverged_row_does_not_stop_the_batch_and_out_of_limit_theta_raises():
     model = LotkaVolterra()
     ctrl = builtin_controller("sinusoid", seed=0)
     thetas = np.array([[0.5, 0.2, 0.4, 0.3], [2.0, 0.0, 0.0, 0.0],
-                       [3.0, 0.2, 0.4, 0.3]])
+                       [0.6, 0.2, 0.4, 0.3]])
     start = np.array([[1.0, 0.5], [9e7, 0.5], [1.0, 0.5]])
     batch = rollout(model, thetas, ctrl, horizon=200, seed=[0, 1, 2],
                     initial_state=start)
-    np.testing.assert_array_equal(batch.in_limits, [True, True, False])
     np.testing.assert_array_equal(batch.diverged, [False, True, False])
-    assert batch.lengths[0] == 200
-    assert 0 < batch.lengths[1] < 200 and batch.lengths[2] == 0
+    assert batch.lengths[0] == batch.lengths[2] == 200
+    assert 0 < batch.lengths[1] < 200
     # the diverged row is frozen at its last finite state
     n = batch.lengths[1]
     assert np.all(np.abs(batch.states[1]) <= 1e8)
     np.testing.assert_array_equal(batch.states[1, n:],
                                   np.broadcast_to(batch.states[1, n],
                                                   batch.states[1, n:].shape))
-    np.testing.assert_array_equal(batch.states[2], np.broadcast_to(
-        start[2], batch.states[2].shape))
+    # the rows beside it step as they would alone
+    alone = rollout(model, thetas[[0, 2]], ctrl, horizon=200, seed=[0, 2],
+                    initial_state=start[[0, 2]])
+    np.testing.assert_array_equal(batch.select([0, 2]).states, alone.states)
     with pytest.raises(DivergedTrajectoryError):
         rollout_one(model, thetas[1], ctrl, horizon=200, seed=1,
                     initial_state=start[1])
     with pytest.raises(DivergedTrajectoryError):
         batch.check()
-    with pytest.raises(ContractError):
-        batch.select([0, 2]).check()
-    batch.select([0]).check()
+    batch.select([0, 2]).check()
+    # a theta outside the limits [0, 2] is refused before any row is stepped
+    outside = thetas.copy()
+    outside[2, 0] = 3.0
+    with pytest.raises(ContractError, match=r"theta=\[3.0, 0.2, 0.4, 0.3\] outside"):
+        rollout(model, outside, ctrl, horizon=200, seed=[0, 1, 2], initial_state=start)
 
 
 def test_batch_stops_once_every_row_has_ended():

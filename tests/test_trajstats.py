@@ -33,7 +33,7 @@ def batch(trajs):
         states=np.array([states for states, _ in trajs]),
         actions=np.array([actions for _, actions in trajs]),
         lengths=np.array([len(actions) for _, actions in trajs], dtype=int),
-        terminated=flags, diverged=flags, in_limits=~flags,
+        terminated=flags, diverged=flags,
     )
 
 
@@ -198,7 +198,7 @@ def test_ragged_batch_equals_trimmed_rows(seed, n, t, ds, da):
         states=rng.normal(size=(n, t + 1, ds)),
         actions=rng.normal(size=(n, t, da)),
         lengths=lengths, terminated=np.zeros(n, dtype=bool),
-        diverged=np.zeros(n, dtype=bool), in_limits=np.ones(n, dtype=bool),
+        diverged=np.zeros(n, dtype=bool),
     )
     got = compute_stats(rollouts)
     assert got.shape == (n, stat_dim(ds, da))
