@@ -27,7 +27,7 @@ from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, in
 from .features import apply_nn, apply_rff  # noqa: F401
 from .mdn import GaussianMixture, TrainerConfig, head_forward, train
 from .posterior import PosteriorEstimate, log_prob_target, recover_posterior, sample
-from .priors import GaussianPrior, UniformBox
+from .priors import UniformBox
 from .simulators import (CONTROLLER_KINDS, MAX_HORIZON, MODELS, Rollouts, builtin_controller,
                          get_model, rollout)
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
@@ -67,9 +67,9 @@ def _values(v) -> tuple:
 class ExperimentConfig:
     """An empty ``theta_star``, ``prior_low`` or ``prior_high`` takes the benchmark model's
     value. Loading builds ``prior``, the uniform box, which must lie inside the model's limits
-    and hold ``theta_star``; ``proposal_spec``, N(proposal_mean, proposal_cov) if given, else
-    the prior; and ``truncated_proposal``, which every theta is drawn from: the prior, or that
-    Gaussian truncated to the prior box, refused below ``posterior.MASS_FLOOR`` of mass there."""
+    and hold ``theta_star``, and ``proposal``, which every theta is drawn from and the posterior
+    divides out: the prior, or N(proposal_mean, proposal_cov) as a one-component mixture on the
+    prior box, refused below ``posterior.MASS_FLOOR`` of mass there."""
 
     benchmark: str = "cartpole"
     theta_star: tuple = ()
@@ -118,6 +118,8 @@ class ExperimentConfig:
                 f"got {self.abc_max_simulations!r}")
         if self.num_train < 10 * self.num_components:
             raise ConfigurationError("num_train must be at least 10 * num_components")
+        if self.feature_type == "rff" or {"mdn_rff", "control_shuffled"} & set(self.methods):
+            KernelConfig(self.kernel_family, 1.0, self.num_features)  # an RFF map's checks
         params = MODELS[self.benchmark].mutable_params
         for name, default in (("theta_star", [p.true for p in params]),
                               ("prior_low", [p.prior[0] for p in params]),
@@ -132,14 +134,12 @@ class ExperimentConfig:
             raise ConfigurationError("config fields 'proposal_mean' and 'proposal_cov' "
                                      "give a Gaussian proposal together, not alone")
         try:
-            prior = UniformBox(self.prior_low, self.prior_high)
-            proposal = truncated = prior
+            prior = proposal = UniformBox(self.prior_low, self.prior_high)
             if self.proposal_mean:
-                proposal = GaussianPrior(self.proposal_mean, self.proposal_cov)
-                truncated = PosteriorEstimate(
-                    GaussianMixture([1.0], [proposal.mean], [proposal.cov]), prior)
-                sample(truncated, 0, seed=0)  # refuses under MASS_FLOOR of mass in the box
-        except (ConfigurationError, DegeneratePosteriorError) as exc:
+                proposal = PosteriorEstimate(
+                    GaussianMixture([1.0], [self.proposal_mean], [self.proposal_cov]), prior)
+                sample(proposal, 0, seed=0)  # refuses under MASS_FLOOR of mass in the box
+        except (ConfigurationError, ContractError, DegeneratePosteriorError) as exc:
             raise ConfigurationError(f"config fields 'prior_low', 'prior_high', "
                                      f"'proposal_mean' and 'proposal_cov': {exc}") from exc
         limits = get_model(self.benchmark).limits
@@ -151,8 +151,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config field 'theta_star' must lie inside the prior box, "
                                      f"got {list(self.theta_star)}")
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "proposal_spec", proposal)
-        object.__setattr__(self, "truncated_proposal", truncated)
+        object.__setattr__(self, "proposal", proposal)
 
     def trainer(self, repeat: int, epochs: int | None = None) -> TrainerConfig:
         """The trainer of a repeat: its CV folds and head init share the seed."""
@@ -270,7 +269,7 @@ def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
     A draw fails (is not ``Rollouts.completed``) when its rollout diverged
     or ran fewer than 2 steps. Aborts when more than 1% of draws fail."""
     rng = random_stream(config, "dataset", repeat)
-    thetas = config.truncated_proposal.sample(rng, config.num_train)
+    thetas = config.proposal.sample(rng, config.num_train)
     batch = _simulate(config, thetas, rng.integers(2 ** 63, size=config.num_train))
     kept = batch.completed
     failed = config.num_train - int(kept.sum())
@@ -543,10 +542,8 @@ def synth_real_observation(config: ExperimentConfig, schema: StatsSchema,
 
 def infer_posterior(config: ExperimentConfig, model: FittedModel,
                     x_r: np.ndarray, model_ref: str = "") -> PosteriorEstimate:
-    return recover_posterior(
-        model, x_r, prior=config.prior, proposal=config.proposal_spec,
-        provenance={"model": model_ref, "config_hash": model.config_hash},
-    )
+    return recover_posterior(model, x_r, config.proposal,
+                             {"model": model_ref, "config_hash": model.config_hash})
 
 
 def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
@@ -633,7 +630,7 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
         # simulation budget.
         dists = np.linalg.norm(dataset.x_standardized - x_r, axis=1)
         eps = epsilon_for_acceptance(dists, config.abc_accept_rate)
-    result = rejection_abc(simulate_stats, config.truncated_proposal, x_r,
+    result = rejection_abc(simulate_stats, config.proposal, x_r,
                            AbcConfig(eps, n_sims), random_stream(config, "abc", repeat))
     if result.accepted.shape[0] < 10:
         # Fall back to the accepted-quantile radius on this run's draws.

@@ -1,8 +1,8 @@
 """Posterior recovery from the trained conditional density.
 
 With a uniform proposal equal to the prior the head output at the real
-observation already is the (unnormalized) posterior; with a Gaussian
-proposal the mixture is divided analytically by the proposal Gaussian.
+observation already is the (unnormalized) posterior; with a truncated
+Gaussian proposal the mixture is divided analytically by its Gaussian.
 The result is truncated to the prior box and exposed for density
 evaluation and ancestral sampling (domain-randomization draws).
 """
@@ -22,7 +22,7 @@ from .errors import (
     DegeneratePosteriorError,
 )
 from .mdn import GaussianMixture, log_density_batch
-from .priors import GaussianPrior, UniformBox
+from .priors import UniformBox
 
 NEG_INF = float("-inf")
 MASS_FLOOR = 1e-6  # in-box mass below which a truncated posterior is degenerate
@@ -61,8 +61,9 @@ class PosteriorEstimate:
         return sample(self, count, seed=int(rng.integers(2 ** 63)))
 
 
-def divide_by_gaussian(q: GaussianMixture, proposal: GaussianPrior) -> GaussianMixture:
-    """Analytic mixture / Gaussian division.
+def divide_by_gaussian(q: GaussianMixture, proposal: GaussianMixture) -> GaussianMixture:
+    """Analytic mixture / Gaussian division by a one-component ``proposal``,
+    N(means[0], covariances[0]); ContractError for more components.
 
     Every component must be strictly narrower than the proposal, i.e.
     Sigma_k^-1 - Sigma_0^-1 positive definite; otherwise the ratio has no
@@ -71,12 +72,12 @@ def divide_by_gaussian(q: GaussianMixture, proposal: GaussianPrior) -> GaussianM
     the log-determinants come from the Cholesky factors of Sigma_k,
     Sigma_0 and Sigma_k^-1 - Sigma_0^-1.
     """
-    if not isinstance(proposal, GaussianPrior):
-        raise ConfigurationError("divide_by_gaussian needs a Gaussian proposal")
-    mu0 = proposal.mean
-    prec0 = np.linalg.inv(proposal.cov)
+    if proposal.num_components != 1:
+        raise ContractError(f"need a one-component proposal, got {proposal.num_components}")
+    mu0 = proposal.means[0]
+    prec0 = np.linalg.inv(proposal.covariances[0])
     # log diag of the factors of Sigma_k and Sigma_0; log det = 2 sum log diag
-    log_diag = np.log(np.diagonal(q.chol, axis1=1, axis2=2)) - np.log(np.diag(proposal.chol))
+    log_diag = np.log(np.diagonal(q.chol, axis1=1, axis2=2)) - np.log(np.diag(proposal.chol[0]))
     k = q.num_components
     new_means = np.empty_like(q.means)
     new_covs = np.empty_like(q.covariances)
@@ -173,15 +174,13 @@ def truncate(
     return est
 
 
-def recover_posterior(
-    model,
-    x_r: np.ndarray,
-    prior: UniformBox,
-    proposal: UniformBox | GaussianPrior,
-    provenance: dict | None = None,
-) -> PosteriorEstimate:
-    """Turn the conditional density at the real observation into the
-    posterior estimate, correcting for the proposal prior.
+def recover_posterior(model, x_r: np.ndarray, proposal: UniformBox | PosteriorEstimate,
+                      provenance: dict | None = None) -> PosteriorEstimate:
+    """The posterior q(theta | x_r) p / p~ on the prior box, p~ being the
+    ``proposal`` the training thetas were drawn from: the prior box itself
+    (p / p~ is constant there, so q is only truncated to it), or a
+    one-component mixture on the prior box, which q is divided by
+    (:func:`divide_by_gaussian`) before it is truncated to that support.
 
     ``model`` must expose ``predict_mixture(x) -> GaussianMixture`` in
     parameter units (see :class:`simcal.harness.FittedModel`).
@@ -189,12 +188,10 @@ def recover_posterior(
     mixture = model.predict_mixture(np.asarray(x_r, dtype=float))
     prov = dict(provenance or {})
     prov.setdefault("x_r", np.asarray(x_r, float).tolist())
-
-    if not isinstance(prior, UniformBox):
-        raise ConfigurationError(f"the prior must be a uniform box, got {type(prior).__name__}")
-    if isinstance(proposal, GaussianPrior):
-        mixture = divide_by_gaussian(mixture, proposal)
-    return truncate(mixture, prior, provenance=prov)
+    box = proposal
+    if isinstance(proposal, PosteriorEstimate):
+        mixture, box = divide_by_gaussian(mixture, proposal.mixture), proposal.support
+    return truncate(mixture, box, provenance=prov)
 
 
 def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:

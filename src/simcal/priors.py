@@ -1,9 +1,10 @@
-"""The two distributions over simulator parameters: a uniform box (prior,
-posterior support, model limits) and a Gaussian (a proposal)."""
+"""The uniform box over simulator parameters: the prior, a posterior's
+support and a model's limits. A Gaussian proposal is a one-component
+``mdn.GaussianMixture`` truncated to the prior box."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,29 +41,3 @@ class UniformBox:
         if thetas.shape[-1:] != (self.dim,):
             raise ContractError(f"expected {self.dim} parameters per row, got {thetas.shape}")
         return np.all((thetas >= self.low) & (thetas <= self.high), axis=-1)
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """N(mean, cov) with a symmetric positive-definite covariance; ``chol``
-    is its lower Cholesky factor from the positive-definiteness check."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if cov.shape != (mean.size, mean.size):
-            raise ConfigurationError(f"Gaussian prior covariance {cov.shape} does not "
-                                     f"match its {mean.size}-dimensional mean")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ConfigurationError("Gaussian prior mean and covariance must be finite")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("Gaussian prior covariance must be SPD") from exc
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)

@@ -122,7 +122,7 @@ def cartpole_step(state, force, *, length, masspole, masscart=1.0, dt=0.02):
     state = (..., 4) rows of (x, x_dot, theta, theta_dot); force in
     newtons, broadcast against the leading axes like length and masspole.
     """
-    x, x_dot, theta, theta_dot = np.moveaxis(state, -1, 0)
+    x, x_dot, theta, theta_dot = (state[..., j] for j in range(4))
     total_mass = masscart + masspole
     pm_length = masspole * length
     sin_t, cos_t = np.sin(theta), np.cos(theta)
@@ -131,12 +131,12 @@ def cartpole_step(state, force, *, length, masspole, masscart=1.0, dt=0.02):
         length * (4.0 / 3.0 - masspole * cos_t ** 2 / total_mass)
     )
     x_acc = temp - pm_length * theta_acc * cos_t / total_mass
-    return np.stack([
-        x + dt * x_dot,
-        x_dot + dt * x_acc,
-        theta + dt * theta_dot,
-        theta_dot + dt * theta_acc,
-    ], axis=-1)
+    out = np.empty(x_acc.shape + (4,))  # x_acc reads every input
+    out[..., 0] = x + dt * x_dot
+    out[..., 1] = x_dot + dt * x_acc
+    out[..., 2] = theta + dt * theta_dot
+    out[..., 3] = theta_dot + dt * theta_acc
+    return out
 
 
 class CartPole(GenerativeModel):
@@ -195,14 +195,16 @@ class Pendulum(GenerativeModel):
 
     def step(self, state, action, theta):
         dt = theta[..., 0]
-        cos_t, sin_t, speed = np.moveaxis(state, -1, 0)
+        cos_t, sin_t, speed = state[..., 0], state[..., 1], state[..., 2]
         angle = np.arctan2(sin_t, cos_t)
         torque = self.max_torque * np.clip(action[..., 0], -1.0, 1.0)
         acc = (3.0 * GRAVITY / (2.0 * self.length) * np.sin(angle)
                + 3.0 * torque / (self.mass * self.length ** 2))
         speed = np.clip(speed + dt * acc, -self.max_speed, self.max_speed)
         angle = angle + dt * speed
-        return np.stack([np.cos(angle), np.sin(angle), speed], axis=-1)
+        out = np.empty(angle.shape + (3,))  # angle reads every input
+        out[..., 0], out[..., 1], out[..., 2] = np.cos(angle), np.sin(angle), speed
+        return out
 
     def push(self, states, t):  # pump energy with the swing
         return np.sign(states[:, 2])
@@ -235,11 +237,12 @@ class LotkaVolterra(GenerativeModel):
         return np.array([self.init_prey, self.init_predator])
 
     def _deriv(self, state, u, theta):
-        prey, pred = np.moveaxis(state, -1, 0)
-        a, b, c, d = np.moveaxis(theta, -1, 0)
+        prey, pred = state[..., 0], state[..., 1]
+        a, b, c, d = (theta[..., j] for j in range(4))
         dprey = a * prey - b * prey * pred + self.forcing_gain * u * prey
-        dpred = -c * pred + d * prey * pred
-        return np.stack([dprey, dpred], axis=-1)
+        out = np.empty(dprey.shape + (2,))  # dprey reads every input
+        out[..., 0], out[..., 1] = dprey, -c * pred + d * prey * pred
+        return out
 
     def step(self, state, action, theta):
         u = np.clip(action[..., 0], -1.0, 1.0)

@@ -85,7 +85,6 @@ def test_criterion_2_gradient_oracle():
 def test_criterion_3_gaussian_division_oracle():
     from simcal.mdn import log_density_batch
     from simcal.posterior import divide_by_gaussian
-    from simcal.priors import GaussianPrior
 
     with _Budget(3, "Gaussian-division oracle", 30):
         rng = np.random.default_rng(1)
@@ -96,19 +95,19 @@ def test_criterion_3_gaussian_division_oracle():
             covs = np.stack([np.diag(rng.uniform(0.05, 0.3, d))
                              for _ in range(k)])
             q = GaussianMixture(w, means, covs)
-            proposal = GaussianPrior(rng.normal(0, 0.5, d),
-                                     np.eye(d) * rng.uniform(2.0, 5.0))
+            proposal = GaussianMixture([1.0], [rng.normal(0, 0.5, d)],
+                                       [np.eye(d) * rng.uniform(2.0, 5.0)])
             out = divide_by_gaussian(q, proposal)
             # grid over the 3-sigma region of every component
             pts = np.concatenate([
                 means[j] + rng.normal(0, 1, (40, d)) * np.sqrt(np.diag(covs[j])) * 3
                 for j in range(k)
             ])
-            diff = pts - proposal.mean
-            inv = np.linalg.inv(proposal.cov)
+            diff = pts - proposal.means[0]
+            inv = np.linalg.inv(proposal.covariances[0])
             log_prop = (-0.5 * np.sum(diff @ inv * diff, axis=1)
                         - 0.5 * np.log((2 * np.pi) ** d
-                                       * np.linalg.det(proposal.cov)))
+                                       * np.linalg.det(proposal.covariances[0])))
             ratio = (log_density_batch(out, pts) + log_prop
                      - log_density_batch(q, pts))
             assert np.ptp(ratio) < 1e-6 * max(1.0, abs(float(ratio.mean())))

@@ -47,7 +47,7 @@ from simcal.posterior import (
     sample,
     truncate,
 )
-from simcal.priors import GaussianPrior, UniformBox
+from simcal.priors import UniformBox
 from simcal.simulators import builtin_controller, get_model, rollout
 from simcal.trajstats import compute_stats
 
@@ -72,7 +72,7 @@ def test_config_defaults_fill_prior_and_theta_star():
             ("lotka_volterra", (0.01,) * 4, (1.0,) * 4, (0.6, 0.25, 0.5, 0.3))):
         cfg = ExperimentConfig(benchmark=benchmark)
         assert (cfg.prior_low, cfg.prior_high, cfg.theta_star) == (low, high, theta_star)
-        assert cfg.proposal_spec is cfg.prior
+        assert cfg.proposal is cfg.prior
         np.testing.assert_array_equal(cfg.prior.low, low)
         np.testing.assert_array_equal(cfg.prior.high, high)
 
@@ -143,6 +143,7 @@ REFUSED_AT_LOAD = {
     "proposal_cov_alone": ("proposal_cov", [[0.01]]),
     "theta_star_outside_prior": ("theta_star", [0.4]),
     "prior_low_below_limit": ("prior_low", [0.0001]),
+    "num_features_odd": ("num_features", 7),
 }
 
 
@@ -156,6 +157,43 @@ def test_cli_evaluate_refuses_at_load_exit_2(tmp_path, capsys, case):
     assert err.startswith("configuration error:") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_odd_num_features_is_refused_only_where_an_rff_map_is_built(tmp_path, capsys):
+    """An odd num_features exits 2 at load when the config can build an RFF
+    map (feature_type rff, or an mdn_rff or control_shuffled method), and
+    writes nothing; neural features alone take any count."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("benchmark: pendulum\nnum_features: 7\n")
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "num_features" in err
+    assert not list(tmp_path.glob("*.csv"))
+    for over in ({"methods": ["mdn_nn", "mdn_rff"]}, {"methods": ["control_shuffled"]}):
+        with pytest.raises(ConfigurationError, match="num_features"):
+            config_from_dict({"benchmark": "pendulum", "feature_type": "nn",
+                              "num_features": 7, **over})
+    cfg = config_from_dict({"benchmark": "pendulum", "feature_type": "nn", "num_features": 7,
+                            "methods": ["mdn_nn", "rejection_abc"]})
+    assert cfg.num_features == 7
+
+
+def test_malformed_gaussian_proposal_is_refused_at_load(tmp_path, capsys):
+    """A non-finite, not positive-definite or mis-shaped proposal exits 2
+    and names the four fields that build the proposal."""
+    cfg_path = tmp_path / "cfg.yaml"
+    for mean, cov, why in (("[0.1]", "[[.nan]]", "finite"), ("[.nan]", "[[0.01]]", "finite"),
+                           ("[0.1]", "[[-0.01]]", "positive definite"),
+                           ("[0.1]", "[[0.01, 0.0]]", "shapes")):
+        cfg_path.write_text(f"benchmark: pendulum\nproposal_mean: {mean}\nproposal_cov: {cov}\n")
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and why in err
+        assert all(name in err for name in ("prior_low", "prior_high", "proposal_mean",
+                                            "proposal_cov"))
+        assert "Traceback" not in err and not (tmp_path / "dataset.csv").exists()
 
 
 def test_shipped_and_benchmark_configs_load():
@@ -191,7 +229,7 @@ def test_load_config_yaml_roundtrip(tmp_path):
     assert cfg.theta_star == (0.1,)
     assert cfg.learning_rate == 1 and cfg.abc_epsilon is None
     assert cfg.proposal_mean == (0.1,) and cfg.proposal_cov == ([0.01],)
-    assert isinstance(cfg.proposal_spec, GaussianPrior)
+    assert isinstance(cfg.proposal, PosteriorEstimate) and cfg.proposal.support is cfg.prior
     path.write_text("- not\n- a\n- mapping\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
@@ -212,7 +250,7 @@ def test_config_refuses_a_proposal_with_too_little_mass_in_the_prior_box(tmp_pat
     with pytest.raises(ConfigurationError, match="proposal_cov"):
         ExperimentConfig(proposal_mean=(5.0, 5.0), proposal_cov=((0.01, 0.005), (0.005, 0.01)))
     cfg = ExperimentConfig(benchmark="pendulum", proposal_mean=(0.3,), proposal_cov=((0.0001,),))
-    assert cfg.truncated_proposal.sample(np.random.default_rng(0), 50).max() <= 0.3
+    assert cfg.proposal.sample(np.random.default_rng(0), 50).max() <= 0.3
 
 
 # -- dataset ---------------------------------------------------------------
@@ -312,6 +350,27 @@ def test_posterior_roundtrip_and_grid(fitted, tmp_path):
     # outside-the-box entries cannot appear: the grid spans the prior box
     assert grid.min() >= cfg.prior_low[0] - 1e-12
     assert grid.max() <= cfg.prior_high[0] + 1e-12
+
+
+def test_infer_posterior_divides_out_the_config_proposal(fitted):
+    """The posterior is the head's mixture divided by the proposal the
+    dataset was drawn from and truncated to its support, bit for bit; a
+    uniform proposal only truncates, to the prior box itself."""
+    cfg, dataset, model, _ = fitted
+    x_r = synth_real_observation(cfg, dataset.schema)
+    post = infer_posterior(cfg, model, x_r)
+    assert post.support is cfg.prior
+    for name in ("weights", "means", "covariances"):
+        np.testing.assert_array_equal(getattr(post.mixture, name),
+                                      getattr(model.predict_mixture(x_r), name))
+    gcfg = dataclasses.replace(cfg, proposal_mean=(0.12,), proposal_cov=((1.0,),))
+    post = infer_posterior(gcfg, model, x_r)
+    want = truncate(divide_by_gaussian(model.predict_mixture(x_r), gcfg.proposal.mixture),
+                    gcfg.proposal.support)
+    assert post.support is gcfg.prior
+    for name in ("weights", "means", "covariances"):
+        np.testing.assert_array_equal(getattr(post.mixture, name), getattr(want.mixture, name))
+    assert not np.array_equal(post.mixture.means, model.predict_mixture(x_r).means)
 
 
 def test_density_grid_dimensions():
@@ -493,7 +552,7 @@ def test_cli_chain_with_a_gaussian_proposal(tmp_path, capsys):
                         .replace("num_train: 100", "num_train: 60")
                         + "proposal_mean: [1.0, 0.6]\n"
                         + "proposal_cov: [[0.0001, 0.0], [0.0, 0.0001]]\n")
-    assert isinstance(load_config(cfg_path).proposal_spec, GaussianPrior)
+    assert isinstance(load_config(cfg_path).proposal, PosteriorEstimate)
     for cmd, extra in (("generate", []),
                        ("train", ["--dataset", str(tmp_path / "dataset.csv")]),
                        ("infer", ["--model", str(tmp_path / "model.json")])):
@@ -766,7 +825,7 @@ def test_benchmark_tracer_hooks_run_and_restore():
     np.testing.assert_array_equal(traced.raw_stats, plain.raw_stats)
 
     rng = harness.random_stream(cfg, "dataset")
-    thetas = cfg.truncated_proposal.sample(rng, 60)
+    thetas = cfg.proposal.sample(rng, 60)
     batch = rollout(get_model("cartpole"), thetas,
                     builtin_controller(cfg.controller_kind, cfg.controller_seed),
                     horizon=80, seed=rng.integers(2 ** 63, size=60))
@@ -920,7 +979,7 @@ def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
 
 def test_cli_sample_full_covariance_below_mass_bound_exit_3(tmp_path, capsys):
     q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
-    m = divide_by_gaussian(q, GaussianPrior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    m = divide_by_gaussian(q, GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5, 1.0]]]))
     with pytest.warns(RuntimeWarning, match="degenerate"):
         post = truncate(m, UniformBox([-1.0, -1.0], [1.0, 1.0]))
     save_posterior(post, tmp_path / "posterior.json", "")

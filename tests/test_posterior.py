@@ -24,7 +24,7 @@ from simcal.posterior import (
     sample,
     truncate,
 )
-from simcal.priors import GaussianPrior, UniformBox
+from simcal.priors import UniformBox
 
 
 def random_narrow_mixture(rng, k=3, d=2):
@@ -38,7 +38,7 @@ def random_narrow_mixture(rng, k=3, d=2):
 
 def test_division_1d_known_result():
     q = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    out = divide_by_gaussian(q, GaussianPrior([0.0], [[2.0]]))
+    out = divide_by_gaussian(q, GaussianMixture([1.0], [[0.0]], [[[2.0]]]))
     np.testing.assert_allclose(out.covariances, [[[2.0]]])
     np.testing.assert_allclose(out.means, [[0.0]])
     # grid check of the pointwise ratio
@@ -52,7 +52,7 @@ def test_division_1d_known_result():
 def test_division_by_very_wide_gaussian_is_identity():
     rng = np.random.default_rng(0)
     q = random_narrow_mixture(rng)
-    wide = GaussianPrior(np.zeros(2), np.eye(2) * 1e8)
+    wide = GaussianMixture([1.0], [np.zeros(2)], [np.eye(2) * 1e8])
     out = divide_by_gaussian(q, wide)
     np.testing.assert_allclose(out.weights, q.weights, rtol=1e-6)
     np.testing.assert_allclose(out.means, q.means, rtol=1e-6, atol=1e-6)
@@ -65,7 +65,7 @@ def test_division_ratio_constancy_oracle():
         q = random_narrow_mixture(rng)
         mu0 = rng.normal(0, 0.5, 2)
         cov0 = np.eye(2) * rng.uniform(2.0, 5.0)
-        proposal = GaussianPrior(mu0, cov0)
+        proposal = GaussianMixture([1.0], [mu0], [cov0])
         out = divide_by_gaussian(q, proposal)
         pts = rng.normal(0, 1, (50, 2))
         diff = pts - mu0
@@ -78,7 +78,7 @@ def test_division_ratio_constancy_oracle():
 def test_division_weights_stay_on_simplex():
     rng = np.random.default_rng(2)
     q = random_narrow_mixture(rng, k=4)
-    out = divide_by_gaussian(q, GaussianPrior(np.zeros(2), np.eye(2) * 3.0))
+    out = divide_by_gaussian(q, GaussianMixture([1.0], [np.zeros(2)], [np.eye(2) * 3.0]))
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out.weights >= 0)
 
@@ -86,14 +86,15 @@ def test_division_weights_stay_on_simplex():
 def test_division_component_wider_than_proposal_errors():
     q = GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[0.5], [3.0]])
     with pytest.raises(ComponentWiderThanProposalError) as err:
-        divide_by_gaussian(q, GaussianPrior([0.0], [[1.0]]))
+        divide_by_gaussian(q, GaussianMixture([1.0], [[0.0]], [[[1.0]]]))
     assert err.value.component == 1
 
 
 def test_division_requires_gaussian_proposal():
     q = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    with pytest.raises(ConfigurationError):
-        divide_by_gaussian(q, UniformBox([0.0], [1.0]))
+    two = GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[4.0], [4.0]])
+    with pytest.raises(ContractError, match="one-component"):
+        divide_by_gaussian(q, two)
 
 
 # -- truncate ---------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_box_mass_bound_is_an_upper_bound():
     # A correlated mixture: the bound is above the Monte Carlo mass.
     q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
                         [[0.2, 0.1], [0.15, 0.25]])
-    m = divide_by_gaussian(q, GaussianPrior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]]))
+    m = divide_by_gaussian(q, GaussianMixture([1.0], [[0.1, -0.1]], [[[1.0, 0.7], [0.7, 1.0]]]))
     box = UniformBox([-0.5, -0.5], [0.5, 0.5])
     draws = sample(PosteriorEstimate(m, UniformBox([-20.0, -20.0], [20.0, 20.0])),
                    100_000, seed=14)
@@ -196,7 +197,7 @@ def _far_correlated_posterior():
     """N((5, 5), 0.1 I) divided by a correlated proposal: a full
     covariance with almost no mass in [-1, 1]^2."""
     q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
-    m = divide_by_gaussian(q, GaussianPrior([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+    m = divide_by_gaussian(q, GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5, 1.0]]]))
     assert m.covariances[0, 0, 1] != 0
     return m, UniformBox([-1.0, -1.0], [1.0, 1.0])
 
@@ -226,11 +227,6 @@ def test_box_with_non_finite_edge_is_refused(low, high):
         UniformBox(low, high)
 
 
-def test_gaussian_prior_with_non_finite_entries_is_refused():
-    with pytest.raises(ConfigurationError, match="finite"):
-        GaussianPrior([np.nan], [[1.0]])
-
-
 def test_box_contains_its_edges_and_takes_a_point_or_rows():
     box = UniformBox([0.0, -1.0], [1.0, 1.0])
     rows = np.array([[0.0, -1.0], [1.0, 1.0], [0.5, 0.0], [1.0 + 1e-12, 0.0], [0.5, -1.5]])
@@ -253,7 +249,7 @@ def test_box_needs_one_dimensional_edges():
 def test_posterior_support_must_be_a_box():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
     with pytest.raises(ConfigurationError, match="uniform box"):
-        PosteriorEstimate(m, GaussianPrior([0.0], [[1.0]]))
+        PosteriorEstimate(m, GaussianMixture([1.0], [[0.0]], [[[1.0]]]))
 
 
 # -- sample -----------------------------------------------------------------
@@ -318,7 +314,7 @@ def test_sample_truncated_component_occupancy():
 def test_sample_full_covariance_from_division():
     q = GaussianMixture([0.4, 0.6], [[-0.5, 0.2], [0.6, -0.3]],
                         [[0.2, 0.1], [0.15, 0.25]])
-    proposal = GaussianPrior([0.1, -0.1], [[1.0, 0.7], [0.7, 1.0]])
+    proposal = GaussianMixture([1.0], [[0.1, -0.1]], [[[1.0, 0.7], [0.7, 1.0]]])
     m = divide_by_gaussian(q, proposal)
     assert np.all(np.abs(m.covariances[:, 0, 1]) > 1e-3)  # correlated components
     mean = m.weights @ m.means
@@ -407,28 +403,27 @@ def test_recover_uniform_proposal_identity():
     rng = np.random.default_rng(4)
     m = random_narrow_mixture(rng)
     box = UniformBox([-5, -5], [5, 5])
-    post = recover_posterior(_FakeModel(m), np.zeros(3), prior=box, proposal=box)
+    post = recover_posterior(_FakeModel(m), np.zeros(3), proposal=box)
     np.testing.assert_array_equal(post.mixture.weights, m.weights)
     np.testing.assert_array_equal(post.mixture.means, m.means)
-    assert post.support is not None
+    assert post.support is box
 
 
 def test_recover_gaussian_proposal_divides():
     rng = np.random.default_rng(5)
     m = random_narrow_mixture(rng)
-    proposal = GaussianPrior(np.zeros(2), np.eye(2) * 1e8)
-    post = recover_posterior(_FakeModel(m), np.zeros(3),
-                             prior=UniformBox([-50, -50], [50, 50]),
-                             proposal=proposal)
+    proposal = PosteriorEstimate(GaussianMixture([1.0], [np.zeros(2)], [np.eye(2) * 1e8]),
+                                 UniformBox([-50, -50], [50, 50]))
+    post = recover_posterior(_FakeModel(m), np.zeros(3), proposal=proposal)
     # wide-proposal limit: division leaves means unchanged
     np.testing.assert_allclose(post.mixture.means, m.means, atol=1e-6)
 
 
 def test_recover_rejects_unsupported_combination():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
-    g = GaussianPrior([0.0], [[1.0]])
+    g = GaussianMixture([1.0], [[0.0]], [[[1.0]]])  # a Gaussian with no box
     with pytest.raises(ConfigurationError):
-        recover_posterior(_FakeModel(m), np.zeros(3), prior=g, proposal=g)
+        recover_posterior(_FakeModel(m), np.zeros(3), proposal=g)
 
 
 def test_log_prob_target_values():
