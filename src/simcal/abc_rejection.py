@@ -7,30 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ContractError
 from .mdn import GaussianMixture, log_density_batch
 from .posterior import PosteriorEstimate
 from .priors import UniformBox
 
 
-@dataclass(frozen=True)
-class AbcConfig:
-    """epsilon is a Euclidean radius in standardized-statistic space."""
-
-    epsilon: float
-    max_simulations: int
-
-    def __post_init__(self):
-        if not self.epsilon >= 0:  # also True for NaN
-            raise ConfigurationError("epsilon must be >= 0")
-        if self.max_simulations < 1:
-            raise ConfigurationError("max_simulations must be >= 1")
-
-
 @dataclass
 class AbcResult:
     accepted: np.ndarray        # (n_acc, d_theta)
-    acceptance_rate: float
     distances: np.ndarray       # all simulated distances, for diagnostics
     thetas: np.ndarray          # all proposal draws, aligned with distances
 
@@ -39,11 +24,13 @@ def rejection_abc(
     simulate_stats,
     proposal: UniformBox | PosteriorEstimate,
     x_r: np.ndarray,
-    cfg: AbcConfig,
+    epsilon: float,
+    count: int,
     seed,
 ) -> AbcResult:
-    """Draw parameters from the proposal, simulate, accept within the
-    epsilon-sphere around the real observation.
+    """Draw ``count`` parameters from the proposal, simulate, accept within
+    the ``epsilon``-sphere (a Euclidean radius in standardized-statistic
+    space) around the real observation.
 
     ``simulate_stats(thetas (n, d), seeds (n,)) -> (n, stat_dim)``
     standardized statistics simulates every draw in one batched call; it
@@ -52,20 +39,17 @@ def rejection_abc(
     """
     x_r = np.asarray(x_r, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
-    thetas = proposal.sample(rng, cfg.max_simulations)
-    seeds = rng.integers(2 ** 31, size=cfg.max_simulations)
+    thetas = proposal.sample(rng, count)
+    seeds = rng.integers(2 ** 31, size=count)
     x = np.asarray(simulate_stats(thetas, seeds), dtype=float)
     distances = np.linalg.norm(x - x_r, axis=1)
-    mask = distances < cfg.epsilon
-    accepted = thetas[mask]
-    rate = float(mask.mean())
+    accepted = thetas[distances < epsilon]
     if accepted.shape[0] == 0:
         warnings.warn(
             "rejection ABC accepted no samples; the posterior estimate is empty",
             RuntimeWarning,
         )
-    return AbcResult(accepted=accepted, acceptance_rate=rate,
-                     distances=distances, thetas=thetas)
+    return AbcResult(accepted=accepted, distances=distances, thetas=thetas)
 
 
 def epsilon_for_acceptance(distances, target_rate: float = 0.02) -> float:

@@ -124,8 +124,7 @@ def run(argv=None) -> int:
     elif args.command == "sample":
         post = harness.load_posterior(args.posterior)
         draws = sample_posterior(post, args.count, seed=args.seed)
-        names = [f"theta_{i}" for i in range(post.mixture.dim)]
-        harness.save_samples(draws, names, out / "samples.csv",
+        harness.save_samples(draws, post.provenance["param_names"], out / "samples.csv",
                              post.provenance.get("config_hash", ""))
         print(f"wrote {out / 'samples.csv'} ({args.count} rows)")
 

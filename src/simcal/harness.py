@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import mdn
-from .abc_rejection import AbcConfig, abc_log_prob, epsilon_for_acceptance, rejection_abc
+from .abc_rejection import abc_log_prob, epsilon_for_acceptance, rejection_abc
 from .errors import ConfigurationError, ContractError, DegeneratePosteriorError, SimcalError
 from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, init_neural_map
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps
@@ -32,7 +32,7 @@ from .simulators import (CONTROLLER_KINDS, MAX_HORIZON, MODELS, Rollouts, builti
                          get_model, rollout)
 from .trajstats import StatsSchema, compute_stats, fit_standardizer, real_observation
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # An artifact's tag: a JSON document's "format", or the first word of a
 # CSV table's header line.
 ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
@@ -40,27 +40,30 @@ ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
 
+# Rejection ABC simulates num_train draws and accepts ABC_ACCEPT_RATE of
+# them; its fallback radius accepts 10.5 simulations, so it needs 11.
+ABC_ACCEPT_RATE = 0.02
+ABC_MIN_SIMULATIONS = 11
+CONTROLLER_SEED = 7   # mixed with each episode's seed by the built-in controllers
+HIDDEN_UNITS = 24     # of the neural feature map
+
 # The closed range of each bounded field, checked for every value of a
-# list and for a number but not a null; abc_max_simulations 0 means
-# num_train, and the least positive value is the least positive float.
+# list; the least positive value is the least positive float.
 _POSITIVE = (math.ulp(0.0), math.inf)
 _FIELD_RANGES = dict.fromkeys(
-    ("num_train", "num_features", "hidden_units", "num_components", "epochs",
-     "cv_epochs", "batch_size", "repeats", "real_rollouts"), (1, math.inf))
-_FIELD_RANGES.update(dict.fromkeys(
-    ("abc_max_simulations", "seed", "controller_seed", "patience"), (0, math.inf)),
-    learning_rate=_POSITIVE, lengthscale_candidates=_POSITIVE,
-    abc_accept_rate=(0, 1), abc_epsilon=(0, math.inf), horizon=(1, MAX_HORIZON))
+    ("num_features", "num_components", "epochs", "cv_epochs", "batch_size", "repeats",
+     "real_rollouts"), (1, math.inf))
+_FIELD_RANGES.update(dict.fromkeys(("seed", "patience"), (0, math.inf)),
+                     num_train=(ABC_MIN_SIMULATIONS, math.inf), learning_rate=_POSITIVE,
+                     lengthscale_candidates=_POSITIVE, horizon=(1, MAX_HORIZON))
 # The values a field, or each value of a list field, may take.
 _FIELD_CHOICES = {"benchmark": tuple(MODELS), "controller_kind": CONTROLLER_KINDS,
                   "feature_type": ("rff", "nn"), "kernel_family": KERNEL_FAMILIES,
                   "methods": METHODS}
-# Rejection ABC's fallback radius accepts 10.5 simulations; it needs 11.
-ABC_MIN_SIMULATIONS = 11
 
 
 def _values(v) -> tuple:
-    return v if isinstance(v, tuple) else () if v is None else (v,)
+    return v if isinstance(v, tuple) else (v,)
 
 
 @dataclass(frozen=True)
@@ -78,23 +81,18 @@ class ExperimentConfig:
     proposal_mean: tuple = ()
     proposal_cov: tuple = ()
     controller_kind: str = "random_uniform"
-    controller_seed: int = 7
     num_train: int = 1000
     horizon: int = 200
     feature_type: str = "rff"        # "rff" | "nn"
     kernel_family: str = "rbf"
     num_features: int = 200
     lengthscale_candidates: tuple = ()  # () -> median heuristic x 0.25 ... 4
-    hidden_units: int = 24
     num_components: int = 5
     epochs: int = 500
     cv_epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 100
     patience: int = 50
-    abc_max_simulations: int = 0     # 0 -> num_train
-    abc_accept_rate: float = 0.02
-    abc_epsilon: float | None = None
     repeats: int = 5
     real_rollouts: int = 10
     seed: int = 0
@@ -111,11 +109,6 @@ class ExperimentConfig:
                                          f"got {getattr(self, name)!r}")
         if not self.methods:
             raise ConfigurationError("config field 'methods' must name at least one method")
-        if (self.abc_max_simulations or self.num_train) < ABC_MIN_SIMULATIONS:
-            raise ConfigurationError(
-                f"config field 'abc_max_simulations' must give rejection ABC at least "
-                f"{ABC_MIN_SIMULATIONS} simulations (0 means num_train, {self.num_train}), "
-                f"got {self.abc_max_simulations!r}")
         if self.num_train < 10 * self.num_components:
             raise ConfigurationError("num_train must be at least 10 * num_components")
         if self.feature_type == "rff" or {"mdn_rff", "control_shuffled"} & set(self.methods):
@@ -173,12 +166,11 @@ def _numbers(v) -> bool:
     return isinstance(v, list) and all(map(_number, v))
 
 
-# What a config value must be, by the type of its field's default; a
-# None default marks an optional number. Lists become tuples on load.
+# What a config value must be, by the type of its field's default. Lists
+# become tuples on load.
 _VALUE_TYPES = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", _number),
-    type(None): ("a number or null", lambda v: v is None or _number(v)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of numbers", _numbers),
 }
@@ -258,7 +250,7 @@ def _simulate(config: ExperimentConfig, thetas, seeds) -> Rollouts:
     """One lockstep batch of the config's benchmark under its controller
     and horizon: an episode per row of ``thetas`` and value of ``seeds``."""
     return rollout(get_model(config.benchmark), thetas,
-                   builtin_controller(config.controller_kind, config.controller_seed),
+                   builtin_controller(config.controller_kind, CONTROLLER_SEED),
                    horizon=config.horizon, seed=seeds)
 
 
@@ -467,7 +459,7 @@ def train_model(
             x, theta_std, config.trainer(repeat, epochs=config.cv_epochs))
         selected = fmap.kernel.lengthscale
     elif feature_type == "nn":
-        fmap = init_neural_map(input_dim, config.hidden_units, config.num_features,
+        fmap = init_neural_map(input_dim, HIDDEN_UNITS, config.num_features,
                                random_stream(config, "nn_init", repeat))
     else:
         raise ConfigurationError(f"unknown feature type {feature_type!r}")
@@ -543,7 +535,8 @@ def synth_real_observation(config: ExperimentConfig, schema: StatsSchema,
 def infer_posterior(config: ExperimentConfig, model: FittedModel,
                     x_r: np.ndarray, model_ref: str = "") -> PosteriorEstimate:
     return recover_posterior(model, x_r, config.proposal,
-                             {"model": model_ref, "config_hash": model.config_hash})
+                             {"model": model_ref, "config_hash": model.config_hash,
+                              "param_names": model.param_names})
 
 
 def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
@@ -560,10 +553,15 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
 
 
 def _posterior_from(doc: dict, rows) -> PosteriorEstimate:
-    return PosteriorEstimate(
+    post = PosteriorEstimate(
         mixture=GaussianMixture(doc["weights"], doc["means"], doc["covariances"]),
         support=UniformBox(doc["support_low"], doc["support_high"]),
         provenance=doc["provenance"])
+    names = post.provenance["param_names"]
+    if not (isinstance(names, list) and len(names) == post.mixture.dim
+            and all(isinstance(n, str) for n in names)):
+        raise ContractError(f"need one parameter name per dimension, got {names!r}")
+    return post
 
 
 def load_posterior(path) -> PosteriorEstimate:
@@ -621,17 +619,12 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
         x[kept] = dataset.schema.standardize(compute_stats(batch.select(kept)))
         return x
 
-    n_sims = config.abc_max_simulations or config.num_train
-    if config.abc_epsilon is not None:
-        eps = config.abc_epsilon
-    else:
-        # Calibrate epsilon from the training set's distances: the 2%
-        # quantile reproduces the intended acceptance rate without extra
-        # simulation budget.
-        dists = np.linalg.norm(dataset.x_standardized - x_r, axis=1)
-        eps = epsilon_for_acceptance(dists, config.abc_accept_rate)
-    result = rejection_abc(simulate_stats, config.proposal, x_r,
-                           AbcConfig(eps, n_sims), random_stream(config, "abc", repeat))
+    # Calibrate epsilon from the training set's distances: their 2% quantile
+    # reproduces the intended acceptance rate without extra simulation budget.
+    eps = epsilon_for_acceptance(np.linalg.norm(dataset.x_standardized - x_r, axis=1),
+                                 ABC_ACCEPT_RATE)
+    result = rejection_abc(simulate_stats, config.proposal, x_r, eps, config.num_train,
+                           random_stream(config, "abc", repeat))
     if result.accepted.shape[0] < 10:
         # Fall back to the accepted-quantile radius on this run's draws.
         completed = np.isfinite(result.distances)
@@ -639,11 +632,11 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
         if n_done < 10:
             raise ContractError(
                 f"rejection ABC needs at least 10 completed simulations, "
-                f"only {n_done} of {n_sims} completed")
+                f"only {n_done} of {config.num_train} completed")
         with np.errstate(invalid="ignore"):
             # NaN (inf - inf) when the quantile falls between failed draws
             eps = epsilon_for_acceptance(result.distances,
-                                         max(config.abc_accept_rate, 10.5 / n_sims))
+                                         max(ABC_ACCEPT_RATE, 10.5 / config.num_train))
         accepted = result.thetas[completed if np.isnan(eps) else result.distances < eps]
     else:
         accepted = result.accepted

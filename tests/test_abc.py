@@ -3,12 +3,11 @@ import pytest
 
 from simcal.abc_rejection import (
     BANDWIDTH_FLOOR,
-    AbcConfig,
     abc_log_prob,
     epsilon_for_acceptance,
     rejection_abc,
 )
-from simcal.errors import ConfigurationError, ContractError
+from simcal.errors import ContractError
 from simcal.priors import UniformBox
 
 
@@ -16,20 +15,11 @@ def identity_sim(theta, seed):
     return np.asarray(theta, dtype=float)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        AbcConfig(epsilon=-1.0, max_simulations=10)
-    with pytest.raises(ConfigurationError):
-        AbcConfig(epsilon=float("nan"), max_simulations=10)
-    with pytest.raises(ConfigurationError):
-        AbcConfig(epsilon=1.0, max_simulations=0)
-
-
 def test_infinite_epsilon_accepts_everything():
     prior = UniformBox([0.0, 0.0], [1.0, 2.0])
     res = rejection_abc(identity_sim, prior, [0.5, 1.0],
-                        AbcConfig(epsilon=1e9, max_simulations=5000), seed=0)
-    assert res.acceptance_rate == 1.0
+                        1e9, 5000, seed=0)
+    assert len(res.accepted) / len(res.thetas) == 1.0
     # accepted set matches the proposal's first two moments within 5%
     np.testing.assert_allclose(res.accepted.mean(axis=0), [0.5, 1.0], rtol=0.05)
     np.testing.assert_allclose(res.accepted.var(axis=0),
@@ -40,8 +30,8 @@ def test_zero_epsilon_accepts_nothing():
     prior = UniformBox([0.0], [1.0])
     with pytest.warns(RuntimeWarning):
         res = rejection_abc(identity_sim, prior, [0.5],
-                            AbcConfig(epsilon=0.0, max_simulations=200), seed=1)
-    assert res.acceptance_rate == 0.0
+                            0.0, 200, seed=1)
+    assert len(res.accepted) / len(res.thetas) == 0.0
     assert res.accepted.shape[0] == 0
 
 
@@ -49,17 +39,16 @@ def test_toy_acceptance_interval():
     # x = theta, proposal U[0,1], x_r = 0.5, eps = 0.1 -> accept (0.4, 0.6)
     prior = UniformBox([0.0], [1.0])
     res = rejection_abc(identity_sim, prior, [0.5],
-                        AbcConfig(epsilon=0.1, max_simulations=10000), seed=2)
+                        0.1, 10000, seed=2)
     assert np.all(res.accepted > 0.4 - 1e-12)
     assert np.all(res.accepted < 0.6 + 1e-12)
-    assert abs(res.acceptance_rate - 0.2) < 0.02
+    assert abs(len(res.accepted) / len(res.thetas) - 0.2) < 0.02
 
 
 def test_determinism():
     prior = UniformBox([0.0], [1.0])
-    cfg = AbcConfig(epsilon=0.3, max_simulations=500)
-    a = rejection_abc(identity_sim, prior, [0.5], cfg, seed=3)
-    b = rejection_abc(identity_sim, prior, [0.5], cfg, seed=3)
+    a = rejection_abc(identity_sim, prior, [0.5], 0.3, 500, seed=3)
+    b = rejection_abc(identity_sim, prior, [0.5], 0.3, 500, seed=3)
     np.testing.assert_array_equal(a.accepted, b.accepted)
 
 
@@ -68,7 +57,7 @@ def test_shrinking_epsilon_tightens_accepted_distances():
     mean_dists = []
     for eps in (0.4, 0.2, 0.1):
         res = rejection_abc(identity_sim, prior, [0.5],
-                            AbcConfig(epsilon=eps, max_simulations=4000), seed=4)
+                            eps, 4000, seed=4)
         mean_dists.append(np.mean(np.abs(res.accepted - 0.5)))
     assert mean_dists[0] >= mean_dists[1] >= mean_dists[2]
 
@@ -151,7 +140,7 @@ def test_seeds_passed_to_simulate_stats_equal_sequential_draws():
     for seed in (0, 5, 99):
         seen.clear()
         rejection_abc(recording_sim, prior, [0.5, 1.0],
-                      AbcConfig(epsilon=1e9, max_simulations=300), seed=seed)
+                      1e9, 300, seed=seed)
         rng = np.random.default_rng(seed)
         prior.sample(rng, 300)
         sequential = [int(rng.integers(2 ** 31)) for _ in range(300)]

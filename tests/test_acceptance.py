@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from simcal import cli
-from simcal.abc_rejection import AbcConfig, rejection_abc
+from simcal.abc_rejection import rejection_abc
 from simcal.features import KernelConfig, apply_rff, build_rff, exact_kernel
 from simcal.harness import (
     ExperimentConfig,
@@ -180,11 +180,11 @@ def test_criterion_7_abc_baseline_sanity():
         res = rejection_abc(
             lambda theta, seed: np.asarray(theta, dtype=float),
             UniformBox([0.0], [1.0]), [0.5],
-            AbcConfig(epsilon=0.1, max_simulations=10000), seed=0,
+            0.1, 10000, seed=0,
         )
         assert np.all(res.accepted > 0.4 - 1e-12)
         assert np.all(res.accepted < 0.6 + 1e-12)
-        assert abs(res.acceptance_rate - 0.2) < 0.02
+        assert abs(len(res.accepted) / len(res.thetas) - 0.2) < 0.02
 
 
 CFG_YAML = """\

@@ -94,16 +94,13 @@ def test_config_validation_errors():
                        ("prior_low", 0.1), ("proposal_cov", [0.01]),
                        ("methods", "mdn_rff"), ("methods", [1]), ("benchmark", 3),
                        # seeds and counts out of range
-                       ("seed", -1), ("controller_seed", -3), ("num_train", 0),
-                       ("num_features", 0), ("hidden_units", 0), ("num_components", 0),
+                       ("seed", -1), ("num_train", 0),
+                       ("num_features", 0), ("num_components", 0),
                        ("epochs", 0), ("cv_epochs", 0), ("batch_size", 0),
                        ("repeats", 0), ("real_rollouts", 0),
-                       ("abc_max_simulations", -1),
                        # rates and patience out of range, NaN included
                        ("learning_rate", -1.0), ("learning_rate", 0.0),
                        ("learning_rate", float("nan")), ("patience", -1),
-                       ("abc_accept_rate", 2.0), ("abc_accept_rate", -0.5),
-                       ("abc_accept_rate", float("nan")),
                        ("proposal_cov", [[0.01, 0.0], [0.0]]),
                        # values used only by some stages, checked at load
                        *REFUSED_AT_LOAD.values()):
@@ -117,10 +114,6 @@ def test_config_validation_errors():
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({"benchmark": "cartpole", key: value,
                               "proposal_cov": np.eye(3).tolist()})
-    # null and the smallest rejection-ABC budgets still load
-    for key, value in (("abc_epsilon", None), ("abc_epsilon", 0.0),
-                       ("abc_max_simulations", 0), ("abc_max_simulations", 11)):
-        assert getattr(config_from_dict({"benchmark": "pendulum", key: value}), key) == value
 
 
 # Values that only a later stage would trip on; each exits 2 at load.
@@ -129,10 +122,6 @@ REFUSED_AT_LOAD = {
     "lengthscale_negative": ("lengthscale_candidates", [-1.0]),
     "lengthscale_nan": ("lengthscale_candidates", [float("nan")]),
     "lengthscale_candidates_negative": ("lengthscale_candidates", [-1.0, 1.0]),
-    "abc_epsilon_negative": ("abc_epsilon", -1.0),
-    "abc_epsilon_nan": ("abc_epsilon", float("nan")),
-    "abc_max_simulations_5": ("abc_max_simulations", 5),
-    "abc_max_simulations_10": ("abc_max_simulations", 10),
     "proposal": ("proposal", "gaussian"),
     "methods_empty": ("methods", []),
     "horizon_500": ("horizon", 500),
@@ -157,6 +146,37 @@ def test_cli_evaluate_refuses_at_load_exit_2(tmp_path, capsys, case):
     assert err.startswith("configuration error:") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["abc_epsilon", "abc_accept_rate", "abc_max_simulations",
+                                 "controller_seed", "hidden_units"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    """Rejection ABC's budget and rate, the controller seed and the hidden
+    width are constants: a config that sets one is refused, with no
+    traceback, and nothing is written."""
+    value = {"abc_epsilon": 0.5, "abc_accept_rate": 0.02}.get(key, 7)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"benchmark": "pendulum", key: value}))
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown config keys") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_num_train_below_the_abc_minimum_exit_2(tmp_path, capsys):
+    """Rejection ABC simulates num_train draws and needs 11: 10 exits 2
+    even where ten rows per mixture component would do."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("benchmark: pendulum\nnum_train: 10\nnum_components: 1\n")
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "'num_train'" in err
+    assert "Traceback" not in err and not (tmp_path / "dataset.csv").exists()
+    assert config_from_dict({"benchmark": "pendulum", "num_train": 11,
+                             "num_components": 1}).num_train == 11
 
 
 def test_odd_num_features_is_refused_only_where_an_rff_map_is_built(tmp_path, capsys):
@@ -222,12 +242,12 @@ def test_config_hash_stable_and_sensitive():
 def test_load_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n"
-                    "learning_rate: 1\nabc_epsilon: null\nproposal_mean: [0.1]\n"
+                    "learning_rate: 1\nproposal_mean: [0.1]\n"
                     "proposal_cov: [[0.01]]\n")
     cfg = load_config(path)
     assert cfg.num_train == 120
     assert cfg.theta_star == (0.1,)
-    assert cfg.learning_rate == 1 and cfg.abc_epsilon is None
+    assert cfg.learning_rate == 1
     assert cfg.proposal_mean == (0.1,) and cfg.proposal_cov == ([0.01],)
     assert isinstance(cfg.proposal, PosteriorEstimate) and cfg.proposal.support is cfg.prior
     path.write_text("- not\n- a\n- mapping\n")
@@ -668,23 +688,23 @@ def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
     """Every 40th of each repeat's 150 ABC draws diverges: it gets distance
     inf and the other draws the statistics of a batch without it, so no
     repeat fails. The dataset and real-observation batches are untouched."""
-    cfg = small_config(seed=11, methods=("rejection_abc",), repeats=3,
-                       abc_max_simulations=150)
+    cfg = small_config(seed=11, methods=("rejection_abc",), repeats=3, num_train=150)
     calls = []
+    ok = np.arange(150) % 40 != 0
 
-    def spy(simulate_stats, proposal, x_r, abc, seed):
+    def spy(simulate_stats, proposal, x_r, epsilon, count, seed):
         def recorded(thetas, seeds):
-            calls.append((thetas, seeds, simulate_stats(thetas, seeds)))
+            with monkeypatch.context() as patch:
+                _diverge_rows(patch, ~ok)
+                calls.append((thetas, seeds, simulate_stats(thetas, seeds)))
             return calls[-1][2]
-        return rejection_abc(recorded, proposal, x_r, abc, seed)
+        return rejection_abc(recorded, proposal, x_r, epsilon, count, seed)
 
     monkeypatch.setattr(harness, "rejection_abc", spy)
-    ok = np.arange(150) % 40 != 0
-    _diverge_rows(monkeypatch, ~ok)
     (row,) = evaluate(cfg)
     assert not row.failed and row.repeats == 3
     model = get_model(cfg.benchmark)
-    controller = builtin_controller(cfg.controller_kind, cfg.controller_seed)
+    controller = builtin_controller(cfg.controller_kind, harness.CONTROLLER_SEED)
     for r, (thetas, seeds, x) in enumerate(calls):
         assert np.all(np.isinf(x[~ok])) and np.all(np.isfinite(x[ok]))
         batch = rollout(model, thetas[ok], controller, horizon=cfg.horizon, seed=seeds[ok])
@@ -762,34 +782,41 @@ def test_seed_streams_are_disjoint(monkeypatch):
 
 # -- corrupt dataset files -------------------------------------------------
 
-@pytest.mark.parametrize("keep", ["header_only", "ragged", "version_1", "mean_short"])
+# Each corruption and the part of the message that names its own fault.
+DATASET_CORRUPTIONS = {"header_only": "are not rows of", "ragged": "inhomogeneous",
+                       "version_1": "format version 1", "mean_short": "standardizer"}
+
+
+@pytest.mark.parametrize("keep", sorted(DATASET_CORRUPTIONS))
 def test_cli_train_on_corrupt_dataset_exit_2(tmp_path, capsys, keep):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(CFG_YAML)
     out = tmp_path / "out"
     assert cli.main(["generate", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
-    lines = (out / "dataset.csv").read_text().split("\n")
+    lines = (out / "dataset.csv").read_text().splitlines()
     if keep == "header_only":
         lines = lines[:1]
     elif keep == "ragged":
         lines[2] = lines[2].rsplit(",", 1)[0]
     elif keep == "version_1":
-        lines[0] = lines[0].replace('"version": 2', '"version": 1')
+        version = f'"version": {harness.FORMAT_VERSION}'
+        assert version in lines[0]
+        lines[0] = lines[0].replace(version, '"version": 1')
     else:
         tag, header = lines[0].split(" ", 1)
         header = json.loads(header)
         header["standardizer_mean"].pop()
         lines[0] = f"{tag} {json.dumps(header)}"
     (out / "dataset.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=DATASET_CORRUPTIONS[keep]):
         load_dataset(out / "dataset.csv")
     capsys.readouterr()
     assert cli.main(["train", "--config", str(cfg_path),
                      "--dataset", str(out / "dataset.csv"),
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
+    assert err.startswith("configuration error:") and DATASET_CORRUPTIONS[keep] in err
     assert "Traceback" not in err
 
 
@@ -827,7 +854,7 @@ def test_benchmark_tracer_hooks_run_and_restore():
     rng = harness.random_stream(cfg, "dataset")
     thetas = cfg.proposal.sample(rng, 60)
     batch = rollout(get_model("cartpole"), thetas,
-                    builtin_controller(cfg.controller_kind, cfg.controller_seed),
+                    builtin_controller(cfg.controller_kind, harness.CONTROLLER_SEED),
                     horizon=80, seed=rng.integers(2 ** 63, size=60))
     assert tracer.counts["rollouts"] == 1
     assert tracer.counts["steps"] == batch.lengths.sum()
@@ -906,6 +933,12 @@ CORRUPTIONS = {
         p, lambda d: [d[k].append(d[k][0]) for k in ("support_low", "support_high")])),
     "posterior_support_null": ("posterior.json", lambda p: _edit_json(
         p, lambda d: d.update(support_low=None, support_high=None))),
+    "posterior_version_3": ("posterior.json",
+                            lambda p: _edit_json(p, lambda d: d.update(version=3))),
+    "posterior_param_names_short": ("posterior.json", lambda p: _edit_json(
+        p, lambda d: d["provenance"]["param_names"].pop())),
+    "posterior_without_param_names": ("posterior.json", lambda p: _edit_json(
+        p, lambda d: d["provenance"].pop("param_names"))),
 }
 
 
@@ -925,15 +958,31 @@ def test_cli_on_corrupt_model_or_posterior_exit_2(cli_artifacts, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
-    if case == "model_version_1":
-        assert "version 1" in err and f"version {harness.FORMAT_VERSION}" in err
+    if "version" in case:
+        assert (f"format version {case[-1]};" in err
+                and f"reads version {harness.FORMAT_VERSION}" in err)
+    if case == "posterior_param_names_short":
+        assert "one parameter name per dimension" in err
+
+
+def test_cli_sample_names_the_columns_after_the_model_parameters(cli_artifacts, tmp_path):
+    """The cart-pole posterior carries the model's parameter names, and
+    sample writes them as the columns of samples.csv."""
+    _, root = cli_artifacts
+    post = load_posterior(root / "posterior.json")
+    assert post.provenance["param_names"] == ["length", "masspole"]
+    assert cli.main(["sample", "--posterior", str(root / "posterior.json"), "--count", "5",
+                     "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "samples.csv").read_text().split("\n", 1)[0]
+    assert json.loads(header.split(" ", 1)[1])["param_names"] == ["length", "masspole"]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_cli_closed_stdout_exits_2_without_a_traceback(tmp_path, unbuffered):
     """stdout is a pipe whose read end is closed, as in `simcal sample ... |
     true`: exit 2 with one line on stderr, buffered or not."""
-    save_posterior(truncate(GaussianMixture([1.0], [[0.0]], [[1.0]]), UniformBox([-1.0], [1.0])),
+    save_posterior(truncate(GaussianMixture([1.0], [[0.0]], [[1.0]]), UniformBox([-1.0], [1.0]),
+                            {"param_names": ["dt"]}),
                    tmp_path / "posterior.json", "")
     src = str(Path(harness.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
@@ -966,7 +1015,7 @@ def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
 
 def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
-    save_posterior(PosteriorEstimate(m, UniformBox([-1.0], [1.0])),
+    save_posterior(PosteriorEstimate(m, UniformBox([-1.0], [1.0]), {"param_names": ["dt"]}),
                    tmp_path / "posterior.json", "")
     capsys.readouterr()
     assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
@@ -981,7 +1030,7 @@ def test_cli_sample_full_covariance_below_mass_bound_exit_3(tmp_path, capsys):
     q = GaussianMixture([1.0], [[5.0, 5.0]], [[0.1, 0.1]])
     m = divide_by_gaussian(q, GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5, 1.0]]]))
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        post = truncate(m, UniformBox([-1.0, -1.0], [1.0, 1.0]))
+        post = truncate(m, UniformBox([-1.0, -1.0], [1.0, 1.0]), {"param_names": ["a", "b"]})
     save_posterior(post, tmp_path / "posterior.json", "")
     capsys.readouterr()
     assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
