@@ -52,7 +52,7 @@ def rejection_abc(
     return AbcResult(accepted=accepted, distances=distances, thetas=thetas)
 
 
-def epsilon_for_acceptance(distances, target_rate: float = 0.02) -> float:
+def epsilon_for_acceptance(distances, target_rate: float) -> float:
     """Distance quantile yielding approximately the target acceptance
     rate; used to set epsilon per benchmark."""
     d = np.asarray(distances, dtype=float)

@@ -539,7 +539,19 @@ def infer_posterior(config: ExperimentConfig, model: FittedModel,
                               "param_names": model.param_names})
 
 
+def _check_param_names(p: PosteriorEstimate) -> PosteriorEstimate:
+    """``p`` if its provenance holds one string name per dimension as
+    ``param_names``, the columns ``simcal sample`` writes; ContractError
+    otherwise."""
+    names = p.provenance.get("param_names")
+    if not (isinstance(names, list) and len(names) == p.mixture.dim
+            and all(isinstance(n, str) for n in names)):
+        raise ContractError(f"need one parameter name per dimension, got {names!r}")
+    return p
+
+
 def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
+    _check_param_names(p)
     doc = {
         "config_hash": config_hash_value,
         "weights": p.mixture.weights.tolist(),
@@ -553,15 +565,10 @@ def save_posterior(p: PosteriorEstimate, path, config_hash_value: str) -> None:
 
 
 def _posterior_from(doc: dict, rows) -> PosteriorEstimate:
-    post = PosteriorEstimate(
+    return _check_param_names(PosteriorEstimate(
         mixture=GaussianMixture(doc["weights"], doc["means"], doc["covariances"]),
         support=UniformBox(doc["support_low"], doc["support_high"]),
-        provenance=doc["provenance"])
-    names = post.provenance["param_names"]
-    if not (isinstance(names, list) and len(names) == post.mixture.dim
-            and all(isinstance(n, str) for n in names)):
-        raise ContractError(f"need one parameter name per dimension, got {names!r}")
-    return post
+        provenance=doc["provenance"]))
 
 
 def load_posterior(path) -> PosteriorEstimate:

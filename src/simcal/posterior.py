@@ -10,6 +10,8 @@ evaluation and ancestral sampling (domain-randomization draws).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -196,21 +198,30 @@ def recover_posterior(model, x_r: np.ndarray, proposal: UniformBox | PosteriorEs
 
 def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` rows (count, d) from the posterior, truncated to its
-    support box; deterministic for a given seed.
+    support box; deterministic for a given seed, whatever the number of
+    threads.
 
-    Ancestral sampling with rejection, in chunks of d x m draws: one
-    uniform per column picks the component (zero-weight components are
-    never picked), the column of standard normals goes through that
-    component's mean and Cholesky factor, and the columns inside the box
-    are kept. A chunk holds need / mass * 1.02 columns, clamped to
-    ``CHUNK_ROWS``, with the exact in-box mass of :func:`box_mass`, or for
-    full covariances the acceptance seen so far. Memory is the output
-    plus one chunk.
+    Ancestral sampling with rejection, in rounds of numbered chunks of
+    d x m draws: one uniform per column picks the component (zero-weight
+    components are never picked), the column of standard normals goes
+    through that component's mean and Cholesky factor, and the columns
+    inside the box are kept. A round holds max(need / rate * 1.02, 256)
+    columns, cut into chunks of at most ``CHUNK_ROWS[1]``, with the exact
+    in-box mass of :func:`box_mass` as the rate, or for full covariances
+    the acceptance seen so far. Chunk 0 draws from ``default_rng(seed)``
+    and chunk j >= 1 from ``SeedSequence(seed, spawn_key=(j,))``, so a
+    call that chunk 0 fills draws what the serial sampler drew. The
+    chunks of a round are drawn by one thread per usable CPU, the calling
+    thread among them, and their kept columns are copied out in chunk
+    order; a round of one chunk starts no thread, and no thread outlives
+    the call. Memory is the output, on pages of its own, plus one chunk
+    per thread.
 
     Raises DegeneratePosteriorError before any draw when the in-box mass,
     or for full covariances its bound :func:`box_mass_bound`, is below
     ``MASS_FLOOR``. A full covariance whose bound passes but whose mass
-    does not raises after one million consecutive rejected draws.
+    does not raises after one million consecutive rejected draws, counted
+    in chunk order.
     """
     for name, value in (("count", count), ("seed", seed)):
         if value < 0:
@@ -221,39 +232,16 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     if upper < MASS_FLOOR:
         raise DegeneratePosteriorError(
             f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
-    d = mixture.dim
-    cum = np.cumsum(mixture.weights)
-    cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
-    means = mixture.means.T.copy()
-    chol = mixture.chol
-    scales = chol[:, range(d), range(d)].T.copy()
-    factors = [[(i, chol[:, j, i].copy()) for i in range(j) if chol[:, j, i].any()]
-               for j in range(d)]
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, d))
+    draw = _chunk_drawer(mixture, box, seed)
+    out = _own_pages((count, mixture.dim))
     filled = drawn = accepted = rejected_run = 0
-    while filled < count:
-        need = count - filled
-        rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
-        m = (min(max(math.ceil(need / rate * 1.02), CHUNK_ROWS[0]), CHUNK_ROWS[1])
-             if rate else CHUNK_ROWS[1])
-        u = rng.random(m)
-        labels = np.zeros(m, np.intp)
-        for c in cum:
-            labels += u >= c
-        z = rng.standard_normal((d, m))
-        keep = np.ones(m, bool)
-        for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
-            row = z[j]
-            row *= np.take(scales[j], labels)
-            for i, f in factors[j]:
-                row += np.take(f, labels) * z[i]
-            row += np.take(means[j], labels)
-            keep &= row >= box.low[j]
-            keep &= row <= box.high[j]
-        kept = np.compress(keep, z, axis=1)
-        n = min(kept.shape[1], need)
-        out[filled:filled + n] = kept[:, :n].T
+
+    def commit(m: int, kept: np.ndarray) -> slice:
+        """Account for one chunk of m columns, in chunk order: the rows of
+        ``out`` its kept columns fill."""
+        nonlocal filled, drawn, accepted, rejected_run
+        n = min(kept.shape[1], count - filled)
+        rows = slice(filled, filled + n)
         filled += n
         drawn += m
         accepted += kept.shape[1]
@@ -262,7 +250,139 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
             if rejected_run >= 1_000_000:
                 raise DegeneratePosteriorError(
                     "one million consecutive rejections against the support box")
+        return rows
+
+    first = 0  # the number of the round's first chunk
+    while filled < count:
+        rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
+        total = (max(math.ceil((count - filled) / rate * 1.02), CHUNK_ROWS[0]) if rate
+                 else CHUNK_ROWS[1])
+        full, rest = divmod(total, CHUNK_ROWS[1])
+        sizes = [CHUNK_ROWS[1]] * full + [rest] * bool(rest)
+        _run_round(draw, commit, out, first, sizes)
+        first += len(sizes)
     return out
+
+
+def _own_pages(shape: tuple) -> np.ndarray:
+    """An uninitialized float array on anonymous pages of its own, which go
+    back to the system when the array is freed. On the heap, a freed
+    million-row output leaves a hole that the allocations made before the
+    next call can cut, and the next output then grows the heap by its
+    whole size."""
+    import mmap  # kept off the import path of the command line
+
+    size = math.prod(shape) * 8
+    if not size or not hasattr(mmap, "MAP_PRIVATE"):  # nothing to map, or Windows
+        return np.empty(shape)
+    pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # fault the pages in 2 MB at a time
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, float).reshape(shape)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
+    """``draw(j, m)``: the (d, k) columns of chunk j's m draws that fall in
+    the box. Each chunk has its own Generator, so chunks may be drawn in
+    any order and on any thread."""
+    d = mixture.dim
+    cum = np.cumsum(mixture.weights)
+    cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
+    means = mixture.means.T.copy()
+    chol = mixture.chol
+    scales = chol[:, range(d), range(d)].T.copy()
+    factors = [[(i, chol[:, j, i].copy()) for i in range(j) if chol[:, j, i].any()]
+               for j in range(d)]
+
+    def draw(chunk: int, m: int) -> np.ndarray:
+        rng = np.random.default_rng(
+            seed if chunk == 0 else np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        u = rng.random(m)
+        hit = np.empty(m, bool)
+        labels = np.zeros(m, np.intp)
+        for c in cum:
+            labels += np.greater_equal(u, c, out=hit)
+        del u
+        z = rng.standard_normal((d, m))
+        buf = np.empty(m)
+        keep = np.ones(m, bool)
+        for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
+            row = z[j]
+            row *= np.take(scales[j], labels, out=buf, mode="clip")
+            for i, f in factors[j]:
+                np.take(f, labels, out=buf, mode="clip")
+                buf *= z[i]
+                row += buf
+            row += np.take(means[j], labels, out=buf, mode="clip")
+            keep &= np.greater_equal(row, box.low[j], out=hit)
+            keep &= np.less_equal(row, box.high[j], out=hit)
+        del labels, buf, hit
+        return np.compress(keep, z, axis=1)
+
+    return draw
+
+
+def _run_round(draw, commit, out: np.ndarray, first: int, sizes: list) -> None:
+    """Draw chunks ``first``, ``first + 1``, ... of ``sizes`` columns and
+    copy each chunk's kept columns into the rows of ``out`` that
+    ``commit(m, kept)`` gives it, committing in chunk order until ``out``
+    is full. One worker per usable CPU, at most one per chunk, the
+    calling thread among them; a worker holds one chunk at a time. Every
+    started thread is joined before this returns or raises, and the first
+    error of any worker is raised here."""
+    turn = threading.Condition()
+    taken = committed = 0
+    stop, error = False, None
+
+    def work():
+        nonlocal taken, committed, stop, error
+        try:
+            while True:
+                with turn:
+                    if stop or taken == len(sizes):
+                        return
+                    j, taken = taken, taken + 1
+                kept = draw(first + j, sizes[j])
+                with turn:
+                    while committed != j and not stop:
+                        turn.wait()
+                    if stop:
+                        return
+                    rows = commit(sizes[j], kept)
+                    committed, stop = j + 1, rows.stop == len(out)
+                    turn.notify_all()
+                out[rows] = kept[:, :rows.stop - rows.start].T
+                del kept  # before the next chunk is drawn
+        except BaseException as exc:
+            with turn:
+                error, stop = error or exc, True
+                turn.notify_all()
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(_usable_cpus(), len(sizes)) - 1)]
+    try:
+        for t in threads:
+            t.start()
+        work()
+    except BaseException:  # a thread that did not start
+        with turn:
+            stop = True
+            turn.notify_all()
+        raise
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if error is not None:
+        raise error
 
 
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:

@@ -66,7 +66,7 @@ def test_epsilon_for_acceptance_quantile():
     dists = np.arange(100, dtype=float)
     assert epsilon_for_acceptance(dists, 0.02) == pytest.approx(1.98)
     with pytest.raises(ContractError):
-        epsilon_for_acceptance([])
+        epsilon_for_acceptance([], 0.02)
 
 
 # -- KDE log-prob -----------------------------------------------------------

@@ -1041,6 +1041,34 @@ def test_cli_sample_full_covariance_below_mass_bound_exit_3(tmp_path, capsys):
     assert not (tmp_path / "samples.csv").exists()
 
 
+def test_cli_sample_after_a_million_rejections_exit_3(tmp_path, capsys):
+    """A correlated posterior whose mass bound passes the floor but whose
+    box holds almost no mass: sample gives up after one million
+    consecutive rejections."""
+    m = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.9999], [0.9999, 1.0]]])
+    post = truncate(m, UniformBox([1.0, -2.0], [2.0, -1.0]), {"param_names": ["a", "b"]})
+    save_posterior(post, tmp_path / "posterior.json", "")
+    capsys.readouterr()
+    assert cli.main(["sample", "--posterior", str(tmp_path / "posterior.json"),
+                     "--count", "5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "one million consecutive rejections" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("provenance", [{}, {"param_names": ["a"]}, {"param_names": ["a", 2]},
+                                        {"param_names": "ab"}])
+def test_save_posterior_refuses_what_load_posterior_refuses(tmp_path, provenance):
+    """A posterior without one string name per dimension is refused before
+    anything is written."""
+    m = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    post = truncate(m, UniformBox([-1.0, -1.0], [1.0, 1.0]), provenance)
+    with pytest.raises(ContractError, match="one parameter name per dimension"):
+        save_posterior(post, tmp_path / "posterior.json", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_generate_huge_seed_exit_0(cli_artifacts, tmp_path, capsys):
     cfg_path, _ = cli_artifacts
     assert cli.main(["generate", "--config", str(cfg_path), "--seed", "100000000000000000",

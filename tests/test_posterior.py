@@ -1,9 +1,13 @@
+import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from simcal import posterior
 from simcal.errors import (
     ComponentWiderThanProposalError,
     ConfigurationError,
@@ -368,6 +372,117 @@ def test_sample_memory_is_output_plus_one_chunk():
         tracemalloc.stop()
     chunk_bytes = 2 * CHUNK_ROWS[1] * 8
     assert peak - draws.nbytes < 6 * chunk_bytes  # a chunk and its temporaries
+
+
+def _cut_mixture():
+    """A 2-component 2-D mixture on a box that cuts it."""
+    m = GaussianMixture([0.3, 0.7], [[0.2, 1.0], [1.2, 0.5]], [[0.1, 0.2], [0.3, 0.05]])
+    return truncate(m, UniformBox([0.0, 0.0], [1.5, 1.5]))
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def test_sample_same_draws_for_any_thread_count(monkeypatch):
+    """300,000 draws are one round of 7 chunks; a short switch interval
+    makes the workers interleave as often as they can."""
+    p = _cut_mixture()
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    draws = []
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(posterior, "_usable_cpus", lambda: cpus)
+            _CountingThread.started = 0
+            draws.append(sample(p, 300_000, seed=4))
+            assert _CountingThread.started == cpus - 1  # the caller is a worker too
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert draws[0].shape == (300_000, 2)
+    assert np.all((draws[0] >= p.support.low) & (draws[0] <= p.support.high))
+    for other in draws[1:]:
+        np.testing.assert_array_equal(draws[0], other)
+
+
+def test_sample_of_one_chunk_keeps_the_serial_draws(monkeypatch):
+    """A count that fits in one chunk draws from default_rng(seed) alone,
+    on the calling thread: the bytes the serial sampler gave."""
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    _CountingThread.started = 0
+    draws = sample(_cut_mixture(), 10_000, seed=12)
+    assert _CountingThread.started == 0
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == \
+        "b4bc67ecea2b4b5fb837074c38096dbe977e50ec57d9426103f4d29ba3706de9"
+
+
+def test_sample_leaves_no_thread_when_a_chunk_fails(monkeypatch):
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: 3)
+    drawer = posterior._chunk_drawer
+
+    def failing_drawer(*args):
+        draw = drawer(*args)
+
+        def fail_on_chunk_2(chunk, m):
+            if chunk == 2:
+                raise RuntimeError("chunk 2 failed")
+            return draw(chunk, m)
+        return fail_on_chunk_2
+
+    monkeypatch.setattr(posterior, "_chunk_drawer", failing_drawer)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 2 failed"):
+        sample(_cut_mixture(), 300_000, seed=4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sample_heap_holds_one_chunk_per_worker(monkeypatch, cpus):
+    """The output lies on pages of its own, which tracemalloc does not
+    see; the heap holds the arrays of one chunk per worker."""
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: cpus)
+    p = _cut_mixture()
+    tracemalloc.start()
+    try:
+        draws = sample(p, 1_000_000, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (1_000_000, 2) and draws.flags.c_contiguous
+    chunk_bytes = 2 * CHUNK_ROWS[1] * 8
+    assert peak < cpus * 2.5 * chunk_bytes  # draws, labels, one row and the kept columns
+
+
+def _no_mass_correlated_posterior():
+    """N(0, [[1, .9999], [.9999, 1]]) on [1, 2] x [-2, -1]: its mass bound
+    0.136 passes the floor, but the box holds almost none of it."""
+    m = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.9999], [0.9999, 1.0]]])
+    p = truncate(m, UniformBox([1.0, -2.0], [2.0, -1.0]))
+    assert p.provenance["in_box_mass"] is None
+    assert p.provenance["in_box_mass_bound"] == pytest.approx(0.136, abs=1e-3)
+    return p
+
+
+@pytest.mark.parametrize("count,cpus", [(10, 2), (1_000_000, 1), (1_000_000, 2),
+                                        (1_000_000, 3)])
+def test_sample_rejection_guard(monkeypatch, count, cpus):
+    """One million consecutive rejections raise, in rounds of one chunk
+    (10 draws) and in a round of 16 chunks drawn in parallel (1,000,000),
+    and leave no thread behind."""
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: cpus)
+    p = _no_mass_correlated_posterior()
+    before = threading.active_count()
+    with pytest.raises(DegeneratePosteriorError, match="one million consecutive rejections"):
+        sample(p, count, seed=0)
+    assert threading.active_count() == before
 
 
 def test_sample_count_zero():
