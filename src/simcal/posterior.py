@@ -29,6 +29,7 @@ from .priors import UniformBox
 NEG_INF = float("-inf")
 MASS_FLOOR = 1e-6  # in-box mass below which a truncated posterior is degenerate
 CHUNK_ROWS = (256, 65_536)  # the fewest and most draws of one sampling chunk
+ROUND_CHUNKS = 2  # the most chunks of one sampling round, drawn at once
 
 
 @dataclass
@@ -199,23 +200,24 @@ def recover_posterior(model, x_r: np.ndarray, proposal: UniformBox | PosteriorEs
 def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` rows (count, d) from the posterior, truncated to its
     support box; deterministic for a given seed, whatever the number of
-    threads.
+    CPUs.
 
     Ancestral sampling with rejection, in rounds of numbered chunks of
     d x m draws: one uniform per column picks the component (zero-weight
     components are never picked), the column of standard normals goes
     through that component's mean and Cholesky factor, and the columns
-    inside the box are kept. A round holds max(need / rate * 1.02, 256)
-    columns, cut into chunks of at most ``CHUNK_ROWS[1]``, with the exact
-    in-box mass of :func:`box_mass` as the rate, or for full covariances
-    the acceptance seen so far. Chunk 0 draws from ``default_rng(seed)``
-    and chunk j >= 1 from ``SeedSequence(seed, spawn_key=(j,))``, so a
-    call that chunk 0 fills draws what the serial sampler drew. The
-    chunks of a round are drawn by one thread per usable CPU, the calling
-    thread among them, and their kept columns are copied out in chunk
-    order; a round of one chunk starts no thread, and no thread outlives
-    the call. Memory is the output, on pages of its own, plus one chunk
-    per thread.
+    inside the box are kept. A round holds need / rate * 1.02 columns,
+    clamped to [256, ``ROUND_CHUNKS`` full chunks], cut into chunks of at
+    most ``CHUNK_ROWS[1]``, with the exact in-box mass of :func:`box_mass`
+    as the rate, or for full covariances the acceptance seen so far.
+    Chunk 0 draws from ``default_rng(seed)`` and chunk j >= 1 from
+    ``SeedSequence(seed, spawn_key=(j,))``, so a call that chunk 0 fills
+    draws what the serial sampler drew. With more than one usable CPU the
+    chunks of a round are drawn at once, the first on the calling thread
+    and each other on a thread of its own; the calling thread then copies
+    their kept columns out in chunk order. A round of one chunk starts no
+    thread, and no thread outlives the call. Memory is the output plus
+    the ``ROUND_CHUNKS`` chunks of a round.
 
     Raises DegeneratePosteriorError before any draw when the in-box mass,
     or for full covariances its bound :func:`box_mass_bound`, is below
@@ -233,52 +235,28 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
         raise DegeneratePosteriorError(
             f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
     draw = _chunk_drawer(mixture, box, seed)
-    out = _own_pages((count, mixture.dim))
-    filled = drawn = accepted = rejected_run = 0
-
-    def commit(m: int, kept: np.ndarray) -> slice:
-        """Account for one chunk of m columns, in chunk order: the rows of
-        ``out`` its kept columns fill."""
-        nonlocal filled, drawn, accepted, rejected_run
-        n = min(kept.shape[1], count - filled)
-        rows = slice(filled, filled + n)
-        filled += n
-        drawn += m
-        accepted += kept.shape[1]
-        if mass is None:
-            rejected_run = 0 if kept.shape[1] else rejected_run + m
-            if rejected_run >= 1_000_000:
-                raise DegeneratePosteriorError(
-                    "one million consecutive rejections against the support box")
-        return rows
-
-    first = 0  # the number of the round's first chunk
+    parallel = _usable_cpus() > 1
+    out = np.empty((count, mixture.dim))
+    filled = drawn = accepted = rejected_run = first = 0
     while filled < count:
         rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
-        total = (max(math.ceil((count - filled) / rate * 1.02), CHUNK_ROWS[0]) if rate
-                 else CHUNK_ROWS[1])
-        full, rest = divmod(total, CHUNK_ROWS[1])
-        sizes = [CHUNK_ROWS[1]] * full + [rest] * bool(rest)
-        _run_round(draw, commit, out, first, sizes)
+        total = ROUND_CHUNKS * CHUNK_ROWS[1]
+        if rate:
+            total = min(max(math.ceil((count - filled) / rate * 1.02), CHUNK_ROWS[0]), total)
+        sizes = [min(CHUNK_ROWS[1], total - s) for s in range(0, total, CHUNK_ROWS[1])]
+        for m, kept in zip(sizes, _draw_round(draw, first, sizes, parallel)):
+            n = min(kept.shape[1], count - filled)
+            out[filled:filled + n] = kept[:, :n].T
+            filled += n
+            drawn += m
+            accepted += kept.shape[1]
+            if mass is None:
+                rejected_run = 0 if kept.shape[1] else rejected_run + m
+                if rejected_run >= 1_000_000:
+                    raise DegeneratePosteriorError(
+                        "one million consecutive rejections against the support box")
         first += len(sizes)
     return out
-
-
-def _own_pages(shape: tuple) -> np.ndarray:
-    """An uninitialized float array on anonymous pages of its own, which go
-    back to the system when the array is freed. On the heap, a freed
-    million-row output leaves a hole that the allocations made before the
-    next call can cut, and the next output then grows the heap by its
-    whole size."""
-    import mmap  # kept off the import path of the command line
-
-    size = math.prod(shape) * 8
-    if not size or not hasattr(mmap, "MAP_PRIVATE"):  # nothing to map, or Windows
-        return np.empty(shape)
-    pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):  # fault the pages in 2 MB at a time
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, float).reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -330,59 +308,34 @@ def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
     return draw
 
 
-def _run_round(draw, commit, out: np.ndarray, first: int, sizes: list) -> None:
-    """Draw chunks ``first``, ``first + 1``, ... of ``sizes`` columns and
-    copy each chunk's kept columns into the rows of ``out`` that
-    ``commit(m, kept)`` gives it, committing in chunk order until ``out``
-    is full. One worker per usable CPU, at most one per chunk, the
-    calling thread among them; a worker holds one chunk at a time. Every
-    started thread is joined before this returns or raises, and the first
-    error of any worker is raised here."""
-    turn = threading.Condition()
-    taken = committed = 0
-    stop, error = False, None
+def _draw_round(draw, first: int, sizes: list, parallel: bool) -> list:
+    """The kept columns of chunks ``first``, ``first + 1``, ... of
+    ``sizes`` draws, in chunk order. When ``parallel``, the calling thread
+    draws the first chunk while each other chunk is drawn on a thread of
+    its own; every started thread is joined before this returns or
+    raises, and the error of any chunk is raised here."""
+    if not parallel or len(sizes) == 1:
+        return [draw(first + j, m) for j, m in enumerate(sizes)]
+    kept, errors = [None] * len(sizes), []
 
-    def work():
-        nonlocal taken, committed, stop, error
+    def work(j):
         try:
-            while True:
-                with turn:
-                    if stop or taken == len(sizes):
-                        return
-                    j, taken = taken, taken + 1
-                kept = draw(first + j, sizes[j])
-                with turn:
-                    while committed != j and not stop:
-                        turn.wait()
-                    if stop:
-                        return
-                    rows = commit(sizes[j], kept)
-                    committed, stop = j + 1, rows.stop == len(out)
-                    turn.notify_all()
-                out[rows] = kept[:, :rows.stop - rows.start].T
-                del kept  # before the next chunk is drawn
+            kept[j] = draw(first + j, sizes[j])
         except BaseException as exc:
-            with turn:
-                error, stop = error or exc, True
-                turn.notify_all()
+            errors.append(exc)
 
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(_usable_cpus(), len(sizes)) - 1)]
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, len(sizes))]
     try:
         for t in threads:
             t.start()
-        work()
-    except BaseException:  # a thread that did not start
-        with turn:
-            stop = True
-            turn.notify_all()
-        raise
+        kept[0] = draw(first, sizes[0])
     finally:
         for t in threads:
             if t.ident is not None:
                 t.join()
-    if error is not None:
-        raise error
+    if errors:
+        raise errors[0]
+    return kept
 
 
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:
