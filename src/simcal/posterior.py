@@ -212,12 +212,14 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     as the rate, or for full covariances the acceptance seen so far.
     Chunk 0 draws from ``default_rng(seed)`` and chunk j >= 1 from
     ``SeedSequence(seed, spawn_key=(j,))``, so a call that chunk 0 fills
-    draws what the serial sampler drew. With more than one usable CPU the
-    chunks of a round are drawn at once, the first on the calling thread
-    and each other on a thread of its own; the calling thread then copies
-    their kept columns out in chunk order. A round of one chunk starts no
-    thread, and no thread outlives the call. Memory is the output plus
-    the ``ROUND_CHUNKS`` chunks of a round.
+    draws what the serial sampler drew. With more than one usable CPU,
+    one other thread fills the random numbers of a round's second chunk
+    while the calling thread fills and keeps its first; the calling
+    thread keeps the chunks in chunk order, writing their draws straight
+    into the output. A round of one chunk starts no thread, and no
+    thread outlives the call. Memory is the output plus one workspace,
+    made once per call: the random numbers of the ``ROUND_CHUNKS``
+    chunks of a round and the scratch that keeps them.
 
     Raises DegeneratePosteriorError before any draw when the in-box mass,
     or for full covariances its bound :func:`box_mass_bound`, is below
@@ -234,9 +236,10 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     if upper < MASS_FLOOR:
         raise DegeneratePosteriorError(
             f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
-    draw = _chunk_drawer(mixture, box, seed)
-    parallel = _usable_cpus() > 1
+    stream, keep = _chunk_drawer(mixture, box, seed)
+    threads = ROUND_CHUNKS if _usable_cpus() > 1 else 1
     out = np.empty((count, mixture.dim))
+    work = None
     filled = drawn = accepted = rejected_run = first = 0
     while filled < count:
         rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
@@ -244,17 +247,24 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
         if rate:
             total = min(max(math.ceil((count - filled) / rate * 1.02), CHUNK_ROWS[0]), total)
         sizes = [min(CHUNK_ROWS[1], total - s) for s in range(0, total, CHUNK_ROWS[1])]
-        for m, kept in zip(sizes, _draw_round(draw, first, sizes, parallel)):
-            n = min(kept.shape[1], count - filled)
-            out[filled:filled + n] = kept[:, :n].T
-            filled += n
-            drawn += m
-            accepted += kept.shape[1]
-            if mass is None:
-                rejected_run = 0 if kept.shape[1] else rejected_run + m
-                if rejected_run >= 1_000_000:
-                    raise DegeneratePosteriorError(
-                        "one million consecutive rejections against the support box")
+        slots = min(len(sizes), threads)
+        if work is None or work.rows < sizes[0] or len(work.slots) < slots:
+            work = None  # the old workspace goes before the new one is made
+            work = _Workspace(mixture.dim, sizes[0], slots)
+        chunks = _filled_chunks(stream, first, sizes, work)
+        try:
+            for m, u, z in chunks:
+                k = keep(u, z, work, out[filled:])
+                filled += min(k, count - filled)
+                drawn += m
+                accepted += k
+                if mass is None:
+                    rejected_run = 0 if k else rejected_run + m
+                    if rejected_run >= 1_000_000:
+                        raise DegeneratePosteriorError(
+                            "one million consecutive rejections against the support box")
+        finally:
+            chunks.close()  # joins the other thread when a chunk raised here
         first += len(sizes)
     return out
 
@@ -267,10 +277,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _Workspace:
+    """The arrays one call of :func:`sample` draws in, made once and
+    reused by every chunk: per slot the uniforms and normals of a chunk
+    of up to ``rows`` draws, and the calling thread's scratch."""
+
+    def __init__(self, d: int, rows: int, slots: int):
+        self.d, self.rows = d, rows
+        self.slots = [(np.empty(rows), np.empty(d * rows)) for _ in range(slots)]
+        self.labels = np.empty(rows, np.intp)
+        self.buf = np.empty(rows)
+        self.hit = np.empty(rows, bool)
+        self.inside = np.empty(rows, bool)
+
+    def slot(self, i: int, m: int):
+        """Slot i's (u, z) for a chunk of m draws: (m,) and (d, m)."""
+        u, z = self.slots[i]
+        return u[:m], z[:self.d * m].reshape(self.d, m)
+
+
 def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
-    """``draw(j, m)``: the (d, k) columns of chunk j's m draws that fall in
-    the box. Each chunk has its own Generator, so chunks may be drawn in
-    any order and on any thread."""
+    """``(stream, keep)`` for numbered chunks of draws. ``stream(j)`` is
+    chunk j's own Generator, so chunks may be filled in any order and on
+    any thread: the uniforms first, then the (d, m) normals.
+    ``keep(u, z, work, dest)`` turns a filled chunk into draws, writes
+    the first of those that fall in the box as rows of ``dest`` and
+    returns how many fell in it; it overwrites ``z`` and the scratch of
+    ``work``."""
     d = mixture.dim
     cum = np.cumsum(mixture.weights)
     cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
@@ -280,18 +313,18 @@ def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
     factors = [[(i, chol[:, j, i].copy()) for i in range(j) if chol[:, j, i].any()]
                for j in range(d)]
 
-    def draw(chunk: int, m: int) -> np.ndarray:
-        rng = np.random.default_rng(
+    def stream(chunk: int) -> np.random.Generator:
+        return np.random.default_rng(
             seed if chunk == 0 else np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        u = rng.random(m)
-        hit = np.empty(m, bool)
-        labels = np.zeros(m, np.intp)
+
+    def keep(u: np.ndarray, z: np.ndarray, work: _Workspace, dest: np.ndarray) -> int:
+        m = u.shape[0]
+        labels, buf = work.labels[:m], work.buf[:m]
+        hit, inside = work.hit[:m], work.inside[:m]
+        labels.fill(0)
         for c in cum:
             labels += np.greater_equal(u, c, out=hit)
-        del u
-        z = rng.standard_normal((d, m))
-        buf = np.empty(m)
-        keep = np.ones(m, bool)
+        inside.fill(True)
         for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
             row = z[j]
             row *= np.take(scales[j], labels, out=buf, mode="clip")
@@ -300,42 +333,61 @@ def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
                 buf *= z[i]
                 row += buf
             row += np.take(means[j], labels, out=buf, mode="clip")
-            keep &= np.greater_equal(row, box.low[j], out=hit)
-            keep &= np.less_equal(row, box.high[j], out=hit)
-        del labels, buf, hit
-        return np.compress(keep, z, axis=1)
+            inside &= np.greater_equal(row, box.low[j], out=hit)
+            inside &= np.less_equal(row, box.high[j], out=hit)
+        k = int(np.count_nonzero(inside))
+        n = min(k, dest.shape[0])
+        for j in range(d):
+            dest[:n, j] = np.compress(inside, z[j], out=buf[:k])[:n]
+        return k
 
-    return draw
+    return stream, keep
 
 
-def _draw_round(draw, first: int, sizes: list, parallel: bool) -> list:
-    """The kept columns of chunks ``first``, ``first + 1``, ... of
-    ``sizes`` draws, in chunk order. When ``parallel``, the calling thread
-    draws the first chunk while each other chunk is drawn on a thread of
-    its own; every started thread is joined before this returns or
-    raises, and the error of any chunk is raised here."""
-    if not parallel or len(sizes) == 1:
-        return [draw(first + j, m) for j, m in enumerate(sizes)]
-    kept, errors = [None] * len(sizes), []
+def _fill(rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
+    rng.random(out=u)
+    rng.standard_normal(out=z)
 
-    def work(j):
+
+def _filled_chunks(stream, first: int, sizes: list, work: _Workspace):
+    """Yield ``(m, u, z)`` for chunks ``first``, ``first + 1``, ... of
+    ``sizes`` draws, in chunk order, u and z holding the chunk's
+    uniforms and normals in a slot of ``work``. With a slot per chunk,
+    one other thread fills every chunk but the first while the calling
+    thread fills the first and the caller keeps it. That thread only
+    writes into arrays made before it starts, so the heap sees the same
+    allocations whatever the timing. It is joined before the second
+    chunk is yielded and before this returns or raises, and its error is
+    raised here."""
+    if len(sizes) == 1 or len(work.slots) < len(sizes):
+        for j, m in enumerate(sizes):
+            u, z = work.slot(0, m)
+            _fill(stream(first + j), u, z)
+            yield m, u, z
+        return
+    later = [(stream(first + j), *work.slot(j, m)) for j, m in enumerate(sizes) if j]
+    errors = []
+
+    def fill_later():
         try:
-            kept[j] = draw(first + j, sizes[j])
+            for rng, u, z in later:
+                _fill(rng, u, z)
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, len(sizes))]
+    thread = threading.Thread(target=fill_later)
     try:
-        for t in threads:
-            t.start()
-        kept[0] = draw(first, sizes[0])
+        thread.start()
+        u, z = work.slot(0, sizes[0])
+        _fill(stream(first), u, z)
+        yield sizes[0], u, z
     finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
+        if thread.ident is not None:
+            thread.join()
     if errors:
         raise errors[0]
-    return kept
+    for m, (_, u, z) in zip(sizes[1:], later):
+        yield m, u, z
 
 
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:

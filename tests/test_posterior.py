@@ -426,19 +426,19 @@ def test_sample_of_one_chunk_keeps_the_serial_draws(monkeypatch):
         "b4bc67ecea2b4b5fb837074c38096dbe977e50ec57d9426103f4d29ba3706de9"
 
 
-@pytest.mark.parametrize("failing", [2, 3])  # drawn by the calling thread, by another
+@pytest.mark.parametrize("failing", [2, 3])  # filled by the calling thread, by another
 def test_sample_leaves_no_thread_when_a_chunk_fails(monkeypatch, failing):
     monkeypatch.setattr(posterior, "_usable_cpus", lambda: 2)
     drawer = posterior._chunk_drawer
 
     def failing_drawer(*args):
-        draw = drawer(*args)
+        stream, keep = drawer(*args)
 
-        def fail_on_one_chunk(chunk, m):
-            if chunk == failing:
-                raise RuntimeError(f"chunk {chunk} failed")
-            return draw(chunk, m)
-        return fail_on_one_chunk
+        class Failing:
+            def random(self, out):
+                raise RuntimeError(f"chunk {failing} failed")
+
+        return (lambda chunk: Failing() if chunk == failing else stream(chunk)), keep
 
     monkeypatch.setattr(posterior, "_chunk_drawer", failing_drawer)
     before = threading.active_count()
