@@ -213,13 +213,12 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     Chunk 0 draws from ``default_rng(seed)`` and chunk j >= 1 from
     ``SeedSequence(seed, spawn_key=(j,))``, so a call that chunk 0 fills
     draws what the serial sampler drew. With more than one usable CPU,
-    one other thread fills the random numbers of a round's second chunk
-    while the calling thread fills and keeps its first; the calling
-    thread keeps the chunks in chunk order, writing their draws straight
-    into the output. A round of one chunk starts no thread, and no
-    thread outlives the call. Memory is the output plus one workspace,
-    made once per call: the random numbers of the ``ROUND_CHUNKS``
-    chunks of a round and the scratch that keeps them.
+    one other thread draws a round's second chunk while the calling
+    thread draws its first; the calling thread then copies the draws in
+    the box straight into the output, in chunk order. A round of one
+    chunk starts no thread, and no thread outlives the call. Memory is
+    the output plus one slot per chunk of a round, made once per call:
+    a chunk's normals, labels and scratch.
 
     Raises DegeneratePosteriorError before any draw when the in-box mass,
     or for full covariances its bound :func:`box_mass_bound`, is below
@@ -236,10 +235,10 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
     if upper < MASS_FLOOR:
         raise DegeneratePosteriorError(
             f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
-    stream, keep = _chunk_drawer(mixture, box, seed)
+    stream, draw, copy_out = _chunk_drawer(mixture, box, seed)
     threads = ROUND_CHUNKS if _usable_cpus() > 1 else 1
     out = np.empty((count, mixture.dim))
-    work = None
+    slots = []
     filled = drawn = accepted = rejected_run = first = 0
     while filled < count:
         rate = mass if mass is not None else (accepted / drawn if drawn else 1.0)
@@ -247,14 +246,13 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
         if rate:
             total = min(max(math.ceil((count - filled) / rate * 1.02), CHUNK_ROWS[0]), total)
         sizes = [min(CHUNK_ROWS[1], total - s) for s in range(0, total, CHUNK_ROWS[1])]
-        slots = min(len(sizes), threads)
-        if work is None or work.rows < sizes[0] or len(work.slots) < slots:
-            work = None  # the old workspace goes before the new one is made
-            work = _Workspace(mixture.dim, sizes[0], slots)
-        chunks = _filled_chunks(stream, first, sizes, work)
+        if len(slots) < min(len(sizes), threads) or slots[0].rows < sizes[0]:
+            slots = []  # the old slots go before the new ones are made
+            slots = [_Slot(mixture.dim, sizes[0]) for _ in range(min(len(sizes), threads))]
+        chunks = _drawn_chunks(stream, draw, first, sizes, slots)
         try:
-            for m, u, z in chunks:
-                k = keep(u, z, work, out[filled:])
+            for m, slot in chunks:
+                k = copy_out(m, slot, out[filled:])
                 filled += min(k, count - filled)
                 drawn += m
                 accepted += k
@@ -277,33 +275,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Workspace:
-    """The arrays one call of :func:`sample` draws in, made once and
-    reused by every chunk: per slot the uniforms and normals of a chunk
-    of up to ``rows`` draws, and the calling thread's scratch."""
+class _Slot:
+    """The arrays that one chunk of up to ``rows`` draws is drawn in. A
+    call of :func:`sample` makes its slots once and reuses them for every
+    chunk."""
 
-    def __init__(self, d: int, rows: int, slots: int):
-        self.d, self.rows = d, rows
-        self.slots = [(np.empty(rows), np.empty(d * rows)) for _ in range(slots)]
-        self.labels = np.empty(rows, np.intp)
+    def __init__(self, d: int, rows: int):
+        self.rows = rows
+        self.z = np.empty(d * rows)
+        self.labels, self.tally = np.empty(rows, np.intp), np.empty(rows, np.uint8)
         self.buf = np.empty(rows)
-        self.hit = np.empty(rows, bool)
-        self.inside = np.empty(rows, bool)
-
-    def slot(self, i: int, m: int):
-        """Slot i's (u, z) for a chunk of m draws: (m,) and (d, m)."""
-        u, z = self.slots[i]
-        return u[:m], z[:self.d * m].reshape(self.d, m)
+        self.hit, self.inside = np.empty(rows, bool), np.empty(rows, bool)
 
 
 def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
-    """``(stream, keep)`` for numbered chunks of draws. ``stream(j)`` is
-    chunk j's own Generator, so chunks may be filled in any order and on
-    any thread: the uniforms first, then the (d, m) normals.
-    ``keep(u, z, work, dest)`` turns a filled chunk into draws, writes
-    the first of those that fall in the box as rows of ``dest`` and
-    returns how many fell in it; it overwrites ``z`` and the scratch of
-    ``work``."""
+    """``(stream, draw, copy_out)`` for numbered chunks of draws.
+    ``stream(j)`` is chunk j's own Generator, so chunks may be drawn in
+    any order and on any thread. ``draw(rng, m, slot)`` draws a chunk of
+    m columns into ``slot``: the uniforms, then the (d, m) normals, each
+    column put through its component and marked when it falls in the
+    box. It writes only into arrays of the slot. ``copy_out(m, slot,
+    dest)`` writes the first marked columns as rows of ``dest`` and
+    returns how many were marked."""
     d = mixture.dim
     cum = np.cumsum(mixture.weights)
     cum = cum[:-1] / cum[-1]  # component k holds u in [cum[k-1], cum[k])
@@ -317,13 +310,22 @@ def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
         return np.random.default_rng(
             seed if chunk == 0 else np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
-    def keep(u: np.ndarray, z: np.ndarray, work: _Workspace, dest: np.ndarray) -> int:
-        m = u.shape[0]
-        labels, buf = work.labels[:m], work.buf[:m]
-        hit, inside = work.hit[:m], work.inside[:m]
-        labels.fill(0)
-        for c in cum:
-            labels += np.greater_equal(u, c, out=hit)
+    def draw(rng: np.random.Generator, m: int, slot: _Slot) -> None:
+        z = slot.z[:d * m].reshape(d, m)
+        labels, buf = slot.labels[:m], slot.buf[:m]
+        hit, inside = slot.hit[:m], slot.inside[:m]
+        u = rng.random(out=buf)  # the uniforms, until the labels exist
+        rng.standard_normal(out=z)
+        if cum.size < 255:  # count in bytes: bool + intp would buffer a cast
+            tally = slot.tally[:m]
+            tally.fill(0)
+            for c in cum:
+                np.add(tally, np.greater_equal(u, c, out=hit).view(np.uint8), out=tally)
+            np.copyto(labels, tally)
+        else:
+            labels.fill(0)
+            for c in cum:
+                labels += np.greater_equal(u, c, out=hit)
         inside.fill(True)
         for j in range(d - 1, -1, -1):  # row j reads rows i <= j, still raw
             row = z[j]
@@ -335,59 +337,54 @@ def _chunk_drawer(mixture: GaussianMixture, box: UniformBox, seed: int):
             row += np.take(means[j], labels, out=buf, mode="clip")
             inside &= np.greater_equal(row, box.low[j], out=hit)
             inside &= np.less_equal(row, box.high[j], out=hit)
+
+    def copy_out(m: int, slot: _Slot, dest: np.ndarray) -> int:
+        z, inside = slot.z[:d * m].reshape(d, m), slot.inside[:m]
         k = int(np.count_nonzero(inside))
         n = min(k, dest.shape[0])
         for j in range(d):
-            dest[:n, j] = np.compress(inside, z[j], out=buf[:k])[:n]
+            dest[:n, j] = np.compress(inside, z[j], out=slot.buf[:k])[:n]
         return k
 
-    return stream, keep
+    return stream, draw, copy_out
 
 
-def _fill(rng: np.random.Generator, u: np.ndarray, z: np.ndarray) -> None:
-    rng.random(out=u)
-    rng.standard_normal(out=z)
-
-
-def _filled_chunks(stream, first: int, sizes: list, work: _Workspace):
-    """Yield ``(m, u, z)`` for chunks ``first``, ``first + 1``, ... of
-    ``sizes`` draws, in chunk order, u and z holding the chunk's
-    uniforms and normals in a slot of ``work``. With a slot per chunk,
-    one other thread fills every chunk but the first while the calling
-    thread fills the first and the caller keeps it. That thread only
-    writes into arrays made before it starts, so the heap sees the same
-    allocations whatever the timing. It is joined before the second
-    chunk is yielded and before this returns or raises, and its error is
-    raised here."""
-    if len(sizes) == 1 or len(work.slots) < len(sizes):
+def _drawn_chunks(stream, draw, first: int, sizes: list, slots: list):
+    """Yield ``(m, slot)`` for chunks ``first``, ``first + 1``, ... of
+    ``sizes`` draws, in chunk order, each drawn into a slot. With a slot
+    per chunk, one other thread draws every chunk but the first while
+    the calling thread draws the first and the caller copies it out.
+    That thread only writes into arrays made before it starts (below
+    256 components), so the heap sees the same allocations whatever the
+    timing. It is joined before the second chunk is yielded and before
+    this returns or raises, and its error is raised here."""
+    if len(sizes) == 1 or len(slots) < len(sizes):
         for j, m in enumerate(sizes):
-            u, z = work.slot(0, m)
-            _fill(stream(first + j), u, z)
-            yield m, u, z
+            draw(stream(first + j), m, slots[0])
+            yield m, slots[0]
         return
-    later = [(stream(first + j), *work.slot(j, m)) for j, m in enumerate(sizes) if j]
+    later = [(stream(first + j), m, slots[j]) for j, m in enumerate(sizes) if j]
     errors = []
 
-    def fill_later():
+    def draw_later():
         try:
-            for rng, u, z in later:
-                _fill(rng, u, z)
+            for rng, m, slot in later:
+                draw(rng, m, slot)
         except BaseException as exc:
             errors.append(exc)
 
-    thread = threading.Thread(target=fill_later)
+    thread = threading.Thread(target=draw_later)
     try:
         thread.start()
-        u, z = work.slot(0, sizes[0])
-        _fill(stream(first), u, z)
-        yield sizes[0], u, z
+        draw(stream(first), sizes[0], slots[0])
+        yield sizes[0], slots[0]
     finally:
         if thread.ident is not None:
             thread.join()
     if errors:
         raise errors[0]
-    for m, (_, u, z) in zip(sizes[1:], later):
-        yield m, u, z
+    for _, m, slot in later:
+        yield m, slot
 
 
 def log_prob_target(p: PosteriorEstimate, theta_star: np.ndarray) -> float:

@@ -432,13 +432,13 @@ def test_sample_leaves_no_thread_when_a_chunk_fails(monkeypatch, failing):
     drawer = posterior._chunk_drawer
 
     def failing_drawer(*args):
-        stream, keep = drawer(*args)
+        stream, draw, copy_out = drawer(*args)
 
         class Failing:
             def random(self, out):
                 raise RuntimeError(f"chunk {failing} failed")
 
-        return (lambda chunk: Failing() if chunk == failing else stream(chunk)), keep
+        return (lambda chunk: Failing() if chunk == failing else stream(chunk)), draw, copy_out
 
     monkeypatch.setattr(posterior, "_chunk_drawer", failing_drawer)
     before = threading.active_count()
