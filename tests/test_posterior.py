@@ -489,6 +489,21 @@ def test_sample_rejection_guard(monkeypatch, count, cpus):
     assert threading.active_count() == before
 
 
+def test_sample_labels_more_components_than_a_byte_counts(monkeypatch):
+    """300 components, means spread over [0, 1]: labels past 255 take the
+    intp count, and the top tenth of the components gets its share."""
+    k = 300
+    m = GaussianMixture(np.full(k, 1 / k), np.linspace(0.0, 1.0, k)[:, None],
+                        np.full((k, 1, 1), 1e-4))
+    p = truncate(m, UniformBox([-1.0], [2.0]))
+    draws = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(posterior, "_usable_cpus", lambda: cpus)
+        draws.append(sample(p, 200_000, seed=3))
+    np.testing.assert_array_equal(draws[0], draws[1])
+    assert np.mean(draws[0][:, 0] > 0.9) == pytest.approx(0.1, abs=0.01)
+
+
 def test_sample_count_zero():
     m = GaussianMixture([1.0], [[0.0]], [[1.0]])
     assert sample(truncate(m, UniformBox([-1.0], [1.0])), 0, seed=0).shape == (0, 1)
