@@ -9,56 +9,30 @@ import numpy as np
 
 from .errors import ContractError
 from .mdn import GaussianMixture, log_density_batch
-from .posterior import PosteriorEstimate
-from .priors import UniformBox
 
 
 @dataclass
 class AbcResult:
     accepted: np.ndarray        # (n_acc, d_theta)
-    distances: np.ndarray       # all simulated distances, for diagnostics
-    thetas: np.ndarray          # all proposal draws, aligned with distances
+    thetas: np.ndarray          # the whole table's parameters
 
 
-def rejection_abc(
-    simulate_stats,
-    proposal: UniformBox | PosteriorEstimate,
-    x_r: np.ndarray,
-    epsilon: float,
-    count: int,
-    seed,
-) -> AbcResult:
-    """Draw ``count`` parameters from the proposal, simulate, accept within
-    the ``epsilon``-sphere (a Euclidean radius in standardized-statistic
-    space) around the real observation.
-
-    ``simulate_stats(thetas (n, d), seeds (n,)) -> (n, stat_dim)``
-    standardized statistics simulates every draw in one batched call; it
-    must run the same simulator/statistics pipeline used for the density
-    model, so distances are comparable. ``seed`` seeds ``default_rng``.
-    """
+def rejection_abc(thetas: np.ndarray, x: np.ndarray, x_r: np.ndarray,
+                  epsilon: float) -> AbcResult:
+    """Rejection on a reference table (Pritchard et al., 1999): accept the
+    rows of ``thetas`` whose statistics ``x`` lie inside the closed
+    ``epsilon``-sphere (a Euclidean radius in standardized-statistic
+    space) around the real observation."""
+    thetas = np.asarray(thetas, dtype=float)
     x_r = np.asarray(x_r, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
-    thetas = proposal.sample(rng, count)
-    seeds = rng.integers(2 ** 31, size=count)
-    x = np.asarray(simulate_stats(thetas, seeds), dtype=float)
-    distances = np.linalg.norm(x - x_r, axis=1)
-    accepted = thetas[distances < epsilon]
+    distances = np.linalg.norm(np.asarray(x, dtype=float) - x_r, axis=1)
+    accepted = thetas[distances <= epsilon]
     if accepted.shape[0] == 0:
         warnings.warn(
             "rejection ABC accepted no samples; the posterior estimate is empty",
             RuntimeWarning,
         )
-    return AbcResult(accepted=accepted, distances=distances, thetas=thetas)
-
-
-def epsilon_for_acceptance(distances, target_rate: float) -> float:
-    """Distance quantile yielding approximately the target acceptance
-    rate; used to set epsilon per benchmark."""
-    d = np.asarray(distances, dtype=float)
-    if d.size == 0:
-        raise ContractError("need at least one distance")
-    return float(np.quantile(d, target_rate))
+    return AbcResult(accepted=accepted, thetas=thetas)
 
 
 BANDWIDTH_FLOOR = 1e-8

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import mdn
-from .abc_rejection import abc_log_prob, epsilon_for_acceptance, rejection_abc
+from .abc_rejection import abc_log_prob, rejection_abc
 from .errors import ConfigurationError, ContractError, DegeneratePosteriorError, SimcalError
 from .features import FEATURE_MAPS, KERNEL_FAMILIES, KernelConfig, build_rff, init_neural_map
 # Not called here: the benchmark's tracer (perfbench/spans.py) wraps
@@ -40,10 +40,8 @@ ARTIFACT_TAGS = {"dataset": "#SIMCAL-DATASET", "samples": "#SIMCAL-SAMPLES",
 
 METHODS = ("mdn_rff", "mdn_nn", "rejection_abc", "control_shuffled")
 
-# Rejection ABC simulates num_train draws and accepts ABC_ACCEPT_RATE of
-# them; its fallback radius accepts 10.5 simulations, so it needs 11.
+# Rejection ABC accepts this share of the dataset's rows, and at least 10.
 ABC_ACCEPT_RATE = 0.02
-ABC_MIN_SIMULATIONS = 11
 CONTROLLER_SEED = 7   # mixed with each episode's seed by the built-in controllers
 HIDDEN_UNITS = 24     # of the neural feature map
 
@@ -51,10 +49,9 @@ HIDDEN_UNITS = 24     # of the neural feature map
 # list; the least positive value is the least positive float.
 _POSITIVE = (math.ulp(0.0), math.inf)
 _FIELD_RANGES = dict.fromkeys(
-    ("num_features", "num_components", "epochs", "cv_epochs", "batch_size", "repeats",
-     "real_rollouts"), (1, math.inf))
-_FIELD_RANGES.update(dict.fromkeys(("seed", "patience"), (0, math.inf)),
-                     num_train=(ABC_MIN_SIMULATIONS, math.inf), learning_rate=_POSITIVE,
+    ("num_train", "num_features", "num_components", "epochs", "cv_epochs", "batch_size",
+     "repeats", "real_rollouts"), (1, math.inf))
+_FIELD_RANGES.update(dict.fromkeys(("seed", "patience"), (0, math.inf)), learning_rate=_POSITIVE,
                      lengthscale_candidates=_POSITIVE, horizon=(1, MAX_HORIZON))
 # The values a field, or each value of a list field, may take.
 _FIELD_CHOICES = {"benchmark": tuple(MODELS), "controller_kind": CONTROLLER_KINDS,
@@ -110,7 +107,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigurationError("config field 'methods' must name at least one method")
         if self.num_train < 10 * self.num_components:
-            raise ConfigurationError("num_train must be at least 10 * num_components")
+            raise ConfigurationError(f"config field 'num_train' must be at least 10 * "
+                                     f"num_components, got {self.num_train}")
         if self.feature_type == "rff" or {"mdn_rff", "control_shuffled"} & set(self.methods):
             KernelConfig(self.kernel_family, 1.0, self.num_features)  # an RFF map's checks
         params = MODELS[self.benchmark].mutable_params
@@ -213,6 +211,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
+# "abc" is not drawn; it keeps its index so the later streams keep their spawn keys.
 SEED_STREAMS = ("dataset", "real", "abc", "train", "nn_init", "shuffle")
 
 
@@ -617,37 +616,14 @@ class MetricsRow:
 
 
 def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
-                             x_r: np.ndarray, repeat: int = 0) -> float:
-    def simulate_stats(thetas, seeds):
-        # A draw whose rollout did not complete lies infinitely far away.
-        batch = _simulate(config, thetas, seeds)
-        kept = batch.completed
-        x = np.full((len(thetas), dataset.schema.stat_dim), np.inf)
-        x[kept] = dataset.schema.standardize(compute_stats(batch.select(kept)))
-        return x
-
-    # Calibrate epsilon from the training set's distances: their 2% quantile
-    # reproduces the intended acceptance rate without extra simulation budget.
-    eps = epsilon_for_acceptance(np.linalg.norm(dataset.x_standardized - x_r, axis=1),
-                                 ABC_ACCEPT_RATE)
-    result = rejection_abc(simulate_stats, config.proposal, x_r, eps, config.num_train,
-                           random_stream(config, "abc", repeat))
-    if result.accepted.shape[0] < 10:
-        # Fall back to the accepted-quantile radius on this run's draws.
-        completed = np.isfinite(result.distances)
-        n_done = int(completed.sum())
-        if n_done < 10:
-            raise ContractError(
-                f"rejection ABC needs at least 10 completed simulations, "
-                f"only {n_done} of {config.num_train} completed")
-        with np.errstate(invalid="ignore"):
-            # NaN (inf - inf) when the quantile falls between failed draws
-            eps = epsilon_for_acceptance(result.distances,
-                                         max(ABC_ACCEPT_RATE, 10.5 / config.num_train))
-        accepted = result.thetas[completed if np.isnan(eps) else result.distances < eps]
-    else:
-        accepted = result.accepted
-    return abc_log_prob(accepted, np.asarray(config.theta_star))
+                             x_r: np.ndarray) -> float:
+    """Rejection ABC on the dataset: the KDE of the max(ceil(ABC_ACCEPT_RATE * N), 10)
+    rows nearest to ``x_r``, scored at theta*."""
+    x = dataset.x_standardized
+    k = max(math.ceil(ABC_ACCEPT_RATE * len(x)), 10)
+    eps = np.partition(np.linalg.norm(x - x_r, axis=1), k - 1)[k - 1]
+    result = rejection_abc(dataset.thetas, x, x_r, eps)
+    return abc_log_prob(result.accepted, np.asarray(config.theta_star))
 
 
 def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
@@ -666,7 +642,7 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
                 progress(f"repeat {r + 1}/{config.repeats}: {method}")
             try:
                 if method == "rejection_abc":
-                    lp = _abc_log_prob_for_repeat(config, dataset, x_r, r)
+                    lp = _abc_log_prob_for_repeat(config, dataset, x_r)
                 else:
                     ftype = "nn" if method == "mdn_nn" else "rff"
                     shuffled = method == "control_shuffled"

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from simcal.abc_rejection import (
-    BANDWIDTH_FLOOR,
-    abc_log_prob,
-    epsilon_for_acceptance,
-    rejection_abc,
-)
+from simcal.abc_rejection import BANDWIDTH_FLOOR, abc_log_prob, rejection_abc
 from simcal.errors import ContractError
 from simcal.priors import UniformBox
 
 
-def identity_sim(theta, seed):
-    return np.asarray(theta, dtype=float)
+def identity_table(prior, count, seed):
+    """``count`` prior draws whose statistics are the draws themselves."""
+    thetas = prior.sample(np.random.default_rng(seed), count)
+    return thetas, thetas
 
 
 def test_infinite_epsilon_accepts_everything():
     prior = UniformBox([0.0, 0.0], [1.0, 2.0])
-    res = rejection_abc(identity_sim, prior, [0.5, 1.0],
-                        1e9, 5000, seed=0)
+    res = rejection_abc(*identity_table(prior, 5000, seed=0), [0.5, 1.0], 1e9)
     assert len(res.accepted) / len(res.thetas) == 1.0
     # accepted set matches the proposal's first two moments within 5%
     np.testing.assert_allclose(res.accepted.mean(axis=0), [0.5, 1.0], rtol=0.05)
@@ -29,17 +25,15 @@ def test_infinite_epsilon_accepts_everything():
 def test_zero_epsilon_accepts_nothing():
     prior = UniformBox([0.0], [1.0])
     with pytest.warns(RuntimeWarning):
-        res = rejection_abc(identity_sim, prior, [0.5],
-                            0.0, 200, seed=1)
+        res = rejection_abc(*identity_table(prior, 200, seed=1), [0.5], 0.0)
     assert len(res.accepted) / len(res.thetas) == 0.0
     assert res.accepted.shape[0] == 0
 
 
 def test_toy_acceptance_interval():
-    # x = theta, proposal U[0,1], x_r = 0.5, eps = 0.1 -> accept (0.4, 0.6)
+    # x = theta, proposal U[0,1], x_r = 0.5, eps = 0.1 -> accept [0.4, 0.6]
     prior = UniformBox([0.0], [1.0])
-    res = rejection_abc(identity_sim, prior, [0.5],
-                        0.1, 10000, seed=2)
+    res = rejection_abc(*identity_table(prior, 10000, seed=2), [0.5], 0.1)
     assert np.all(res.accepted > 0.4 - 1e-12)
     assert np.all(res.accepted < 0.6 + 1e-12)
     assert abs(len(res.accepted) / len(res.thetas) - 0.2) < 0.02
@@ -47,8 +41,8 @@ def test_toy_acceptance_interval():
 
 def test_determinism():
     prior = UniformBox([0.0], [1.0])
-    a = rejection_abc(identity_sim, prior, [0.5], 0.3, 500, seed=3)
-    b = rejection_abc(identity_sim, prior, [0.5], 0.3, 500, seed=3)
+    a = rejection_abc(*identity_table(prior, 500, seed=3), [0.5], 0.3)
+    b = rejection_abc(*identity_table(prior, 500, seed=3), [0.5], 0.3)
     np.testing.assert_array_equal(a.accepted, b.accepted)
 
 
@@ -56,17 +50,9 @@ def test_shrinking_epsilon_tightens_accepted_distances():
     prior = UniformBox([0.0], [1.0])
     mean_dists = []
     for eps in (0.4, 0.2, 0.1):
-        res = rejection_abc(identity_sim, prior, [0.5],
-                            eps, 4000, seed=4)
+        res = rejection_abc(*identity_table(prior, 4000, seed=4), [0.5], eps)
         mean_dists.append(np.mean(np.abs(res.accepted - 0.5)))
     assert mean_dists[0] >= mean_dists[1] >= mean_dists[2]
-
-
-def test_epsilon_for_acceptance_quantile():
-    dists = np.arange(100, dtype=float)
-    assert epsilon_for_acceptance(dists, 0.02) == pytest.approx(1.98)
-    with pytest.raises(ContractError):
-        epsilon_for_acceptance([], 0.02)
 
 
 # -- KDE log-prob -----------------------------------------------------------
@@ -127,22 +113,3 @@ def test_kde_point_mass_matches_oracle_at_bandwidth_floor():
 def test_kde_requires_ten_samples():
     with pytest.raises(ContractError):
         abc_log_prob(np.zeros((9, 1)), [0.0])
-
-
-def test_seeds_passed_to_simulate_stats_equal_sequential_draws():
-    prior = UniformBox([0.0, 0.0], [1.0, 2.0])
-    seen = []
-
-    def recording_sim(thetas, seeds):
-        seen.append(np.array(seeds))
-        return np.asarray(thetas, dtype=float)
-
-    for seed in (0, 5, 99):
-        seen.clear()
-        rejection_abc(recording_sim, prior, [0.5, 1.0],
-                      1e9, 300, seed=seed)
-        rng = np.random.default_rng(seed)
-        prior.sample(rng, 300)
-        sequential = [int(rng.integers(2 ** 31)) for _ in range(300)]
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], sequential)

@@ -177,11 +177,9 @@ def test_criterion_6_sampling_consistency():
 
 def test_criterion_7_abc_baseline_sanity():
     with _Budget(7, "ABC baseline sanity", 60):
-        res = rejection_abc(
-            lambda theta, seed: np.asarray(theta, dtype=float),
-            UniformBox([0.0], [1.0]), [0.5],
-            0.1, 10000, seed=0,
-        )
+        # a table of 10,000 prior draws whose statistics are the draws
+        thetas = UniformBox([0.0], [1.0]).sample(np.random.default_rng(0), 10000)
+        res = rejection_abc(thetas, thetas, [0.5], 0.1)
         assert np.all(res.accepted > 0.4 - 1e-12)
         assert np.all(res.accepted < 0.6 + 1e-12)
         assert abs(len(res.accepted) / len(res.thetas) - 0.2) < 0.02

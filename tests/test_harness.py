@@ -7,7 +7,6 @@ import operator
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from simcal import cli, features, harness
-from simcal.abc_rejection import abc_log_prob, rejection_abc
+from simcal.abc_rejection import abc_log_prob
 from simcal.errors import ConfigurationError, ContractError, TrainingDivergenceError
 from simcal.harness import (
     ExperimentConfig,
@@ -49,7 +48,6 @@ from simcal.posterior import (
 )
 from simcal.priors import UniformBox
 from simcal.simulators import builtin_controller, get_model, rollout
-from simcal.trajstats import compute_stats
 
 
 def small_config(**over):
@@ -165,18 +163,18 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     assert not (tmp_path / "dataset.csv").exists()
 
 
-def test_num_train_below_the_abc_minimum_exit_2(tmp_path, capsys):
-    """Rejection ABC simulates num_train draws and needs 11: 10 exits 2
-    even where ten rows per mixture component would do."""
+def test_num_train_below_ten_rows_per_component_exit_2(tmp_path, capsys):
+    """num_train needs ten rows per mixture component: 9 with one component
+    exits 2, 10 loads."""
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text("benchmark: pendulum\nnum_train: 10\nnum_components: 1\n")
+    cfg_path.write_text("benchmark: pendulum\nnum_train: 9\nnum_components: 1\n")
     capsys.readouterr()
     assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "'num_train'" in err
     assert "Traceback" not in err and not (tmp_path / "dataset.csv").exists()
-    assert config_from_dict({"benchmark": "pendulum", "num_train": 11,
-                             "num_components": 1}).num_train == 11
+    assert config_from_dict({"benchmark": "pendulum", "num_train": 10,
+                             "num_components": 1}).num_train == 10
 
 
 def test_odd_num_features_is_refused_only_where_an_rff_map_is_built(tmp_path, capsys):
@@ -684,77 +682,31 @@ def test_generate_dataset_aborts_above_one_percent_failed(monkeypatch):
         generate_dataset(small_config(num_train=200, horizon=1))
 
 
-def test_abc_gives_a_failed_draw_an_infinite_distance(monkeypatch):
-    """Every 40th of each repeat's 150 ABC draws diverges: it gets distance
-    inf and the other draws the statistics of a batch without it, so no
-    repeat fails. The dataset and real-observation batches are untouched."""
-    cfg = small_config(seed=11, methods=("rejection_abc",), repeats=3, num_train=150)
-    calls = []
-    ok = np.arange(150) % 40 != 0
+@pytest.mark.parametrize("num_train, k", [(150, 10), (1000, 20)])
+def test_abc_accepts_the_dataset_rows_nearest_the_observation(monkeypatch, num_train, k):
+    """Rejection ABC simulates nothing of its own: each repeat rolls out
+    only the dataset and the real observation, and scores the KDE of the
+    max(ceil(0.02 N), 10) dataset rows nearest to x_r."""
+    cfg = small_config(seed=11, methods=("rejection_abc",), repeats=2, num_train=num_train)
+    batches = []
 
-    def spy(simulate_stats, proposal, x_r, epsilon, count, seed):
-        def recorded(thetas, seeds):
-            with monkeypatch.context() as patch:
-                _diverge_rows(patch, ~ok)
-                calls.append((thetas, seeds, simulate_stats(thetas, seeds)))
-            return calls[-1][2]
-        return rejection_abc(recorded, proposal, x_r, epsilon, count, seed)
+    def counting_rollout(*args, **kwargs):
+        batches.append(len(kwargs["seed"]))
+        return rollout(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "rejection_abc", spy)
+    monkeypatch.setattr(harness, "rollout", counting_rollout)
     (row,) = evaluate(cfg)
-    assert not row.failed and row.repeats == 3
-    model = get_model(cfg.benchmark)
-    controller = builtin_controller(cfg.controller_kind, harness.CONTROLLER_SEED)
-    for r, (thetas, seeds, x) in enumerate(calls):
-        assert np.all(np.isinf(x[~ok])) and np.all(np.isfinite(x[ok]))
-        batch = rollout(model, thetas[ok], controller, horizon=cfg.horizon, seed=seeds[ok])
-        schema = generate_dataset(cfg, r).schema
-        np.testing.assert_array_equal(x[ok], schema.standardize(compute_stats(batch)))
-
-
-@pytest.mark.parametrize("completed", [5, 9, 10, 11, 40])
-def test_abc_when_most_draws_fail(monkeypatch, completed):
-    """Only the first `completed` of 100 ABC draws complete. Below 10 the
-    repeat fails and says so, with no numpy warning. From 10 on, the
-    fallback keeps the draws inside its quantile radius (infinite at 11,
-    finite at 40); at 10 that radius is NaN (inf - inf), and every
-    completed draw is kept."""
-    cfg = small_config(seed=5, methods=("rejection_abc",))
-    dataset = generate_dataset(cfg)
-    x_r = synth_real_observation(cfg, dataset.schema)
-    results = []
-
-    def failing_rollout(*args, **kwargs):
-        batch = rollout(*args, **kwargs)
-        failed = np.arange(len(batch.lengths)) >= completed
-        return dataclasses.replace(batch, diverged=batch.diverged | failed)
-
-    def spy(*args):
-        results.append(rejection_abc(*args))
-        return results[-1]
-
-    monkeypatch.setattr(harness, "rollout", failing_rollout)
-    monkeypatch.setattr(harness, "rejection_abc", spy)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if completed < 10:
-            with pytest.raises(ContractError,
-                               match=f"only {completed} of 100 completed"):
-                harness._abc_log_prob_for_repeat(cfg, dataset, x_r)
-        else:
-            lp = harness._abc_log_prob_for_repeat(cfg, dataset, x_r)
-    assert not [w for w in caught if "encountered" in str(w.message)]
-    if completed < 10:
-        return
-    (result,) = results
-    assert np.isfinite(result.distances).sum() == completed
-    assert result.accepted.shape[0] < 10
-    if completed == 10:
-        kept = result.thetas[:completed]
-    else:
-        eps = np.quantile(result.distances, 0.105)
-        kept = result.thetas[result.distances < eps]
-    assert lp == abc_log_prob(kept, np.asarray(cfg.theta_star))
+    monkeypatch.undo()
+    assert batches == [num_train, cfg.real_rollouts] * cfg.repeats
+    assert not row.failed and row.repeats == cfg.repeats
+    expected = []
+    for r in range(cfg.repeats):
+        dataset = generate_dataset(cfg, r)
+        x_r = synth_real_observation(cfg, dataset.schema, r)
+        nearest = np.argsort(np.linalg.norm(dataset.x_standardized - x_r, axis=1))[:k]
+        expected.append(abc_log_prob(dataset.thetas[np.sort(nearest)],
+                                     np.asarray(cfg.theta_star)))
+    assert row.mean == np.mean(expected) and row.std == np.std(expected)
 
 
 # -- seed plan -------------------------------------------------------------
