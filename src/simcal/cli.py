@@ -143,6 +143,9 @@ def main(argv=None) -> int:
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. a --count whose array cannot be allocated
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -33,7 +33,7 @@ _PRIMES = (
 MAX_DIMENSION = len(_PRIMES)
 
 
-# In-house, not scipy.stats.qmc.Halton (same points): that import outweighs the CLI's start-up.
+# In-house, not scipy.stats.qmc.Halton (same points): no simcal command imports scipy.
 def halton_points(dimension: int, count: int) -> np.ndarray:
     """``count`` consecutive Halton points starting at index 1, shape
     (count, dimension). Index 0 (the all-zeros point) is skipped so the
@@ -144,17 +144,21 @@ def build_rff(kernel: KernelConfig, input_dim: int) -> RFFMap:
     Gaussians from five reserved Halton columns (much better QMC moment
     convergence for the heavy tail than a single inverse-CDF column).
     The final Halton column maps affinely to the bias in [-pi, pi].
+    A Gaussian draw is a Halton coordinate through the standard library's
+    inverse normal CDF (Wichura's AS241), within a few ulps of scipy's
+    ``ndtri``.
     """
-    # Imported here, not at module level: scipy doubles the CLI's start-up
-    # and only RFF maps need it.
-    from scipy.special import ndtri
+    # Imported here, not at module level: only RFF maps need it, so
+    # `import simcal.cli` loads nothing more.
+    from statistics import NormalDist
 
     if input_dim < 1:
         raise ContractError("input_dim must be >= 1")
     n_freq = kernel.num_features // 2
     chi_columns = 0 if kernel.family == "rbf" else 5
     pts = halton_points(input_dim + chi_columns + 1, n_freq)
-    z = ndtri(pts[:, :-1])
+    u = pts[:, :-1]
+    z = np.fromiter(map(NormalDist().inv_cdf, u.ravel().tolist()), float, u.size).reshape(u.shape)
     freqs = z[:, :input_dim]
     if chi_columns:
         zc = z[:, input_dim:]

@@ -237,7 +237,10 @@ def sample(p: PosteriorEstimate, count: int, seed: int) -> np.ndarray:
             f"mixture mass inside support box is at most {upper:.1e}, below {MASS_FLOOR:g}")
     stream, draw, copy_out = _chunk_drawer(mixture, box, seed)
     threads = ROUND_CHUNKS if _usable_cpus() > 1 else 1
-    out = np.empty((count, mixture.dim))
+    try:
+        out = np.empty((count, mixture.dim))
+    except ValueError as exc:  # more rows than an array dimension can hold
+        raise ContractError(f"count {count} is too large: {exc}") from None
     slots = []
     filled = drawn = accepted = rejected_run = first = 0
     while filled < count:

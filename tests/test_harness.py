@@ -965,6 +965,21 @@ def test_cli_negative_seed_exit_2(cli_artifacts, tmp_path, capsys, command):
     assert err.startswith("configuration error:") and "seed" in err
 
 
+@pytest.mark.parametrize("count", ["100000000000000", "99999999999999999999999"])
+def test_cli_sample_count_beyond_the_address_space_exit_2(cli_artifacts, tmp_path, capsys,
+                                                          count):
+    """Both counts need more than the 47-bit address space, so the array
+    is refused at once: the first by the allocator, the second by numpy's
+    shape check."""
+    _, root = cli_artifacts
+    capsys.readouterr()
+    assert cli.main(["sample", "--posterior", str(root / "posterior.json"), "--count", count,
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
 def test_cli_sample_degenerate_posterior_exit_3(tmp_path, capsys):
     m = GaussianMixture([1.0], [[100.0]], [[0.01]])
     save_posterior(PosteriorEstimate(m, UniformBox([-1.0], [1.0]), {"param_names": ["dt"]}),

@@ -140,24 +140,20 @@ for name in ("nn", "rff"):
     with open(name + ".yaml", "w") as f:
         f.write("benchmark: pendulum\\nnum_train: 40\\nnum_features: 20\\n"
                 "num_components: 2\\nepochs: 3\\nlengthscale_candidates: [1.0]\\n"
-                "real_rollouts: 2\\nseed: 3\\nfeature_type: " + name + "\\n")
-    assert main(["generate", "--config", name + ".yaml", "--out", name]) == 0
-assert main(["train", "--config", "nn.yaml", "--dataset", "nn/dataset.csv",
-             "--out", "nn"]) == 0
-assert main(["infer", "--config", "nn.yaml", "--model", "nn/model.json",
-             "--out", "nn"]) == 0
-assert main(["sample", "--posterior", "nn/posterior.json", "--count", "100",
-             "--out", "nn"]) == 0
+                "real_rollouts: 2\\nrepeats: 1\\nseed: 3\\nfeature_type: " + name + "\\n")
+    for argv in (["generate"], ["train", "--dataset", name + "/dataset.csv"],
+                 ["infer", "--model", name + "/model.json"]):
+        assert main(argv + ["--config", name + ".yaml", "--out", name]) == 0
+    assert main(["sample", "--posterior", name + "/posterior.json", "--count", "100",
+                 "--out", name]) == 0
+assert main(["evaluate", "--config", "rff.yaml", "--out", "eval"]) == 0
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
-assert main(["train", "--config", "rff.yaml", "--dataset", "rff/dataset.csv",
-             "--out", "rff"]) == 0
-assert "scipy.special" in sys.modules
 """
 
 
-def test_cli_chain_loads_scipy_only_for_rff(tmp_path):
-    """generate, an nn train, infer and sample never import scipy; an rff
-    train imports scipy.special at its first build_rff."""
+def test_cli_commands_never_load_scipy(tmp_path):
+    """generate, nn and rff train and infer, sample and an evaluate that
+    builds RFF maps all run without importing scipy."""
     proc = _run_python(CHAIN, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
