@@ -1,7 +1,7 @@
 """simcal: likelihood-free posterior estimation over black-box simulator
 parameters, with domain-randomization sampling from the result."""
 
-from .features import KernelConfig, NeuralFeatureMap, RFFMap, apply_nn, apply_rff, build_rff
+from .features import KernelConfig, NeuralFeatureMap, RFFMap, build_rff
 from .mdn import GaussianMixture, MixtureHeadWeights, TrainerConfig, head_forward, log_density_batch, train
 from .posterior import PosteriorEstimate, divide_by_gaussian, log_prob_target, recover_posterior, sample, truncate
 from .priors import UniformBox

@@ -46,13 +46,15 @@ CONTROLLER_SEED = 7   # mixed with each episode's seed by the built-in controlle
 HIDDEN_UNITS = 24     # of the neural feature map
 
 # The closed range of each bounded field, checked for every value of a
-# list; the least positive value is the least positive float.
-_POSITIVE = (math.ulp(0.0), math.inf)
-_FIELD_RANGES = dict.fromkeys(
-    ("num_train", "num_features", "num_components", "epochs", "cv_epochs", "batch_size",
-     "repeats", "real_rollouts"), (1, math.inf))
-_FIELD_RANGES.update(dict.fromkeys(("seed", "patience"), (0, math.inf)), learning_rate=_POSITIVE,
-                     lengthscale_candidates=_POSITIVE, horizon=(1, MAX_HORIZON))
+# list; the least positive value is the least positive float. A count
+# that sizes arrays stops at 2**40: one float64 column of that many rows
+# is 8 TiB, and below it every array stays within numpy's size limit, so
+# an allocation that cannot be made raises MemoryError.
+_FIELD_RANGES = {
+    **dict.fromkeys(("num_train", "num_features", "real_rollouts"), (1, 2 ** 40)),
+    **dict.fromkeys(("num_components", "epochs", "cv_epochs", "repeats"), (1, math.inf)),
+    **dict.fromkeys(("seed", "patience"), (0, math.inf)),
+    "lengthscale_candidates": (math.ulp(0.0), math.inf), "horizon": (1, MAX_HORIZON)}
 # The values a field, or each value of a list field, may take.
 _FIELD_CHOICES = {"benchmark": tuple(MODELS), "controller_kind": CONTROLLER_KINDS,
                   "feature_type": ("rff", "nn"), "kernel_family": KERNEL_FAMILIES,
@@ -87,8 +89,6 @@ class ExperimentConfig:
     num_components: int = 5
     epochs: int = 500
     cv_epochs: int = 100
-    learning_rate: float = 1e-3
-    batch_size: int = 100
     patience: int = 50
     repeats: int = 5
     real_rollouts: int = 10
@@ -148,8 +148,6 @@ class ExperimentConfig:
         """The trainer of a repeat: its CV folds and head init share the seed."""
         return TrainerConfig(
             num_components=self.num_components,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
             epochs=epochs if epochs is not None else self.epochs,
             patience=self.patience,
             seed=int(random_stream(self, "train", repeat).integers(2 ** 63)),
@@ -168,7 +166,6 @@ def _numbers(v) -> bool:
 # become tuples on load.
 _VALUE_TYPES = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", _number),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of numbers", _numbers),
 }

@@ -47,7 +47,8 @@ class GaussianMixture:
             self.covariances = self.covariances[:, :, None] * np.eye(d)
         if self.weights.shape != (k,) or self.covariances.shape != (k, d, d):
             raise ContractError("inconsistent mixture shapes")
-        # The weights as Generator.choice accepts them: >= 0, summing to 1.
+        # The weights are >= 0 and sum to 1 within sqrt(float eps);
+        # `posterior.sample` divides their cumulative sum by its total.
         if not (np.all(self.weights >= 0)
                 and abs(self.weights.sum() - 1) <= np.sqrt(np.finfo(float).eps)
                 and np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
@@ -282,8 +283,10 @@ class _Adam:
     """Adaptive-moment minibatch optimizer updating a parameter array in
     place, through preallocated scratch arrays of the same shape."""
 
-    def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape, lr):
+        self.lr = lr
         self.m, self.v = np.zeros(shape), np.zeros(shape)
         self._scratch = np.empty(shape), np.empty(shape)
         self.t = 0

@@ -21,6 +21,7 @@ from .errors import ContractError, DivergedTrajectoryError
 from .priors import UniformBox
 
 GRAVITY = 9.8
+MASSCART = 1.0  # cart-pole's cart mass
 STATE_LIMIT = 1e8  # beyond this we call the trajectory diverged
 MAX_HORIZON = 200  # steps per episode
 
@@ -116,14 +117,14 @@ class GenerativeModel:
 # ---------------------------------------------------------------------------
 # CartPole
 
-def cartpole_step(state, force, *, length, masspole, masscart=1.0, dt=0.02):
+def cartpole_step(state, force, *, length, masspole, dt=0.02):
     """One explicit-Euler step of the classic cart-pole equations.
 
     state = (..., 4) rows of (x, x_dot, theta, theta_dot); force in
     newtons, broadcast against the leading axes like length and masspole.
     """
     x, x_dot, theta, theta_dot = (state[..., j] for j in range(4))
-    total_mass = masscart + masspole
+    total_mass = MASSCART + masspole
     pm_length = masspole * length
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     temp = (force + pm_length * theta_dot ** 2 * sin_t) / total_mass
@@ -264,13 +265,12 @@ CONTROLLER_KINDS = ("random_uniform", "bang_bang_energy", "sinusoid")
 class ScriptedController:
     """Deterministic-given-seed action source shared by every model.
 
-    Actions live in [-amplitude, amplitude]^D_a; the per-episode RNG
-    mixes the controller seed with the rollout seed.
+    Actions live in [-1, 1]^D_a; the per-episode RNG mixes the
+    controller seed with the rollout seed.
     """
 
     kind: str
     seed: int
-    amplitude: float = 1.0
 
     def episode_rng(self, episode_seed: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, episode_seed])
@@ -282,8 +282,7 @@ class ScriptedController:
         if self.kind != "random_uniform":
             return None
         return np.array([
-            self.episode_rng(int(s)).uniform(-self.amplitude, self.amplitude,
-                                             size=(horizon, action_dim))
+            self.episode_rng(int(s)).uniform(-1.0, 1.0, size=(horizon, action_dim))
             for s in seeds
         ]).reshape(len(seeds), horizon, action_dim)
 
@@ -297,13 +296,13 @@ class ScriptedController:
         else:  # bang_bang_energy
             u = model.push(states, t)
             u[u == 0] = 1.0
-        return np.repeat((self.amplitude * u)[:, None], model.action_dim, axis=1)
+        return np.repeat(u[:, None], model.action_dim, axis=1)
 
 
-def builtin_controller(kind: str, seed: int, amplitude: float = 1.0) -> ScriptedController:
+def builtin_controller(kind: str, seed: int) -> ScriptedController:
     if kind not in CONTROLLER_KINDS:
         raise ContractError(f"unknown controller kind {kind!r}")
-    return ScriptedController(kind=kind, seed=seed, amplitude=amplitude)
+    return ScriptedController(kind=kind, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,6 @@ def rollout(
     horizon: int = MAX_HORIZON,
     *,
     seed,
-    initial_state: np.ndarray | None = None,
 ) -> Rollouts:
     """Integrate the model under the controller's actions: one episode
     per row of the ``(N, d_theta)`` thetas and of the N ``seed`` values,
@@ -338,15 +336,11 @@ def rollout(
     if not inside.all():
         raise ContractError(f"theta={thetas[~inside][0].tolist()} outside the {model.name} limits")
     n = thetas.shape[0]
-    if initial_state is None:
-        salt = zlib.crc32(model.name.encode())
-        state = np.array([
-            model.initial_state(np.random.default_rng([int(s), salt]))
-            for s in seeds
-        ]).reshape(n, model.state_dim)
-    else:
-        state = np.broadcast_to(np.asarray(initial_state, dtype=float),
-                                (n, model.state_dim))
+    salt = zlib.crc32(model.name.encode())
+    state = np.array([
+        model.initial_state(np.random.default_rng([int(s), salt]))
+        for s in seeds
+    ]).reshape(n, model.state_dim)
     plan = controller.plan(seeds, horizon, model.action_dim)
 
     states = np.empty((n, horizon + 1, model.state_dim))

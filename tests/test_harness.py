@@ -88,17 +88,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigurationError, match="lengthscale"):
         config_from_dict({"benchmark": "pendulum", "lengthscale": 1.0})
     # each value must have the type of its field's default
-    for key, value in (("seed", True), ("seed", None), ("learning_rate", "fast"),
+    for key, value in (("seed", True), ("seed", None),
                        ("prior_low", 0.1), ("proposal_cov", [0.01]),
                        ("methods", "mdn_rff"), ("methods", [1]), ("benchmark", 3),
-                       # seeds and counts out of range
+                       # seeds, counts and lengthscales out of range
                        ("seed", -1), ("num_train", 0),
                        ("num_features", 0), ("num_components", 0),
-                       ("epochs", 0), ("cv_epochs", 0), ("batch_size", 0),
-                       ("repeats", 0), ("real_rollouts", 0),
-                       # rates and patience out of range, NaN included
-                       ("learning_rate", -1.0), ("learning_rate", 0.0),
-                       ("learning_rate", float("nan")), ("patience", -1),
+                       ("epochs", 0), ("cv_epochs", 0),
+                       ("repeats", 0), ("real_rollouts", 0), ("patience", -1),
+                       ("lengthscale_candidates", [0.0]),
                        ("proposal_cov", [[0.01, 0.0], [0.0]]),
                        # values used only by some stages, checked at load
                        *REFUSED_AT_LOAD.values()):
@@ -147,12 +145,14 @@ def test_cli_evaluate_refuses_at_load_exit_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("key", ["abc_epsilon", "abc_accept_rate", "abc_max_simulations",
-                                 "controller_seed", "hidden_units"])
+                                 "controller_seed", "hidden_units", "learning_rate",
+                                 "batch_size"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, key):
-    """Rejection ABC's budget and rate, the controller seed and the hidden
-    width are constants: a config that sets one is refused, with no
-    traceback, and nothing is written."""
-    value = {"abc_epsilon": 0.5, "abc_accept_rate": 0.02}.get(key, 7)
+    """Rejection ABC's budget and rate, the controller seed, the hidden
+    width, the learning rate and the minibatch size are constants: a
+    config that sets one is refused, with no traceback, and nothing is
+    written."""
+    value = {"abc_epsilon": 0.5, "abc_accept_rate": 0.02, "learning_rate": 1e-3}.get(key, 7)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"benchmark": "pendulum", key: value}))
     capsys.readouterr()
@@ -175,6 +175,39 @@ def test_num_train_below_ten_rows_per_component_exit_2(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "dataset.csv").exists()
     assert config_from_dict({"benchmark": "pendulum", "num_train": 10,
                              "num_components": 1}).num_train == 10
+
+
+# Each count with the first stage that sizes arrays by it; load refuses it first.
+HUGE_COUNTS = {"num_train": ("generate",),
+               "num_features": ("train", "--dataset", "absent.csv"),
+               "real_rollouts": ("infer", "--model", "absent.json"),
+               "num_components": ("generate",)}
+
+
+@pytest.mark.parametrize("key", sorted(HUGE_COUNTS))
+def test_huge_count_exit_2_at_load(tmp_path, capsys, key):
+    """A count of 10**20 exits 2 with one line naming the field, and writes
+    nothing: num_train, num_features and real_rollouts stop at 2**40, and
+    num_components at a tenth of num_train."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"benchmark: pendulum\n{key}: {10 ** 20}\n")
+    command, *inputs = HUGE_COUNTS[key]
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path), *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_array_sizing_counts_stop_at_2_to_the_40():
+    big = 2 ** 40
+    cfg = config_from_dict({"benchmark": "pendulum", "num_train": big,
+                            "num_features": big, "real_rollouts": big})
+    assert cfg.num_train == cfg.num_features == cfg.real_rollouts == big
+    for key in ("num_train", "num_features", "real_rollouts"):
+        with pytest.raises(ConfigurationError, match=rf"'{key}' must be in \[1, {big}\]"):
+            config_from_dict({"benchmark": "pendulum", key: big + 1})
 
 
 def test_odd_num_features_is_refused_only_where_an_rff_map_is_built(tmp_path, capsys):
@@ -228,6 +261,16 @@ def test_shipped_and_benchmark_configs_load():
         config_from_dict(yaml.safe_load(configs.config_text(workload, 1)))
 
 
+def test_every_config_field_is_documented():
+    """Each ExperimentConfig field appears backticked in the README's Config
+    section, so no field is added or removed without its documentation."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Config\n", 1)[1].split("\n#", 1)[0]
+    missing = [name for name in ExperimentConfig.__dataclass_fields__
+               if f"`{name}`" not in section]
+    assert not missing
+
+
 def test_config_hash_stable_and_sensitive():
     a = small_config()
     b = small_config()
@@ -240,12 +283,10 @@ def test_config_hash_stable_and_sensitive():
 def test_load_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("benchmark: pendulum\nnum_train: 120\ntheta_star: [0.1]\n"
-                    "learning_rate: 1\nproposal_mean: [0.1]\n"
-                    "proposal_cov: [[0.01]]\n")
+                    "proposal_mean: [0.1]\nproposal_cov: [[0.01]]\n")
     cfg = load_config(path)
     assert cfg.num_train == 120
     assert cfg.theta_star == (0.1,)
-    assert cfg.learning_rate == 1
     assert cfg.proposal_mean == (0.1,) and cfg.proposal_cov == ([0.01],)
     assert isinstance(cfg.proposal, PosteriorEstimate) and cfg.proposal.support is cfg.prior
     path.write_text("- not\n- a\n- mapping\n")
@@ -342,6 +383,25 @@ def test_model_roundtrip_byte_identical(fitted, tmp_path, feature_type):
         a, b = model.predict_mixture(x), loaded.predict_mixture(x)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_matern52_model_roundtrip(tmp_path):
+    """A kernel_family: matern52 config trains, and its reloaded model file
+    redraws the same frequencies and gives the same log p(theta*)."""
+    cfg = small_config(kernel_family="matern52")
+    dataset = generate_dataset(cfg)
+    model, _ = train_model(cfg, dataset, "rff")
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert json.loads(path.read_text())["feature"]["family"] == "matern52"
+    assert loaded.feature_map.kernel == model.feature_map.kernel
+    np.testing.assert_array_equal(loaded.feature_map.frequencies, model.feature_map.frequencies)
+    np.testing.assert_array_equal(loaded.feature_map.biases, model.feature_map.biases)
+    x_r = synth_real_observation(cfg, dataset.schema)
+    theta_star = np.asarray(cfg.theta_star)
+    assert (log_prob_target(infer_posterior(cfg, loaded, x_r), theta_star)
+            == log_prob_target(infer_posterior(cfg, model, x_r), theta_star))
 
 
 def test_load_model_rejects_foreign_file(tmp_path):

@@ -62,11 +62,32 @@ def rollout_one(model, theta, ctrl, seed, **kwargs):
     return batch
 
 
+class ZeroController:
+    """An action source of zeros: every rollout is unforced."""
+
+    def plan(self, seeds, horizon, action_dim):
+        return None
+
+    def act(self, states, t, model, plan=None):
+        return np.zeros((states.shape[0], model.action_dim))
+
+
+def started_at(model_cls, start):
+    """An instance of ``model_cls`` whose every episode starts at ``start``."""
+
+    class Started(model_cls):
+        def initial_state(self, rng):
+            return np.array(start, dtype=float)
+
+    return Started()
+
+
+TIPPED = [0.0, 0.0, 0.25, 0.0]  # beyond cart-pole's 12-degree threshold
+
+
 def test_rollout_from_equilibrium_constant():
-    model = CartPole()
-    ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=50, seed=0,
-                       initial_state=np.zeros(4))
+    model = started_at(CartPole, np.zeros(4))
+    traj = rollout_one(model, [0.5, 0.1], ZeroController(), horizon=50, seed=0)
     np.testing.assert_allclose(traj.states, 0.0)
 
 
@@ -93,11 +114,9 @@ def test_rollout_bounds_checked():
 
 
 def test_cartpole_termination():
-    model = CartPole()
+    model = started_at(CartPole, TIPPED)
     ctrl = builtin_controller("random_uniform", seed=1)
-    tipped = np.array([0.0, 0.0, 0.25, 0.0])  # beyond the 12-degree threshold
-    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=200, seed=0,
-                       initial_state=tipped)
+    traj = rollout_one(model, [0.5, 0.1], ctrl, horizon=200, seed=0)
     assert traj.terminated_early
     assert traj.length < 200
 
@@ -106,8 +125,7 @@ def test_pendulum_energy_drift_shrinks_with_dt():
     model = Pendulum()
 
     def drift(dt):
-        ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-        traj = rollout_one(model, [dt], ctrl, horizon=200, seed=2)
+        traj = rollout_one(model, [dt], ZeroController(), horizon=200, seed=2)
         cos_t, sin_t, om = traj.states[0].T
         # pendulum energy about the pivot, unforced rollout
         energy = 0.5 * (1.0 / 3.0) * om ** 2 - 0.5 * 9.8 * cos_t
@@ -118,8 +136,7 @@ def test_pendulum_energy_drift_shrinks_with_dt():
 
 def test_lotka_volterra_zero_rates_constant():
     model = LotkaVolterra()
-    ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.0)
-    states = rollout_one(model, [0.0, 0.0, 0.0, 0.0], ctrl, horizon=100,
+    states = rollout_one(model, [0.0, 0.0, 0.0, 0.0], ZeroController(), horizon=100,
                          seed=0).states[0]
     np.testing.assert_allclose(
         states, np.tile(states[0], (states.shape[0], 1)),
@@ -152,21 +169,21 @@ def test_bang_bang_keeps_cartpole_alive():
 
 
 def test_sinusoid_bounded():
-    ctrl = builtin_controller("sinusoid", seed=0, amplitude=0.4)
+    ctrl = builtin_controller("sinusoid", seed=0)
     acts = np.array([ctrl.act(np.zeros((1, 3)), t, Pendulum())
                      for t in range(100)])
-    assert np.max(np.abs(acts)) <= 0.4 + 1e-12
+    assert 0.99 < np.max(np.abs(acts)) <= 1.0
 
 
 def test_bang_bang_zero_sign_pushes_positive():
-    ctrl = builtin_controller("bang_bang_energy", seed=0, amplitude=0.5)
+    ctrl = builtin_controller("bang_bang_energy", seed=0)
     states = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, -0.1, 0.2],
                        [0.0, 0.0, -0.1, 0.0]])
     np.testing.assert_array_equal(ctrl.act(states, 0, CartPole()),
-                                  [[0.5], [0.5], [-0.5]])
+                                  [[1.0], [1.0], [-1.0]])
     np.testing.assert_array_equal(
         ctrl.act(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -2.0]]), 0, Pendulum()),
-        [[0.5], [-0.5]])
+        [[1.0], [-1.0]])
 
 
 def test_bang_bang_defaults_to_a_square_wave():
@@ -183,13 +200,13 @@ def test_bang_bang_defaults_to_a_square_wave():
         def step(self, state, action, theta):
             return state + theta[..., :1] * action
 
-    ctrl = builtin_controller("bang_bang_energy", seed=0, amplitude=0.5)
+    ctrl = builtin_controller("bang_bang_energy", seed=0)
     states = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 3.0]])
-    for t, u in ((0, 0.5), (24, 0.5), (25, -0.5), (49, -0.5), (50, 0.5)):
+    for t, u in ((0, 1.0), (24, 1.0), (25, -1.0), (49, -1.0), (50, 1.0)):
         np.testing.assert_array_equal(ctrl.act(states, t, Drift()), [[u], [u]])
     batch = rollout(Drift(), [[0.5]], ctrl, horizon=60, seed=[0])
     np.testing.assert_array_equal(batch.actions[0, :, 0],
-                                  np.where(np.arange(60) % 50 < 25, 0.5, -0.5))
+                                  np.where(np.arange(60) % 50 < 25, 1.0, -1.0))
 
 
 def test_unknown_controller_rejected():
@@ -340,11 +357,11 @@ def test_single_rollout_is_the_one_row_batch():
 def test_diverged_row_does_not_stop_the_batch_and_out_of_limit_theta_raises():
     model = LotkaVolterra()
     ctrl = builtin_controller("sinusoid", seed=0)
-    thetas = np.array([[0.5, 0.2, 0.4, 0.3], [2.0, 0.0, 0.0, 0.0],
+    # the middle row's prey and predators both grow without a check:
+    # its predators pass STATE_LIMIT before step 200
+    thetas = np.array([[0.5, 0.2, 0.4, 0.3], [2.0, 0.0, 0.0, 2.0],
                        [0.6, 0.2, 0.4, 0.3]])
-    start = np.array([[1.0, 0.5], [9e7, 0.5], [1.0, 0.5]])
-    batch = rollout(model, thetas, ctrl, horizon=200, seed=[0, 1, 2],
-                    initial_state=start)
+    batch = rollout(model, thetas, ctrl, horizon=200, seed=[0, 1, 2])
     np.testing.assert_array_equal(batch.diverged, [False, True, False])
     assert batch.lengths[0] == batch.lengths[2] == 200
     assert 0 < batch.lengths[1] < 200
@@ -355,12 +372,10 @@ def test_diverged_row_does_not_stop_the_batch_and_out_of_limit_theta_raises():
                                   np.broadcast_to(batch.states[1, n],
                                                   batch.states[1, n:].shape))
     # the rows beside it step as they would alone
-    alone = rollout(model, thetas[[0, 2]], ctrl, horizon=200, seed=[0, 2],
-                    initial_state=start[[0, 2]])
+    alone = rollout(model, thetas[[0, 2]], ctrl, horizon=200, seed=[0, 2])
     np.testing.assert_array_equal(batch.select([0, 2]).states, alone.states)
     with pytest.raises(DivergedTrajectoryError):
-        rollout_one(model, thetas[1], ctrl, horizon=200, seed=1,
-                    initial_state=start[1])
+        rollout_one(model, thetas[1], ctrl, horizon=200, seed=1)
     with pytest.raises(DivergedTrajectoryError):
         batch.check()
     batch.select([0, 2]).check()
@@ -368,15 +383,14 @@ def test_diverged_row_does_not_stop_the_batch_and_out_of_limit_theta_raises():
     outside = thetas.copy()
     outside[2, 0] = 3.0
     with pytest.raises(ContractError, match=r"theta=\[3.0, 0.2, 0.4, 0.3\] outside"):
-        rollout(model, outside, ctrl, horizon=200, seed=[0, 1, 2], initial_state=start)
+        rollout(model, outside, ctrl, horizon=200, seed=[0, 1, 2])
 
 
 def test_batch_stops_once_every_row_has_ended():
-    model = CartPole()
+    model = started_at(CartPole, TIPPED)
     ctrl = builtin_controller("random_uniform", seed=1)
-    tipped = np.array([0.0, 0.0, 0.25, 0.0])
     batch = rollout(model, np.array([[0.5, 0.1]] * 3), ctrl, horizon=200,
-                    seed=[0, 1, 2], initial_state=tipped)
+                    seed=[0, 1, 2])
     assert batch.terminated.all()
     assert batch.states.shape[1] == batch.lengths.max() + 1 < 200
 
@@ -385,10 +399,10 @@ def test_batch_stops_once_every_row_has_ended():
 
 @pytest.mark.parametrize("seed", [0, 3, 123456])
 def test_planned_actions_equal_per_step_draws(seed):
-    ctrl = builtin_controller("random_uniform", seed=seed, amplitude=0.7)
+    ctrl = builtin_controller("random_uniform", seed=seed)
     seeds = [seed * 100003 + n for n in range(4)]
     plan = ctrl.plan(seeds, 200, 2)
     for row, s in zip(plan, seeds):
         rng = ctrl.episode_rng(s)
-        per_step = np.array([rng.uniform(-0.7, 0.7, size=2) for _ in range(200)])
+        per_step = np.array([rng.uniform(-1.0, 1.0, size=2) for _ in range(200)])
         np.testing.assert_array_equal(row, per_step)
