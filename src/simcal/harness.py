@@ -280,8 +280,8 @@ def generate_dataset(config: ExperimentConfig, repeat: int = 0) -> Dataset:
 def _csv_rows(a: np.ndarray) -> str:
     """Rows of a 2-D array as CSV lines, each value as ``repr(float(v))``
     (the shortest string that reads back to the same float)."""
-    return "\n".join(",".join(map(repr, row))
-                     for row in np.asarray(a, dtype=float).tolist())
+    a = np.asarray(a, dtype=float)
+    return "\n".join(map(",".join, zip(*[map(repr, a.ravel().tolist())] * a.shape[1])))
 
 
 def _write_doc(path, kind: str, doc: dict, rows: np.ndarray | None = None) -> None:
@@ -420,55 +420,65 @@ def median_heuristic_lengthscale(x: np.ndarray) -> float:
     return float(np.sqrt(np.median(tri)) + 1e-12)
 
 
-def train_model(
-    config: ExperimentConfig,
-    dataset: Dataset,
-    feature_type: str,
-    repeat: int = 0,
-    shuffle_pairs: bool = False,
-):
-    """Lengthscale selection (RFF) followed by full training. Returns
-    (FittedModel, TrainingReport); the model's provenance records the CV
-    rungs, the selected lengthscale and the best epoch. ``shuffle_pairs``
-    trains on broken (theta, x) pairings; the control method in the
-    evaluation table."""
+def train_models(config: ExperimentConfig, dataset: Dataset, feature_type: str,
+                 repeat: int = 0, variants=(False,)):
+    """Lengthscale selection (RFF) followed by full training, once per
+    input variant of the dataset: ``False`` trains on its (theta, x)
+    pairs, ``True`` on pairs broken by shuffling x, the control method in
+    the evaluation table. The RFF variants train in lockstep: their CV
+    rungs share stacks, and their final fits one stack. Returns one
+    (FittedModel, TrainingReport) per variant; a model's provenance
+    records its CV rungs, the selected lengthscale and the best epoch."""
     x = dataset.x_standardized
+    xs = [x[random_stream(config, "shuffle", repeat).permutation(x.shape[0])]
+          if shuffled else x for shuffled in variants]
     thetas = dataset.thetas
-    if shuffle_pairs:
-        x = x[random_stream(config, "shuffle", repeat).permutation(x.shape[0])]
-
     offset = thetas.mean(axis=0)
     scale = np.maximum(thetas.std(axis=0), 1e-8)
     theta_std = (thetas - offset) / scale
 
     input_dim = x.shape[1]
-    selected, rungs = None, []
     if feature_type == "rff":
-        if config.lengthscale_candidates:
-            cands = list(config.lengthscale_candidates)
-        else:
-            med = median_heuristic_lengthscale(x)
-            cands = [med * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        fmap, rungs = mdn.select_lengthscale(
-            [build_rff(KernelConfig(config.kernel_family, s, config.num_features), input_dim)
-             for s in cands],
-            x, theta_std, config.trainer(repeat, epochs=config.cv_epochs))
-        selected = fmap.kernel.lengthscale
+        groups = []
+        for xv in xs:
+            if config.lengthscale_candidates:
+                cands = list(config.lengthscale_candidates)
+            else:
+                med = median_heuristic_lengthscale(xv)
+                cands = [med * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+            groups.append([build_rff(KernelConfig(config.kernel_family, s, config.num_features),
+                                     input_dim) for s in cands])
+        picks = mdn.select_lengthscale(groups, xs, theta_std,
+                                       config.trainer(repeat, epochs=config.cv_epochs))
     elif feature_type == "nn":
-        fmap = init_neural_map(input_dim, HIDDEN_UNITS, config.num_features,
-                               random_stream(config, "nn_init", repeat))
+        picks = [(init_neural_map(input_dim, HIDDEN_UNITS, config.num_features,
+                                  random_stream(config, "nn_init", repeat)), []) for _ in xs]
     else:
         raise ConfigurationError(f"unknown feature type {feature_type!r}")
 
-    head, fmap, report = train(config.trainer(repeat), x, theta_std, fmap)
-    model = FittedModel(
+    maps = [fmap for fmap, _ in picks]
+    # A trainable map trains alone, and a single variant through `train`,
+    # the fit that perfbench/spans.py counts.
+    if feature_type == "rff" and len(xs) > 1:
+        fits = mdn._train_stack(config.trainer(repeat), xs, theta_std, maps)
+    else:
+        fits = [train(config.trainer(repeat), xv, theta_std, fmap) for xv, fmap in zip(xs, maps)]
+    return [(FittedModel(
         feature_map=fmap, head=head, param_offset=offset, param_scale=scale,
         schema=dataset.schema, config_hash=dataset.config_hash,
         benchmark=dataset.benchmark, param_names=dataset.param_names,
-        provenance={"cv_rungs": rungs, "selected_lengthscale": selected,
-                    "best_epoch": report.best_epoch},
-    )
-    return model, report
+        provenance={"cv_rungs": rungs, "best_epoch": report.best_epoch,
+                    "selected_lengthscale": fmap.kernel.lengthscale
+                    if feature_type == "rff" else None},
+    ), report) for (head, fmap, report), (_, rungs) in zip(fits, picks)]
+
+
+def train_model(config: ExperimentConfig, dataset: Dataset, feature_type: str,
+                repeat: int = 0, shuffle_pairs: bool = False):
+    """:func:`train_models` of one variant: returns (FittedModel,
+    TrainingReport)."""
+    (fit,) = train_models(config, dataset, feature_type, repeat, (shuffle_pairs,))
+    return fit
 
 
 def save_model(model: FittedModel, path) -> None:
@@ -623,17 +633,37 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
     return abc_log_prob(result.accepted, np.asarray(config.theta_star))
 
 
+# The RFF methods of the evaluation table, each with its variant's
+# ``shuffle_pairs``; a repeat trains them together with :func:`train_models`.
+RFF_VARIANTS = {"mdn_rff": False, "control_shuffled": True}
+
+
+def _rff_models(config: ExperimentConfig, dataset: Dataset, repeat: int, methods) -> dict:
+    """Each of the RFF ``methods``' model, or the SimcalError its training
+    raised. The methods train together, and each alone when that raises."""
+    try:
+        fits = train_models(config, dataset, "rff", repeat, [RFF_VARIANTS[m] for m in methods])
+    except SimcalError as exc:
+        if len(methods) == 1:
+            return {methods[0]: exc}
+        return {m: _rff_models(config, dataset, repeat, [m])[m] for m in methods}
+    return {m: model for m, (model, _) in zip(methods, fits)}
+
+
 def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
     """R independent repeats per configured method; mean/std of the
     target log-probability per row. Failed repeats mark the row but the
-    table is still emitted in full."""
+    table is still emitted in full. A repeat trains its RFF methods
+    together (see :func:`_rff_models`)."""
     theta_star = np.asarray(config.theta_star)
     per_method: dict[str, list] = {m: [] for m in config.methods}
     reasons: dict[str, str] = {m: "" for m in config.methods}
+    rff = [m for m in config.methods if m in RFF_VARIANTS]
 
     for r in range(config.repeats):
         dataset = generate_dataset(config, r)
         x_r = synth_real_observation(config, dataset.schema, r)
+        models = {}
         for method in config.methods:
             if progress:
                 progress(f"repeat {r + 1}/{config.repeats}: {method}")
@@ -641,10 +671,13 @@ def evaluate(config: ExperimentConfig, progress=None) -> list[MetricsRow]:
                 if method == "rejection_abc":
                     lp = _abc_log_prob_for_repeat(config, dataset, x_r)
                 else:
-                    ftype = "nn" if method == "mdn_nn" else "rff"
-                    shuffled = method == "control_shuffled"
-                    model, _ = train_model(config, dataset, ftype, r,
-                                           shuffle_pairs=shuffled)
+                    if method in RFF_VARIANTS:
+                        models = models or _rff_models(config, dataset, r, rff)
+                        model = models[method]
+                        if isinstance(model, SimcalError):
+                            raise model
+                    else:
+                        model, _ = train_model(config, dataset, "nn", r)
                     post = infer_posterior(config, model, x_r)
                     lp = log_prob_target(post, theta_star)
                 per_method[method].append(lp)

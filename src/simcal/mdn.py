@@ -308,6 +308,11 @@ class _Adam:
         b += self.eps
         params -= np.divide(a, b, out=a)
 
+    def keep(self, rows):
+        """Keep only ``rows`` (a boolean mask) of the moments and scratch."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._scratch = np.empty(self.m.shape), np.empty(self.m.shape)
+
 
 _HEAD_KEYS = ("weight", "bias")
 
@@ -378,26 +383,28 @@ def train(
     Returns (head, feature_map, report); a frozen feature map is returned
     unchanged, a trainable one as a trained copy.
     """
-    (fit,) = _train_stack(config, x_train, theta_train, [feature_map])
+    (fit,) = _train_stack(config, [x_train], theta_train, [feature_map])
     return fit
 
 
-def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
-    """Train one head per feature map in lockstep; returns a
-    (head, feature_map, report) triple per map, as ``train`` would.
+def _train_stack(config: TrainerConfig, xs, theta_train, feature_maps):
+    """Train one head per feature map in lockstep, head c on the input
+    rows ``xs[c]``; returns a (head, feature_map, report) triple per map,
+    as ``train`` would.
 
-    The maps share the rows, the seed and the feature count, so every
-    draw (validation split, head init, epoch order) is the same for all
-    of them and one Generator serves the whole stack. Every trainable
-    array is a view into one (C, P) parameter stack that a single Adam
-    updates in place. A head whose patience runs out stays in its row,
-    frozen, and its report stops growing; the loop ends once every head
-    has stopped. A trainable map is trained jointly with its head, so it
-    trains alone.
+    The heads share the theta rows, the row count, the seed and the
+    feature count, so every draw (validation split, head init, epoch
+    order) is the same for all of them and one Generator serves the
+    whole stack. Every trainable array is a view into one (C, P)
+    parameter stack that a single Adam updates in place. A head whose
+    patience runs out leaves the stack: its best row is kept for its
+    result, and its rows of the parameters, gradients, Adam state and
+    features are dropped, so the loop ends when the last head stops. A
+    trainable map is trained jointly with its head, so it trains alone.
     """
-    x = np.atleast_2d(np.asarray(x_train, dtype=float))
+    xs = [np.atleast_2d(np.asarray(x, dtype=float)) for x in xs]
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
-    n = x.shape[0]
+    n = theta.shape[0]
     if n < 10 * config.num_components:
         raise ConfigurationError(
             f"need at least {10 * config.num_components} pairs for "
@@ -405,16 +412,17 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
         )
     map_keys = feature_maps[0].trainable
     s = feature_maps[0].num_features
-    if ((map_keys and len(feature_maps) > 1)
+    if ((map_keys and len(feature_maps) > 1) or len(xs) != len(feature_maps)
+            or any(x.shape[0] != n for x in xs)
             or any(m.num_features != s for m in feature_maps)):
-        raise ContractError("only frozen maps of one feature count train in lockstep")
+        raise ContractError("only frozen maps of one feature count, each with "
+                            "its own rows of one row count, train in lockstep")
     rng = np.random.default_rng(config.seed)
 
     n_val = max(1, int(round(config.validation_fraction * n)))
     perm = rng.permutation(n)
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    x_tr, th_tr = x[tr_idx], theta[tr_idx]
-    x_val, th_val = x[val_idx], theta[val_idx]
+    th_tr, th_val = theta[tr_idx], theta[val_idx]
 
     init = init_head(config.num_components, theta.shape[1], s, rng,
                      theta_samples=th_tr)
@@ -430,18 +438,20 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
     weight, bias, *fviews = _stack_views(params, shapes)
     head = MixtureHeadWeights(weight, bias, config.num_components)
     grad_views = _stack_views(grads, shapes)
-    # A trainable map trains as views into row 0.
+    # A trainable map trains as views into row 0, on the rows of xs[0].
     fmap = feature_maps[0].with_params([v[0] for v in fviews])
-    # Frozen features are computed once.
+    x_tr, x_val = xs[0][tr_idx], xs[0][val_idx]
+    # Frozen features are computed once, each head's from its own rows.
     feats_tr = feats_val = None
     if not map_keys:
-        feats_tr = np.stack([m.apply(x_tr) for m in feature_maps])
-        feats_val = np.stack([m.apply(x_val) for m in feature_maps])
+        feats_tr = np.stack([m.apply(x[tr_idx]) for m, x in zip(feature_maps, xs)])
+        feats_val = np.stack([m.apply(x[val_idx]) for m, x in zip(feature_maps, xs)])
 
     reports = [TrainingReport() for _ in feature_maps]
+    # Per map; ``live`` holds the map of each row still in the stack.
     best, best_loss = params.copy(), np.full(len(feature_maps), np.inf)
     best_epoch = np.zeros(len(feature_maps), dtype=int)
-    stopped = np.zeros(len(feature_maps), dtype=bool)
+    live = np.arange(len(feature_maps))
 
     n_tr = x_tr.shape[0]
     for epoch in range(config.epochs):
@@ -449,7 +459,7 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
         order = rng.permutation(n_tr)
         x_ep, th_ep = x_tr[order], th_tr[order]
         feats_ep = None if feats_tr is None else feats_tr[:, order]
-        ep_loss = np.zeros(len(feature_maps))
+        ep_loss = np.zeros(len(live))
         for start in range(0, n_tr, config.batch_size):
             batch = slice(start, start + config.batch_size)
             th_b = th_ep[batch]
@@ -460,22 +470,26 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
             parts = [hg[k] for k in _HEAD_KEYS] + [fg[k] for k in map_keys]
             for view, g in zip(grad_views, parts):
                 view[...] = g
-            grads[stopped] = 0.0
             adam.step(params, grads)
             ep_loss += loss * len(th_b)
         vl, _ = _batch_nll(head, fmap.apply(x_val) if map_keys else feats_val, th_val)
-        for c in np.flatnonzero(~stopped):
-            reports[c].train_loss.append(float(ep_loss[c] / n_tr))
-            reports[c].val_loss.append(float(vl[c]))
-        improved = ~stopped & (vl < best_loss - 1e-12)
-        best[improved], best_loss[improved] = params[improved], vl[improved]
-        best_epoch[improved] = epoch
-        stopped |= ~improved & (epoch - best_epoch >= config.patience)
-        # With a zero gradient and first moment, Adam's update of a
-        # stopped row is exactly 0: the row stays frozen.
-        adam.m[stopped] = 0.0
-        if stopped.all():
-            break
+        for c, tl, v in zip(live, ep_loss, vl):
+            reports[c].train_loss.append(float(tl / n_tr))
+            reports[c].val_loss.append(float(v))
+        improved = vl < best_loss[live] - 1e-12
+        best[live[improved]], best_loss[live[improved]] = params[improved], vl[improved]
+        best_epoch[live[improved]] = epoch
+        stopped = ~improved & (epoch - best_epoch[live] >= config.patience)
+        if stopped.any():
+            keep = ~stopped
+            live, params, grads = live[keep], params[keep], grads[keep]
+            if not live.size:
+                break
+            # Only a frozen stack has more than one head.
+            adam.keep(keep)
+            feats_tr, feats_val = feats_tr[keep], feats_val[keep]
+            head = MixtureHeadWeights(*_stack_views(params, shapes), config.num_components)
+            grad_views = _stack_views(grads, shapes)
 
     results = []
     for c, report in enumerate(reports):
@@ -489,38 +503,46 @@ def _train_stack(config: TrainerConfig, x_train, theta_train, feature_maps):
 CV_FOLDS = 3
 
 
-def select_lengthscale(feature_maps, x_train: np.ndarray, theta_train: np.ndarray,
-                       config: TrainerConfig):
-    """Lengthscale choice by successive halving over CV_FOLDS folds.
+def select_lengthscale(groups, xs, theta_train: np.ndarray, config: TrainerConfig):
+    """Lengthscale choice by successive halving over CV_FOLDS folds, for
+    one or more candidate groups in lockstep.
 
-    ``feature_maps`` are the candidate RFF maps; the rungs of
-    :func:`_halving_rungs` score them fold by fold and keep the better
-    half after each fold but the last. Returns (map, rungs): the
-    survivor with the highest held-out log-likelihood total, exact ties
-    breaking toward the larger lengthscale, and one record per rung of the fold,
-    the candidates' lengthscales and their running totals. A single
-    candidate is returned without CV and with no rungs.
+    Group g is a list of candidate RFF maps for the input rows ``xs[g]``;
+    every group shares ``theta_train``. The rungs of
+    :func:`_halving_rungs` score each group's candidates fold by fold and
+    keep its better half after each fold but the last. Returns one
+    (map, rungs) per group: the survivor with the highest held-out
+    log-likelihood total, exact ties breaking toward the larger
+    lengthscale, and one record per rung of the fold, the candidates'
+    lengthscales and their running totals. A group of a single candidate
+    gets it back without CV and with no rungs.
 
     A head's fit does not depend on the other heads of its stack, so a
-    survivor's total is bitwise its total under the flat
-    candidates x folds grid. The pick is the flat grid's whenever its
-    winner ranks in the top two on fold 0. It differs in one way: a
-    candidate pruned after fold 0 never trains on the later folds, so
-    its divergence there raises nothing, while a divergence on fold 0
-    still raises TrainingDivergenceError.
+    survivor's total is bitwise its total under its group's flat
+    candidates x folds grid, whatever the other groups hold. The pick is
+    the flat grid's whenever its winner ranks in the top two on fold 0.
+    It differs in one way: a candidate pruned after fold 0 never trains
+    on the later folds, so its divergence there raises nothing, while a
+    divergence on fold 0 still raises TrainingDivergenceError, for every
+    group of the stack it trains in.
     """
-    if not feature_maps:
+    if not all(groups):
         raise ConfigurationError("need at least one lengthscale candidate")
-    if len(feature_maps) == 1:
-        return feature_maps[0], []
-    x = np.atleast_2d(np.asarray(x_train, dtype=float))
+    picks = [(maps[0], []) for maps in groups]
+    cv = [g for g, maps in enumerate(groups) if len(maps) > 1]
+    if not cv:
+        return picks
     theta = np.atleast_2d(np.asarray(theta_train, dtype=float))
-    idx = np.random.default_rng(config.seed).permutation(x.shape[0])
-    rungs = _halving_rungs(feature_maps, x, theta, np.array_split(idx, CV_FOLDS), config)
-    _, maps, totals = rungs[-1]
-    best = max(zip(totals, maps), key=_rank)[1]
-    return best, [{"fold": f, "lengthscales": [m.kernel.lengthscale for m in ms],
-                   "totals": ts} for f, ms, ts in rungs]
+    idx = np.random.default_rng(config.seed).permutation(theta.shape[0])
+    scored = _halving_rungs([groups[g] for g in cv],
+                            [np.atleast_2d(np.asarray(xs[g], dtype=float)) for g in cv],
+                            theta, np.array_split(idx, CV_FOLDS), config)
+    for g, rungs in zip(cv, scored):
+        _, maps, totals = rungs[-1]
+        picks[g] = (max(zip(totals, maps), key=_rank)[1],
+                    [{"fold": f, "lengthscales": [m.kernel.lengthscale for m in ms],
+                      "totals": ts} for f, ms, ts in rungs])
+    return picks
 
 
 def _rank(scored) -> tuple:
@@ -530,23 +552,38 @@ def _rank(scored) -> tuple:
     return total, fmap.kernel.lengthscale
 
 
-def _halving_rungs(feature_maps, x, theta, fold_ids, config) -> list:
+def _prune(maps, totals):
+    """The best max(2, len(maps) // 2) of the maps by total, ties toward
+    the larger lengthscale, with their totals, in candidate order."""
+    if len(maps) <= 2:  # nothing to prune
+        return maps, totals
+    ranked = sorted(range(len(maps)), reverse=True,
+                    key=lambda c: _rank((totals[c], maps[c])))
+    keep = sorted(ranked[:max(2, len(maps) // 2)])
+    return [maps[c] for c in keep], [totals[c] for c in keep]
+
+
+def _halving_rungs(groups, xs, theta, fold_ids, config) -> list:
     """Successive halving with fold f as rung f. Each rung trains the
-    surviving maps in one lockstep stack on the other folds and adds each
-    survivor's held-out log-likelihood sum on fold f to its running
-    total; after every rung but the last, the best max(2, survivors // 2)
-    by total go on, ties toward the larger lengthscale. Returns one
+    surviving maps of every group in one lockstep stack on the other
+    folds, group g on its rows ``xs[g]``, and adds each survivor's
+    held-out log-likelihood sum on fold f to its running total; after
+    every rung but the last, each group keeps its best
+    max(2, survivors // 2) by total. Returns, per group, one
     (fold, maps, totals) triple per rung, maps in candidate order."""
-    maps, totals, rungs = list(feature_maps), [0.0] * len(feature_maps), []
+    alive = [(list(maps), [0.0] * len(maps)) for maps in groups]
+    rungs = [[] for _ in groups]
     for f, te in enumerate(fold_ids):
-        if rungs and len(maps) > 2:  # two or fewer: nothing to prune
-            ranked = sorted(range(len(maps)), reverse=True,
-                            key=lambda c: _rank((totals[c], maps[c])))
-            keep = sorted(ranked[:max(2, len(maps) // 2)])
-            maps, totals = [maps[c] for c in keep], [totals[c] for c in keep]
+        if f:
+            alive = [_prune(maps, totals) for maps, totals in alive]
         tr = np.concatenate([g for j, g in enumerate(fold_ids) if j != f])
-        fits = _train_stack(config, x[tr], theta[tr], maps)
-        totals = [total + float(np.sum(_row_log_likelihoods(head, fmap, x[te], theta[te])))
-                  for total, (head, fmap, _) in zip(totals, fits)]
-        rungs.append((f, maps, totals))
+        x_tr = [x[tr] for x in xs]
+        fits = iter(_train_stack(config, [x for x, (maps, _) in zip(x_tr, alive) for _ in maps],
+                                 theta[tr], [m for maps, _ in alive for m in maps]))
+        # zip takes a total first, so each group takes only its own fits.
+        alive = [(maps, [total + float(np.sum(_row_log_likelihoods(head, fmap, x[te], theta[te])))
+                         for total, (head, fmap, _) in zip(totals, fits)])
+                 for x, (maps, totals) in zip(xs, alive)]
+        for rung, (maps, totals) in zip(rungs, alive):
+            rung.append((f, maps, totals))
     return rungs

@@ -497,6 +497,58 @@ def test_evaluate_single_repeat_rows():
     assert not row.failed
 
 
+
+def _row_bits(row):
+    return row.method, row.mean.hex(), row.std.hex(), row.repeats, row.failed, row.reason
+
+
+@pytest.mark.parametrize("num_train", [150, 151, 152])  # N mod 3 = 0, 1 and 2
+def test_evaluate_rff_methods_together_equal_each_alone(num_train):
+    """mdn_rff and control_shuffled share their CV stacks and final fit
+    in one evaluate; each row is bitwise the row of the method alone."""
+    over = dict(num_train=num_train, lengthscale_candidates=(), patience=3, repeats=2)
+    lines = []
+    together = evaluate(small_config(methods=("mdn_rff", "control_shuffled"), **over),
+                        progress=lines.append)
+    alone = [evaluate(small_config(methods=(m,), **over))[0]
+             for m in ("mdn_rff", "control_shuffled")]
+    assert [_row_bits(r) for r in together] == [_row_bits(r) for r in alone]
+    assert not any(r.failed for r in together)
+    assert lines == [f"repeat {r}/2: {m}" for r in (1, 2) for m in ("mdn_rff", "control_shuffled")]
+
+
+def test_evaluate_control_failure_marks_only_the_control(monkeypatch):
+    """A divergence in the control's maps fails the joint training; each
+    method then trains alone, and only the control is marked failed."""
+    over = dict(num_train=300, lengthscale_candidates=())
+    (rff_alone,) = evaluate(small_config(methods=("mdn_rff",), **over))
+    build, seen = harness.build_rff, set()
+
+    def spy(kernel, input_dim):
+        seen.add(kernel.lengthscale)
+        return build(kernel, input_dim)
+
+    monkeypatch.setattr(harness, "build_rff", spy)
+    evaluate(small_config(methods=("control_shuffled",), **over))
+    control = set(seen)
+    seen.clear()
+    evaluate(small_config(methods=("mdn_rff",), **over))
+    assert len(control) == 5 and not control & set(seen)
+
+    def poisoned(kernel, input_dim):
+        fmap = build(kernel, input_dim)
+        if kernel.lengthscale in control:
+            fmap.frequencies[0, 0] = np.inf  # NaN features, non-finite head
+        return fmap
+
+    monkeypatch.setattr(harness, "build_rff", poisoned)
+    with np.errstate(invalid="ignore"):
+        rff, ctl = evaluate(small_config(methods=("mdn_rff", "control_shuffled"), **over))
+    assert _row_bits(rff) == _row_bits(rff_alone) and not rff.failed
+    assert ctl.failed and ctl.repeats == 0
+    assert ctl.reason == "TrainingDivergenceError: non-finite activations in mixture head"
+
+
 # -- CLI -------------------------------------------------------------------
 
 CFG_YAML = """\
@@ -1163,7 +1215,7 @@ def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch, tmp_p
         return fake
 
     cfg = small_config(methods=("mdn_rff",))
-    monkeypatch.setattr(harness, "train_model",
+    monkeypatch.setattr(harness, "train_models",
                         raise_(TrainingDivergenceError('non-finite loss, "nan"')))
     (row,) = evaluate(cfg)
     assert row.failed and row.repeats == 0
@@ -1174,7 +1226,7 @@ def test_evaluate_marks_package_errors_failed_and_raises_bugs(monkeypatch, tmp_p
         (written,) = csv.DictReader(fh)
     assert written["failed"] == "1" and written["reason"] == reason
     assert f"[FAILED] {reason}" in (tmp_path / "metrics.txt").read_text()
-    monkeypatch.setattr(harness, "train_model", raise_(TypeError("a bug")))
+    monkeypatch.setattr(harness, "train_models", raise_(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         evaluate(cfg)
 

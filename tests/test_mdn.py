@@ -254,7 +254,7 @@ def test_loss_values_match_log_density_oracle(kind, monkeypatch):
     monkeypatch.setattr(mdn, "_train_stack",
                         lambda cfg, xs, ths, maps: [(head, f, None) for f in maps])
     folds = np.array_split(rng.permutation(30), 3)
-    rungs = mdn._halving_rungs([fmap], x, th, folds, TrainerConfig(num_components=3))
+    (rungs,) = mdn._halving_rungs([[fmap]], [x], th, folds, TrainerConfig(num_components=3))
     (total,) = rungs[-1][2]
     assert total / 30 == pytest.approx(oracle, abs=1e-12)
 
@@ -330,7 +330,8 @@ def test_validation_loss_trend():
 def test_select_lengthscale_singleton():
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=10, seed=0)
-    got, rungs = select_lengthscale([build_rff(KernelConfig("rbf", 0.7, 20), 1)], x, th, cfg)
+    ((got, rungs),) = select_lengthscale([[build_rff(KernelConfig("rbf", 0.7, 20), 1)]], [x],
+                                         th, cfg)
     assert got.kernel.lengthscale == 0.7 and rungs == []
 
 
@@ -338,9 +339,9 @@ def test_select_lengthscale_prefers_data_scale():
     x, th = _synthetic_data(900, seed=4)
     cfg = TrainerConfig(num_components=2, epochs=60, seed=4)
     sigma0 = 0.3
-    got, _ = select_lengthscale(
-        [build_rff(KernelConfig("rbf", s, 60), 1) for s in (sigma0 * 1e-3, sigma0, sigma0 * 1e3)],
-        x, th, cfg,
+    ((got, _),) = select_lengthscale(
+        [[build_rff(KernelConfig("rbf", s, 60), 1) for s in (sigma0 * 1e-3, sigma0, sigma0 * 1e3)]],
+        [x], th, cfg,
     )
     assert got.kernel.lengthscale == sigma0
 
@@ -349,8 +350,8 @@ def test_select_lengthscale_tie_breaks_large():
     # identical scores forced by a single fold candidate list duplicate
     x, th = _synthetic_data(200)
     cfg = TrainerConfig(num_components=2, epochs=5, seed=0)
-    got, _ = select_lengthscale(
-        [build_rff(KernelConfig("rbf", s, 20), 1) for s in (0.5, 0.5)], x, th, cfg,
+    ((got, _),) = select_lengthscale(
+        [[build_rff(KernelConfig("rbf", s, 20), 1) for s in (0.5, 0.5)]], [x], th, cfg,
     )
     assert got.kernel.lengthscale == 0.5
 
@@ -371,8 +372,8 @@ def _forced_cv(monkeypatch, fold_scores):
     monkeypatch.setattr(mdn, "_train_stack", stack)
     monkeypatch.setattr(mdn, "_row_log_likelihoods", log_likelihoods)
     x, th = _synthetic_data(90)
-    got, rungs = select_lengthscale([build_rff(KernelConfig("rbf", s, 8), 1)
-                                     for s in fold_scores], x, th, TrainerConfig())
+    ((got, rungs),) = select_lengthscale([[build_rff(KernelConfig("rbf", s, 8), 1)
+                                           for s in fold_scores]], [x], th, TrainerConfig())
     return got.kernel.lengthscale, rungs, sizes
 
 
@@ -466,7 +467,7 @@ def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
     maps = [_candidate_map(s) for s in CANDIDATES]
 
     stops = set()
-    for fmap, stacked in zip(maps, mdn._train_stack(cfg, x, th, maps)):
+    for fmap, stacked in zip(maps, mdn._train_stack(cfg, [x] * len(maps), th, maps)):
         (weight, bias), ref_report = _reference_train(cfg, x, th, fmap)
         for head, got_map, report in (stacked, train(cfg, x, th, fmap)):
             np.testing.assert_array_equal(head.weight, weight)
@@ -489,7 +490,7 @@ def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
             total += float(np.sum(mdn._row_log_likelihoods(head, fmap, x[te], th[te])))
             running.append(total)
         flat[fmap.kernel.lengthscale] = running
-    got, rungs = select_lengthscale(maps, x, th, cfg)
+    ((got, rungs),) = select_lengthscale([maps], [x], th, cfg)
     assert rungs[0]["lengthscales"] == CANDIDATES
     for rung in rungs:
         assert rung["totals"] == [flat[s][rung["fold"]] for s in rung["lengthscales"]]
@@ -501,25 +502,67 @@ def test_lockstep_fits_and_cv_equal_separate_fits(lr, patience):
     assert got.kernel.lengthscale == best
 
 
-def test_stopped_head_stays_frozen(monkeypatch):
+def test_heads_with_their_own_rows_equal_separate_fits():
+    # Two heads of one map on x and on a fixed permutation of x (the
+    # shuffled-pairs control): each must equal its own fit bitwise.
+    x, th = _two_param_data()
+    xs = [x, x[np.random.default_rng(5).permutation(len(x))]]
+    cfg = TrainerConfig(num_components=2, learning_rate=0.02, batch_size=40,
+                        epochs=80, patience=4, seed=3)
+    fmap = _candidate_map(0.5)
+    fits = mdn._train_stack(cfg, xs, th, [fmap, fmap])
+    for xv, (head, got_map, report) in zip(xs, fits):
+        alone, _, ref = train(cfg, xv, th, fmap)
+        assert _bits(head.weight) == _bits(alone.weight)
+        assert _bits(head.bias) == _bits(alone.bias)
+        assert got_map is fmap
+        assert (report.train_loss, report.val_loss, report.best_epoch) == (
+            ref.train_loss, ref.val_loss, ref.best_epoch)
+    assert len(fits[0][2].val_loss) != len(fits[1][2].val_loss)  # stop at different epochs
+
+    # Lengthscale CV of both inputs in lockstep picks and scores as each alone.
+    cfg = TrainerConfig(num_components=2, learning_rate=0.02, batch_size=40,
+                        epochs=15, patience=4, seed=3)
+    groups = [[_candidate_map(s) for s in CANDIDATES] for _ in xs]
+    picks = select_lengthscale(groups, xs, th, cfg)
+    for g, (maps, xv) in enumerate(zip(groups, xs)):
+        ((alone, rungs),) = select_lengthscale([maps], [xv], th, cfg)
+        assert picks[g][0] is alone and picks[g][1] == rungs
+    assert [len(r["lengthscales"]) for r in picks[0][1]] == [5, 2, 2]
+
+
+def test_stopped_head_leaves_the_stack(monkeypatch):
     x, th = _two_param_data()
     cfg = TrainerConfig(num_components=2, learning_rate=0.02, batch_size=40,
                         epochs=80, patience=3, seed=3)
     snapshots, step = [], mdn._Adam.step
 
     def spy(self, params, grads):
+        assert self.m.shape == self.v.shape == grads.shape == params.shape
         step(self, params, grads)
         snapshots.append(params.copy())
 
     monkeypatch.setattr(mdn._Adam, "step", spy)
-    fits = mdn._train_stack(cfg, x, th, [_candidate_map(s) for s in CANDIDATES])
+    maps = [_candidate_map(s) for s in CANDIDATES]
+    fits = mdn._train_stack(cfg, [x] * len(maps), th, maps)
     epochs = [len(report.val_loss) for _, _, report in fits]
-    per_epoch, rest = divmod(len(snapshots), max(epochs))
-    assert rest == 0 and min(epochs) < max(epochs)  # heads stop at different epochs
-    for c, stop in enumerate(epochs):
-        frozen = snapshots[stop * per_epoch - 1][c]
-        for t in range(stop * per_epoch, len(snapshots)):
-            assert _bits(snapshots[t][c]) == _bits(frozen), (c, t)
+    per_epoch = -(-(len(x) - 24) // cfg.batch_size)  # 24 validation rows
+    assert len(set(epochs)) > 1  # heads stop at different epochs
+
+    def live(t):  # the heads still in the stack at Adam step t
+        return [c for c, e in enumerate(epochs) if e > t // per_epoch]
+
+    # The loop ends when the last head stops, and each step carries
+    # only the heads that have not stopped.
+    assert len(snapshots) == max(epochs) * per_epoch < cfg.epochs * per_epoch
+    assert [p.shape[0] for p in snapshots] == [len(live(t)) for t in range(len(snapshots))]
+    # A head is its row at the last step of its best epoch.
+    for c, (head, _, report) in enumerate(fits):
+        t = (report.best_epoch + 1) * per_epoch - 1
+        row = live(t).index(c)
+        weight, bias = mdn._stack_views(snapshots[t][row:row + 1],
+                                        [head.weight.shape, head.bias.shape])
+        assert _bits(weight[0]) == _bits(head.weight) and _bits(bias[0]) == _bits(head.bias)
 
 
 def test_nn_validation_loss_equals_loss_at_best_epoch():
@@ -545,7 +588,7 @@ def test_diverging_candidate_raises():
         return fmap
 
     with pytest.raises(TrainingDivergenceError), np.errstate(invalid="ignore"):
-        select_lengthscale([build(s) for s in (0.5, 1.0, 3.0)], x, th, cfg)
+        select_lengthscale([[build(s) for s in (0.5, 1.0, 3.0)]], [x], th, cfg)
 
 
 # -- bitwise oracle for the component-major kernel --------------------------
