@@ -421,7 +421,7 @@ def median_heuristic_lengthscale(x: np.ndarray) -> float:
 
 
 def train_models(config: ExperimentConfig, dataset: Dataset, feature_type: str,
-                 repeat: int = 0, variants=(False,)):
+                 repeat: int, variants):
     """Lengthscale selection (RFF) followed by full training, once per
     input variant of the dataset: ``False`` trains on its (theta, x)
     pairs, ``True`` on pairs broken by shuffling x, the control method in
@@ -474,10 +474,10 @@ def train_models(config: ExperimentConfig, dataset: Dataset, feature_type: str,
 
 
 def train_model(config: ExperimentConfig, dataset: Dataset, feature_type: str,
-                repeat: int = 0, shuffle_pairs: bool = False):
-    """:func:`train_models` of one variant: returns (FittedModel,
-    TrainingReport)."""
-    (fit,) = train_models(config, dataset, feature_type, repeat, (shuffle_pairs,))
+                repeat: int = 0):
+    """:func:`train_models` on the dataset's own pairs: returns
+    (FittedModel, TrainingReport)."""
+    (fit,) = train_models(config, dataset, feature_type, repeat, (False,))
     return fit
 
 
@@ -633,8 +633,8 @@ def _abc_log_prob_for_repeat(config: ExperimentConfig, dataset: Dataset,
     return abc_log_prob(result.accepted, np.asarray(config.theta_star))
 
 
-# The RFF methods of the evaluation table, each with its variant's
-# ``shuffle_pairs``; a repeat trains them together with :func:`train_models`.
+# The RFF methods of the evaluation table and whether each trains on
+# shuffled pairs; a repeat trains them together with :func:`train_models`.
 RFF_VARIANTS = {"mdn_rff": False, "control_shuffled": True}
 
 
